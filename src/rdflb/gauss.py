@@ -313,13 +313,16 @@ def _quantile_deep(n: int, lam: float, log_p0: float, x0: float | None = None) -
     """x with ln CDF_{chi2(n, lam)}(x) = log_p0, warm-startable.
 
     Secant iteration on the log-CDF (smooth, strictly increasing) with a
-    bisection fallback whenever a step leaves the current bracket.
+    bisection fallback whenever a step leaves the current bracket.  The
+    secant aims at a residual ln CDF - log_p0 of 5e-13, the middle of the
+    accepted window [0, 1e-12), so rounding noise in the log-CDF does not
+    keep landing it just below log_p0.
 
-    Returns the secant point itself once its residual |ln CDF - log_p0|
-    is below 1e-12.  If instead the bracket shrinks to 1e-11 relative width
-    or the 60-step cap is reached, it returns the bracket's upper end,
-    where ln CDF >= log_p0: the threshold then errs high, and so does the
-    upper bound built on it, which keeps that bound valid.
+    Returns the secant point itself once its residual lies in [0, 1e-12).
+    If instead the bracket shrinks to 1e-11 relative width or the 60-step
+    cap is reached, it returns the bracket's upper end.  Either way
+    ln CDF >= log_p0 at the returned point: the threshold errs high, and so
+    does the upper bound built on it, which keeps that bound valid.
     """
     hi = n + lam + 10.0 * math.sqrt(2.0 * n + 4.0 * lam) + 10.0
     lo = 0.0
@@ -339,7 +342,7 @@ def _quantile_deep(n: int, lam: float, log_p0: float, x0: float | None = None) -
         if hi - lo <= 1e-11 * max(1.0, hi):
             break
         if fb != fa:
-            x_new = xb - fb * (xb - xa) / (fb - fa)
+            x_new = xb - (fb - 5e-13) * (xb - xa) / (fb - fa)
         else:
             x_new = 0.5 * (lo + hi)
         if not lo < x_new < hi:
@@ -350,7 +353,7 @@ def _quantile_deep(n: int, lam: float, log_p0: float, x0: float | None = None) -
         else:
             hi = x_new
         xa, fa, xb, fb = xb, fb, x_new, f_new
-        if abs(f_new) < 1e-12:
+        if 0.0 <= f_new < 1e-12:
             return x_new
     return hi
 

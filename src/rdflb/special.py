@@ -1,10 +1,13 @@
 """Special functions: entropies, chi-squared family, hyperspherical areas.
 
-The regularized incomplete gamma and beta functions are implemented here
-(series / continued-fraction split) rather than taken from scipy because
-the bound computations need them in the log domain: quantities like the
-left tail of a noncentral chi-squared at probability 2**(-n*R) underflow
-doubles long before n reaches the blocklengths of interest.
+The regularized incomplete gamma and beta functions are scipy's compiled
+ufuncs (``gammainc``, ``gammaincc``, ``betainc``).  The bound computations
+need them in the log domain: the left tail of a noncentral chi-squared at
+probability 2**(-n*R) and the area of a thin cap in high dimension can
+underflow doubles.  Lanes whose value falls below ``_TINY`` are therefore
+evaluated from the exact hypergeometric forms of the same functions
+(DLMF 8.5.1 with 13.6 for P(a, x), DLMF 8.17.8 for I_x(a, b)), whose
+prefactors are kept in logs.
 
 All array-accepting helpers broadcast; scalar wrappers keep the public
 API simple.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr
+from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln, hyp1f1, hyp2f1
 
 from .logdomain import LOG_ZERO, LogReal, logsumexp
 
@@ -38,9 +41,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# Above this n + lambda the exact Poisson-mixture series is replaced by the
-# Sankaran normal approximation (absolute accuracy degrades to ~1e-6).
-_SANKARAN_CUTOFF = 1e5
+# Below this the compiled P(a, x) and I_x(a, b) lose relative accuracy to
+# underflow; such lanes switch to their hypergeometric forms.
+_TINY = 1e-280
 
 
 # ---------------------------------------------------------------------------
@@ -82,98 +85,41 @@ def inverse_binary_entropy(h: float) -> float:
 # regularized incomplete gamma, linear and log domain
 # ---------------------------------------------------------------------------
 
-def _lower_series_log(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ln P(a, x) by the power series, valid for x < a + 1.
+def _log_gamma_p(a, x) -> np.ndarray:
+    """ln P(a, x) elementwise, relatively accurate arbitrarily deep in the left tail.
 
-    P(a,x) = x^a e^-x / Gamma(a+1) * sum_k prod_{j<=k} x/(a+j).
-    The prefactor is kept in logs so tiny tail values stay relatively
-    accurate.  Converged lanes are retired from the iteration.
+    Underflowing lanes use P(a, x) = x^a e^-x / Gamma(a+1) * 1F1(1; a+1; x).
     """
-    a = np.asarray(a, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    term = np.ones_like(a)
-    total = np.ones_like(a)
-    ap = a.copy()
-    active = np.arange(a.size)
-    for _ in range(100000):
-        ap[active] += 1.0
-        term[active] *= x[active] / ap[active]
-        total[active] += term[active]
-        done = term[active] <= total[active] * 1e-17
-        if done.all():
-            break
-        active = active[~done]
-    return a * np.log(x) - x - gammaln(a + 1.0) + np.log(total)
-
-
-def _upper_cf_log(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ln Q(a, x) by the continued fraction (modified Lentz), for x >= a + 1."""
-    a = np.asarray(a, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = np.full_like(a, 1.0 / tiny)
-    d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
-    h = d.copy()
-    active = np.arange(a.size)
-    for i in range(1, 100000):
-        an = -i * (i - a[active])
-        b[active] += 2.0
-        da = an * d[active] + b[active]
-        da = np.where(np.abs(da) < tiny, tiny, da)
-        ca = b[active] + an / c[active]
-        ca = np.where(np.abs(ca) < tiny, tiny, ca)
-        da = 1.0 / da
-        delta = da * ca
-        h[active] *= delta
-        d[active] = da
-        c[active] = ca
-        done = np.abs(delta - 1.0) < 3e-15
-        if done.all():
-            break
-        active = active[~done]
-    return a * np.log(x) - x - gammaln(a) + np.log(h)
-
-
-def _gamma_log_pq(a, x):
-    """(ln P(a,x), ln Q(a,x)) elementwise, choosing series or CF per lane."""
-    a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    a, x = np.broadcast_arrays(a, x)
-    log_p = np.full(a.shape, LOG_ZERO)
-    log_q = np.zeros(a.shape)
-    pos = x > 0.0
-    ser = pos & (x < a + 1.0)
-    cf = pos & ~ser
-    if np.any(ser):
-        lp = _lower_series_log(a[ser], x[ser])
-        log_p[ser] = lp
-        log_q[ser] = np.log1p(-np.exp(lp))
-    if np.any(cf):
-        lq = _upper_cf_log(a[cf], x[cf])
-        log_q[cf] = lq
-        log_p[cf] = np.log1p(-np.exp(lq))
-    return log_p, log_q
+    p = gammainc(a, x)
+    with np.errstate(divide="ignore"):
+        out = np.asarray(np.log(p))
+    deep = (p < _TINY) & (x > 0.0)
+    if np.any(deep):
+        ad = np.broadcast_to(a, out.shape)[deep]
+        xd = np.broadcast_to(x, out.shape)[deep]
+        out[deep] = ad * np.log(xd) - xd - gammaln(ad + 1.0) + np.log(hyp1f1(1.0, ad + 1.0, xd))
+    return out
+
+
+def _scalar_or_array(out: np.ndarray):
+    out = np.asarray(out)
+    return float(out) if out.ndim == 0 else out
 
 
 def reg_gamma_lower(a, x):
     """Regularized lower incomplete gamma P(a, x)."""
-    log_p, _ = _gamma_log_pq(a, x)
-    out = np.exp(log_p)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(gammainc(a, x))
 
 
 def reg_gamma_upper(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    _, log_q = _gamma_log_pq(a, x)
-    out = np.exp(log_q)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(gammaincc(a, x))
 
 
 def log_reg_gamma_lower(a, x):
     """ln P(a, x), relatively accurate arbitrarily deep in the left tail."""
-    log_p, _ = _gamma_log_pq(a, x)
-    return float(log_p) if log_p.ndim == 0 else log_p
+    return _scalar_or_array(_log_gamma_p(a, x))
 
 
 def chi2_cdf(n: int, x: float) -> float:
@@ -189,78 +135,25 @@ def chi2_cdf(n: int, x: float) -> float:
 # noncentral chi-squared
 # ---------------------------------------------------------------------------
 
-def _sankaran_log_cdf(n, lam, x):
-    """Normal approximation for huge n + lambda (Sankaran 1963)."""
-    n = np.asarray(n, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    x = np.asarray(x, dtype=float)
-    k = n + lam
-    h = 1.0 - (2.0 / 3.0) * k * (n + 3.0 * lam) / (n + 2.0 * lam) ** 2
-    p = (n + 2.0 * lam) / k**2
-    m = (h - 1.0) * (1.0 - 3.0 * h)
-    num = (x / k) ** h - (1.0 + h * p * (h - 1.0 - 0.5 * (2.0 - h) * m * p))
-    den = h * np.sqrt(2.0 * p) * (1.0 + 0.5 * m * p)
-    return log_ndtr(num / den)
-
-
-def _ncx2_window_terms(n: float, half: float, z: float):
-    """Index window and log Poisson weights for the mixture series.
-
-    The series  sum_i  Pois(i; half) * P(n/2 + i, z)  can be dominated far
-    from the Poisson mode when z sits deep in the left tail, so the window
-    is found by probing the actual log-terms rather than the weights alone.
-    """
-    i_max = int(half + 12.0 * math.sqrt(half + 1.0) + 60.0)
-    probes = np.unique(np.clip(np.round(np.linspace(0, i_max, 160)), 0, i_max)).astype(int)
-    lw = -half + probes * math.log(half) - gammaln(probes + 1.0)
-    lp, _ = _gamma_log_pq(0.5 * n + probes, z)
-    lt = lw + lp
-    best = probes[int(np.argmax(lt))]
-    spacing = max(1, i_max // 159)
-    width = 3 * spacing + int(12.0 * math.sqrt(best + 1.0)) + 40
-    lo, hi = max(0, best - width), min(i_max, best + width)
-    # grow until the edge terms are negligible against the peak
-    t_max = float(np.max(lt))
-    for _ in range(64):
-        grew = False
-        if lo > 0:
-            lt_lo = _ncx2_log_term(n, half, z, lo)
-            if lt_lo > t_max - 45.0:
-                lo = max(0, lo - width)
-                grew = True
-        if hi < i_max:
-            lt_hi = _ncx2_log_term(n, half, z, hi)
-            if lt_hi > t_max - 45.0:
-                hi = min(i_max, hi + width)
-                grew = True
-        if not grew:
-            break
-    return lo, hi
-
-
-def _ncx2_log_term(n, half, z, i):
-    lw = -half + i * math.log(half) - gammaln(i + 1.0)
-    lp, _ = _gamma_log_pq(0.5 * n + i, z)
-    return lw + float(lp)
-
-
 def noncentral_chi2_log_cdf(n: int, lam: float, x: float) -> float:
-    """ln of the noncentral chi-squared CDF, accurate deep into the left tail."""
+    """ln of the noncentral chi-squared CDF, accurate deep into the left tail.
+
+    Sums the Poisson mixture  sum_i Pois(i; lam/2) P(n/2 + i, x/2)  in logs
+    over every i from 0 to 12 standard deviations (plus 60) above the
+    Poisson mode.  Deep in the left tail the largest term can sit far below
+    the mode, so no lower cut is made; beyond the upper cut both factors
+    decrease, and the dropped terms sum to about e^-72 of the largest or less.
+    """
     if n < 1 or lam < 0 or x < 0:
         raise ValueError("need n >= 1, lambda >= 0, x >= 0")
     if x == 0.0:
         return LOG_ZERO
     if lam == 0.0:
         return float(log_reg_gamma_lower(0.5 * n, 0.5 * x))
-    if n + lam > _SANKARAN_CUTOFF:
-        return float(_sankaran_log_cdf(n, lam, x))
     half = 0.5 * lam
-    z = 0.5 * x
-    lo, hi = _ncx2_window_terms(n, half, z)
-    i = np.arange(lo, hi + 1)
+    i = np.arange(int(half + 12.0 * math.sqrt(half + 1.0) + 60.0) + 1)
     lw = -half + i * math.log(half) - gammaln(i + 1.0)
-    lp, _ = _gamma_log_pq(0.5 * n + i, z)
-    return float(logsumexp(lw + lp))
+    return float(logsumexp(lw + _log_gamma_p(0.5 * n + i, 0.5 * x)))
 
 
 def noncentral_chi2_cdf(n: int, lam: float, x: float) -> float:
@@ -334,138 +227,57 @@ def unit_ball_volume(n: int) -> LogReal:
     return LogReal.from_log(unit_sphere_area(n).log_value - math.log(n))
 
 
-def _inc_beta_cf(a, b, x):
-    """Continued fraction for the incomplete beta (modified Lentz).
+def _log_inc_beta(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """ln I_x(a, b) elementwise for x in [0, 1].
 
-    Lanes retire as they converge, so stragglers near the convergence
-    boundary do not multiply the cost of the whole array.
+    Underflowing lanes (small x) use
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * 2F1(a+b, 1; a+1; x).
     """
-    tiny = 1e-300
-    x = np.asarray(x, dtype=float).ravel()
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d.copy()
-    active = np.arange(x.size)
-    for m in range(1, 100000):
-        m2 = 2 * m
-        xa, ca, da, ha = x[active], c[active], d[active], h[active]
-        aa = m * (b - m) * xa / ((qam + m2) * (a + m2))
-        da = 1.0 + aa * da
-        da = np.where(np.abs(da) < tiny, tiny, da)
-        ca = 1.0 + aa / ca
-        ca = np.where(np.abs(ca) < tiny, tiny, ca)
-        da = 1.0 / da
-        ha = ha * da * ca
-        aa = -(a + m) * (qab + m) * xa / ((a + m2) * (qap + m2))
-        da = 1.0 + aa * da
-        da = np.where(np.abs(da) < tiny, tiny, da)
-        ca = 1.0 + aa / ca
-        ca = np.where(np.abs(ca) < tiny, tiny, ca)
-        da = 1.0 / da
-        delta = da * ca
-        ha = ha * delta
-        c[active], d[active], h[active] = ca, da, ha
-        done = np.abs(delta - 1.0) < 3e-15
-        if done.all():
-            break
-        active = active[~done]
-    return h
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    v = betainc(a, b, x)
+    with np.errstate(divide="ignore"):
+        out = np.asarray(np.log(v))
+    deep = (x > 0.0) & (v < _TINY)
+    if np.any(deep):
+        xd = x[deep]
+        out[deep] = (
+            a * np.log(xd) + b * np.log1p(-xd) - math.log(a) - betaln(a, b)
+            + np.log(hyp2f1(a + b, 1.0, a + 1.0, xd))
+        )
+    return out
 
 
 def log_reg_inc_beta(a: float, b: float, x) -> np.ndarray:
     """ln I_x(a, b), the log of the regularized incomplete beta function."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.full(x.shape, LOG_ZERO)
-    lbeta = gammaln(a) + gammaln(b) - gammaln(a + b)
-    direct = (x > 0.0) & (x < (a + 1.0) / (a + b + 2.0))
-    flip = (x > 0.0) & ~direct & (x < 1.0)
-    one = x >= 1.0
-    if np.any(direct):
-        xs = x[direct]
-        out[direct] = (
-            a * np.log(xs) + b * np.log1p(-xs) - math.log(a) - lbeta
-            + np.log(_inc_beta_cf(a, b, xs))
-        )
-    if np.any(flip):
-        xs = x[flip]
-        xc = 1.0 - xs
-        log_other = (
-            b * np.log(xc) + a * np.log(xs) - math.log(b) - lbeta
-            + np.log(_inc_beta_cf(b, a, xc))
-        )
-        out[flip] = np.log1p(-np.exp(log_other))
-    out[one] = 0.0
-    return float(out[0]) if scalar else out
-
-
-_CAP_GL = np.polynomial.legendre.leggauss(10)
-
-
-def _log_sin_power_integral(m: int, theta: np.ndarray) -> np.ndarray:
-    """ln integral_0^theta sin(phi)^m dphi for theta in (0, pi/2], vectorized.
-
-    The integrand peaks at the upper limit with decay length tan(theta)/m,
-    so the panels are packed against it; each lane costs a fixed number of
-    sin evaluations (no convergence loop).
-    """
-    if m == 0:
-        return np.log(theta)
-    w = np.tan(theta) / m
-    cuts = np.array([40.0, 8.0, 0.0])
-    edges = np.maximum(theta[:, None] - cuts[None, :] * w[:, None], 0.0)
-    edges = np.concatenate([np.zeros((theta.size, 1)), edges], axis=1)
-    x, gw = _CAP_GL
-    a = edges[:, :-1]
-    b = edges[:, 1:]
-    half = 0.5 * (b - a)
-    phi = (a[:, :, None] + half[:, :, None] * (x[None, None, :] + 1.0)).reshape(theta.size, -1)
-    wgt = (half[:, :, None] * gw[None, None, :]).reshape(theta.size, -1)
-    with np.errstate(divide="ignore"):
-        log_terms = m * np.log(np.sin(phi)) + np.log(np.where(wgt > 0, wgt, 1.0))
-    log_terms = np.where(wgt > 0, log_terms, LOG_ZERO)
-    return logsumexp(log_terms, axis=1)
+    return _scalar_or_array(_log_inc_beta(a, b, x))
 
 
 def log_cone_area(n: int, theta) -> np.ndarray:
     """ln of the cap area Omega_n(theta) on the unit sphere in R^n.
 
-    Omega_n(theta) = (2 pi^((n-1)/2) / Gamma((n-1)/2)) *
-                     integral_0^theta sin(phi)^(n-2) dphi,
-    with the integral done in the log domain so tiny caps in high
-    dimension keep full relative accuracy.
+    Omega_n(theta) = (A_n / 2) I_{sin^2 theta}((n-1)/2, 1/2) for
+    theta <= pi/2, and A_n - Omega_n(pi - theta) beyond.  By the beta
+    reflection I_x(a, b) = 1 - I_{1-x}(b, a), both halves read
+    (A_n / 2) (1 -+ I_{cos^2 theta}(1/2, (n-1)/2)).  A cap below its mean
+    size (cos^2 theta > 1/n, theta < pi/2) is taken from the sin^2 form,
+    which keeps full relative accuracy for tiny caps; every other cap from
+    the cos^2 form, where 1 -+ I stays above about 1/3, so neither form
+    cancels and neither loses accuracy to the rounding of sin^2 near 1.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    shape = theta.shape
-    theta = np.atleast_1d(theta).ravel()
     if np.any((theta < 0.0) | (theta > math.pi)):
         raise ValueError("semiangle must lie in [0, pi]")
-    log_an = unit_sphere_area(n).log_value
-    log_c = _LN2 + 0.5 * (n - 1) * math.log(math.pi) - float(gammaln(0.5 * (n - 1)))
-    lower = theta <= 0.5 * math.pi
-    folded = np.where(lower, theta, math.pi - theta)
-    out = np.full(theta.shape, LOG_ZERO)
-    pos = folded > 0.0
-    if np.any(pos):
-        out[pos] = log_c + _log_sin_power_integral(n - 2, folded[pos])
-    # theta exactly pi/2 is half the sphere; beyond it fold back
-    upper = ~lower
-    out[upper] = log_an + np.log1p(-np.exp(np.minimum(out[upper] - log_an, 0.0)))
-    full = (~pos) & upper
-    out[full] = log_an
-    out[(~pos) & lower] = LOG_ZERO
-    if scalar:
-        return float(out[0])
-    return out.reshape(shape)
+    a = 0.5 * (n - 1)
+    c2 = np.cos(theta) ** 2
+    obtuse = theta > 0.5 * math.pi
+    small = ~obtuse & (c2 > 1.0 / n)
+    out = np.empty(theta.shape)
+    out[small] = _log_inc_beta(a, 0.5, np.sin(theta[small]) ** 2)
+    q = betainc(0.5, a, c2[~small])
+    out[~small] = np.log1p(np.where(obtuse[~small], q, -q))
+    return _scalar_or_array(unit_sphere_area(n).log_value - _LN2 + out)
 
 
 def cone_area(n: int, theta: float) -> LogReal:

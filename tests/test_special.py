@@ -64,6 +64,20 @@ def test_log_reg_gamma_deep_tail():
     assert sp.log_reg_gamma_lower(a, x) == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.5, 32.0, 1000.0, 5000.0])
+def test_log_reg_gamma_lower_vs_mpmath(a):
+    # from far below double underflow of P up to the median; points on both
+    # sides of the switch from gammainc to the 1F1 form (at a = 1/2 no
+    # double x reaches the switch)
+    xs = [1e-200, 1e-100, 1e-30, 1e-8, 1e-3] + [f * a for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0)]
+    linear = sp.reg_gamma_lower(a, np.array(xs))
+    assert np.any(linear >= sp._TINY)
+    assert a < 1.0 or np.any(linear < sp._TINY)
+    for x in xs:
+        want = float(mpmath.log(mpmath.gammainc(a, 0, x, regularized=True)))
+        assert sp.log_reg_gamma_lower(a, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_chi2_cdf_closed_forms():
     assert sp.chi2_cdf(2, 0.0) == 0.0
     assert sp.chi2_cdf(2, 2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
@@ -129,6 +143,17 @@ def test_noncentral_monotone_and_limits():
         assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
         assert vals[0] == 0.0
         assert vals[-1] > 1 - 1e-6
+
+
+def test_noncentral_large_dof_vs_scipy():
+    # large n + lambda still takes the exact mixture: a normal approximation
+    # (Sankaran's) reads -540.316 here, 0.11 nats too high
+    from scipy.stats import ncx2
+
+    n, lam = 200_000, 10.0
+    x = 0.9 * (n + lam)
+    want = float(ncx2.logcdf(x, n, lam))
+    assert sp.noncentral_chi2_log_cdf(n, lam, x) == pytest.approx(want, rel=1e-9)
 
 
 def test_quantile_roundtrips():
@@ -206,6 +231,47 @@ def test_cone_area_monotone_and_domain():
         assert all(b >= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         sp.cone_area(5, 3.5)
+
+
+def _mp_log_cap(n, theta):
+    # Omega_n = (A_n / 2) I_{sin^2}((n-1)/2, 1/2), folded back past pi/2
+    with mpmath.workdps(40):
+        th = mpmath.mpf(theta)
+        a = mpmath.mpf(n - 1) / 2
+        i = mpmath.betainc(a, 0.5, 0, mpmath.sin(th) ** 2, regularized=True)
+        log_half = (mpmath.mpf(n) / 2) * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2)
+        return float(log_half + mpmath.log(i if th <= mpmath.pi / 2 else 2 - i))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_log_reg_inc_beta_vs_mpmath(n):
+    # the cap-area parameters; points on both sides of the switch from
+    # betainc to the 2F1 form
+    from scipy.special import betainc
+
+    a = 0.5 * (n - 1)
+    xs = [1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99]
+    linear = betainc(a, 0.5, np.array(xs))
+    assert np.any(linear < sp._TINY) and np.any(linear >= sp._TINY)
+    got = sp.log_reg_inc_beta(a, 0.5, np.array(xs))
+    for x, g in zip(xs, got):
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.betainc(a, 0.5, 0, x, regularized=True)))
+        assert g == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_cone_area_near_half_sphere():
+    # just below pi/2, where sin^2 theta rounds near 1 and the integrand
+    # sin^(n-2) is flat: an understated cap here makes the converse too high
+    assert sp.log_cone_area(64, 1.569041) == pytest.approx(_mp_log_cap(64, 1.569041), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+def test_cone_area_vs_mpmath(n):
+    thetas = [1e-8, 1e-3, 0.3, 1.0, 1.5, math.pi / 2, 1.6, 2.5, 3.1, math.pi]
+    got = sp.log_cone_area(n, np.array(thetas))
+    for th, g in zip(thetas, got):
+        assert g == pytest.approx(_mp_log_cap(n, th), rel=1e-12, abs=1e-12)
 
 
 def test_cone_area_vs_quadrature():
