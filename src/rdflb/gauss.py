@@ -20,6 +20,7 @@ from scipy.special import gammaln
 
 from .geometry import log_shell_mass_batch, log_vol_diff_vec
 from .logdomain import LOG_ZERO, logsumexp
+from .quadrature import bracket_solve
 from .special import (
     exp_gap_inverse_vec,
     log_reg_gamma_lower,
@@ -255,7 +256,16 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
     """(bound, sup-inf value, argmax mu0, argmin r)."""
     tab = _table(inp)
     rs = tab.r_grid()
-    curves = np.stack([tab.delta_curve(r) for r in rs])
+    memo: dict[float, np.ndarray] = {}
+
+    def curve(r) -> np.ndarray:
+        # the refinements around neighbouring mu0 walk the same r values
+        r = float(r)
+        if r not in memo:
+            memo[r] = tab.delta_curve(r)
+        return memo[r]
+
+    curves = np.stack([curve(r) for r in rs])
     envelope = curves.min(axis=0)
     # refine the inf over r at the few best mu0 grid points
     order = np.argsort(envelope)[::-1]
@@ -268,7 +278,7 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
         i_min = int(np.argmin(curves[:, idx]))
         lo = rs[max(0, i_min - 1)]
         hi = rs[min(len(rs) - 1, i_min + 1)]
-        r_ref, v_ref = _golden_min(lambda r: tab.delta_curve(r)[idx], lo, hi)
+        r_ref, v_ref = _golden_min(lambda r: curve(r)[idx], lo, hi)
         v_ref = min(v_ref, envelope[idx])
         if v_ref > best_val:
             best_val, best_mu, best_r = v_ref, tab.mu_grid[idx], r_ref
@@ -389,19 +399,14 @@ def upper_bound_unbounded(inp: GaussBoundInput) -> GaussUpperBound:
     lo, hi = _source_window(n, s2, x_hi)
 
     # kink x* of min{x/n, threshold(x)}: CDF(lam, lam) = p0 at lam = x*/(s2-d)
+    def kink_gap(lam, _lanes):
+        return np.array([noncentral_chi2_log_cdf(n, m, m) - log_p0 for m in lam])
+
     lam_lo, lam_hi = 1e-9, x_hi / mv
-    f_lo = noncentral_chi2_log_cdf(n, lam_lo, lam_lo) - log_p0
-    f_hi = noncentral_chi2_log_cdf(n, lam_hi, lam_hi) - log_p0
     kink = None
-    if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
-        a, b = lam_lo, lam_hi
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            if (noncentral_chi2_log_cdf(n, m, m) - log_p0) * f_lo > 0:
-                a = m
-            else:
-                b = m
-        kink = 0.5 * (a + b) * mv
+    gap_lo, gap_hi = kink_gap([lam_lo, lam_hi], None)
+    if gap_lo < 0.0 < gap_hi:
+        kink = float(bracket_solve(kink_gap, lam_lo, lam_hi)[0]) * mv
 
     edges = [lo, 0.25 * lo + 0.75 * hi, hi]
     if kink is not None and lo < kink < hi:
@@ -440,9 +445,29 @@ def _log_prob_intersect_batch(n, r0, c1, r1, s2):
     return np.where(disjoint | (r1 <= 0), LOG_ZERO, out)
 
 
+def _bounded_radius(n: int, rm: float, mv: float, target: float, nodes: np.ndarray) -> np.ndarray:
+    """Per-node radius t with ln P(ball(x, t) & ball(0, rm)) = target, |x|^2 = nodes.
+
+    Solved on the bracket [max(|x| - rm, 0), |x| + rm], where the log-probability
+    runs from -inf to ln C_m; every returned t has log-probability >= target,
+    so the threshold errs high.
+    """
+    norms = np.sqrt(nodes)
+
+    def gap(t, lanes):
+        return _log_prob_intersect_batch(n, rm, norms[lanes], t, mv) - target
+
+    return bracket_solve(gap, np.maximum(norms - rm, 0.0), norms + rm)
+
+
 def upper_bound_bounded(inp: GaussBoundInput) -> GaussUpperBound:
     """Achievability bound when codewords are confined to ||y|| <= rm,
-    drawn from the truncated optimal marginal."""
+    drawn from the truncated optimal marginal.
+
+    Each node's threshold is solved to the side where the codeword lands
+    inside it with probability at least the budget, so it errs high, and
+    the bound with it.
+    """
     if inp.rm is None:
         raise ValueError("bounded upper bound needs rm")
     n, s2, d, eps, delta, rm = inp.n, inp.sigma2, inp.dstar, inp.eps, inp.delta, inp.rm
@@ -455,38 +480,24 @@ def upper_bound_bounded(inp: GaussBoundInput) -> GaussUpperBound:
     lo, hi = _source_window(n, s2, x_hi)
     target = log_p0 + log_cm
 
-    def thresholds(nodes):
-        """Per-node squared-radius threshold / n: P_raw(t)/C_m = p0."""
-        norms = np.sqrt(nodes)
-        t_lo = np.maximum(norms - rm, 0.0)
-        t_hi = norms + rm
-        for _ in range(60):
-            t_mid = 0.5 * (t_lo + t_hi)
-            val = _log_prob_intersect_batch(n, rm, norms, t_mid, mv)
-            too_low = val < target
-            t_lo = np.where(too_low, t_mid, t_lo)
-            t_hi = np.where(too_low, t_hi, t_mid)
-        return (0.5 * (t_lo + t_hi)) ** 2 / n
+    # threshold(x) > x/n exactly where the radius-|x| ball misses the
+    # budget, since the log-probability increases in the radius; its sign
+    # change is the kink of min{x/n, threshold(x)}, where the integration
+    # gets a panel edge
+    def kink_gap(x, _lanes):
+        r = np.sqrt(x)
+        return _log_prob_intersect_batch(n, rm, r, r, mv) - target
 
-    # first pass locates the kink of min{x/n, threshold(x)}, second pass
-    # integrates with a panel edge at it
     probe = np.linspace(lo, hi, 33)
-    sign = thresholds(probe) - probe / n
+    covered = kink_gap(probe, None) >= 0.0
     edges = [lo, 0.5 * (lo + hi), hi]
-    crossing = np.nonzero(np.diff(np.signbit(sign)))[0]
+    crossing = np.nonzero(~covered[:-1] & covered[1:])[0]
     if crossing.size:
         i = int(crossing[0])
-        a, b = probe[i], probe[i + 1]
-        for _ in range(30):
-            m = np.array([0.5 * (a + b)])
-            if float(thresholds(m)[0]) - float(m[0]) / n > 0:
-                a = float(m[0])
-            else:
-                b = float(m[0])
-        kink = 0.5 * (a + b)
+        kink = float(bracket_solve(kink_gap, probe[i], probe[i + 1])[0])
         edges = sorted({lo, kink, 0.5 * (kink + hi), hi})
     nodes, wgt = _gl_panels(np.array(edges), 32)
-    thr = thresholds(nodes)
+    thr = _bounded_radius(n, rm, mv, target, nodes) ** 2 / n
 
     integrand = np.exp(_source_radial_log_pdf(n, s2, nodes)) * np.minimum(nodes / n, thr)
     main = float((integrand * wgt).sum())

@@ -1,8 +1,10 @@
 """Adaptive Simpson quadrature and bracketed root finding.
 
-Both helpers favor robustness over speed: every root here is a cheap
-one-dimensional bracket, and every integrand is smooth away from interval
-endpoints, which the callers keep out of the integration range.
+The integrands are smooth away from interval endpoints, which the callers
+keep out of the integration range.  `find_root` bisects one scalar bracket;
+`bracket_solve` solves many independent brackets at once, with one call of
+the (vectorized) function per round over the lanes still running, and
+returns every root on its f >= 0 side.
 """
 
 from __future__ import annotations
@@ -11,7 +13,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["Quadrature", "IntegrationResult", "integrate", "integrate_report", "find_root"]
+import numpy as np
+
+__all__ = [
+    "Quadrature",
+    "IntegrationResult",
+    "integrate",
+    "integrate_report",
+    "find_root",
+    "bracket_solve",
+]
 
 
 @dataclass(frozen=True)
@@ -115,6 +126,78 @@ def find_root(
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
+
+
+def bracket_solve(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo,
+    hi,
+    rtol: float = 1e-12,
+    ftol: float = 1e-12,
+    max_iter: int = 60,
+) -> np.ndarray:
+    """Roots of increasing functions over independent lanes, each on its f >= 0 side.
+
+    ``f(x, lanes)`` evaluates lane ``lanes[k]`` at ``x[k]`` and returns an
+    array of the same length; ``lanes`` indexes ``lo`` and ``hi``.  Every
+    lane needs f(lo) < 0 <= f(hi), or ValueError is raised; f(lo) may be
+    -inf.
+
+    Each round takes one Illinois (modified regula falsi) step per running
+    lane, aimed at f = ftol/2, the middle of the accepted window.  A lane
+    bisects instead while f(lo) is -inf or when the step would leave its
+    bracket.  The bracket keeps f(lo) < 0 <= f(hi) throughout.  A lane stops
+    once a step lands with f in [0, ftol), once hi - lo <= rtol max(|lo|, |hi|),
+    or after max_iter rounds, and every lane returns its hi: a point where
+    f was evaluated and found >= 0.  Deterministic; f is called once for
+    the two bracket ends and once per round, with only the running lanes.
+    """
+    lo = np.array(lo, dtype=float).ravel()
+    hi = np.array(hi, dtype=float).ravel()
+    if lo.shape != hi.shape:
+        raise ValueError(f"lo and hi differ in length: {lo.size} != {hi.size}")
+    lanes = np.arange(lo.size)
+
+    def call(x, idx):
+        fx = np.asarray(f(x, idx), dtype=float)
+        if fx.shape != x.shape:
+            raise ValueError(f"f returned shape {fx.shape} for {x.size} points")
+        if np.isnan(fx).any():
+            raise ValueError(f"f is nan on lanes {idx[np.isnan(fx)]}")
+        return fx
+
+    ends = call(np.concatenate([lo, hi]), np.concatenate([lanes, lanes]))
+    f_lo, f_hi = ends[: lo.size], ends[lo.size :]
+    bad = ~((f_lo < 0.0) & (f_hi >= 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"no bracket on lane {k}: f({lo[k]})={f_lo[k]}, f({hi[k]})={f_hi[k]}"
+        )
+    aim = 0.5 * ftol
+    g_lo, g_hi = f_lo - aim, f_hi - aim
+    side = np.zeros(lo.size, dtype=np.int8)  # +1: hi moved last, -1: lo moved last
+    run = (f_hi >= ftol) & (hi - lo > rtol * np.maximum(np.abs(lo), np.abs(hi)))
+    for _ in range(max_iter):
+        act = np.flatnonzero(run)
+        if act.size == 0:
+            break
+        a, b, ga, gb = lo[act], hi[act], g_lo[act], g_hi[act]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = b - gb * (b - a) / (gb - ga)
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        fx = call(x, act)
+        up = fx >= 0.0
+        moved_hi, moved_lo = act[up], act[~up]
+        hi[moved_hi], g_hi[moved_hi] = x[up], fx[up] - aim
+        lo[moved_lo], g_lo[moved_lo] = x[~up], fx[~up] - aim
+        # Illinois: an end kept twice in a row has its value halved
+        g_lo[moved_hi[side[moved_hi] == 1]] *= 0.5
+        g_hi[moved_lo[side[moved_lo] == -1]] *= 0.5
+        side[moved_hi], side[moved_lo] = 1, -1
+        run[moved_hi[fx[up] < ftol]] = False
+        run[act] &= hi[act] - lo[act] > rtol * np.maximum(np.abs(lo[act]), np.abs(hi[act]))
+    return hi
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 60) -> tuple[float, float]:

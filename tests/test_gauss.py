@@ -148,6 +148,22 @@ def test_lower_bound_inner_inf_property():
         assert val <= gauss.delta_hat(mu0, float(r), inp) + 1e-6
 
 
+def test_lower_bound_detail_evaluates_each_curve_once(monkeypatch):
+    # the grid pass and the refinements at neighbouring mu0 share their r
+    # values; each Delta curve is computed once per call
+    seen = []
+    inner = gauss._LowerTable.delta_curve
+
+    def counted(self, rho):
+        seen.append(float(rho))
+        return inner(self, rho)
+
+    monkeypatch.setattr(gauss._LowerTable, "delta_curve", counted)
+    bound = gauss.lower_bound_detail(GaussBoundInput(16, 0.5))[0]
+    assert len(seen) == len(set(seen))
+    assert bound == 0.5261623661047637
+
+
 # ---------------------------------------------------------------------------
 # upper bounds
 # ---------------------------------------------------------------------------
@@ -190,11 +206,29 @@ def test_quantile_deep_hits_budget(n):
             assert res >= 0.0
 
 
-def test_upper_bounded_reduces_to_unbounded():
-    n = 64
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_upper_bounded_reduces_to_unbounded(n):
     ub = gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5)).value
     bd = gauss.upper_bound_bounded(GaussBoundInput(n, 0.5, rm=200.0)).value
-    assert bd == pytest.approx(ub, rel=1e-6)
+    assert bd == pytest.approx(ub, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("rm_of_n", [lambda n: math.sqrt(2.0 * n), lambda n: 200.0], ids=["a2", "rm200"])
+def test_bounded_thresholds_valid_side(n, rm_of_n):
+    # every node threshold lands on the budget or just above it (the valid
+    # side of the upper bound), never below
+    rm = rm_of_n(n)
+    inp = GaussBoundInput(n, 0.5, rm=rm)
+    mv = inp.sigma2 - inp.dstar
+    target = gauss._log_budget(inp) + float(gauss.log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv))
+    lo, hi = gauss._source_window(n, inp.sigma2, n * (inp.sigma2 + inp.delta))
+    nodes, _ = gauss._gl_panels(np.linspace(lo, hi, 4), 32)
+    assert nodes.size == 96
+    t = gauss._bounded_radius(n, rm, mv, target, nodes)
+    res = gauss._log_prob_intersect_batch(n, rm, np.sqrt(nodes), t, mv) - target
+    assert res.min() >= 0.0
+    assert res.max() <= 1e-10
 
 
 def test_truncated_nearest_prob_concentric():

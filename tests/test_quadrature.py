@@ -1,8 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from rdflb.quadrature import Quadrature, find_root, golden_min, integrate, integrate_report
+from rdflb.quadrature import (
+    Quadrature,
+    bracket_solve,
+    find_root,
+    golden_min,
+    integrate,
+    integrate_report,
+)
 
 
 def test_integrate_linear():
@@ -68,3 +76,80 @@ def test_golden_min():
     x, fx = golden_min(lambda t: (t - 0.3) ** 2 + 1.0, -2.0, 2.0)
     assert x == pytest.approx(0.3, abs=1e-7)
     assert fx == pytest.approx(1.0, abs=1e-12)
+
+
+class _Counted:
+    """f(x, lanes) = x**k - c per lane, counting calls and points."""
+
+    def __init__(self, k, c):
+        self.k = np.asarray(k, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+        self.calls = 0
+        self.points = 0
+
+    def __call__(self, x, lanes):
+        self.calls += 1
+        self.points += x.size
+        return x ** self.k[lanes] - self.c[lanes]
+
+
+def test_bracket_solve_lanes_with_different_roots():
+    # k c >= 1 puts slope x root >= 1, so the residual stop at 1e-12 is
+    # also a 1e-12 relative stop in x
+    k = [1.0, 2.0, 3.0, 5.0, 0.5, 4.0]
+    c = [1.3, 2.0, 2.0, 7.0, 2.5, 1e4]
+    f = _Counted(k, c)
+    x = bracket_solve(f, np.zeros(6), np.full(6, 16.0))
+    want = np.asarray(c) ** (1.0 / np.asarray(k))
+    assert np.all(np.abs(x - want) <= 1e-12 * want)
+    assert np.all(f(x, np.arange(6)) >= 0.0)
+
+
+def test_bracket_solve_minus_infinity_at_lo():
+    def f(x, lanes):
+        with np.errstate(divide="ignore"):
+            return np.where(x > 0.5, np.log(np.maximum(x - 0.5, 0.0)), -np.inf) - np.log(1.5)
+
+    x = bracket_solve(f, [0.0, 0.5], [5.0, 3.0])
+    assert x == pytest.approx([2.0, 2.0], rel=1e-12)
+    assert np.all(f(x, np.arange(2)) >= 0.0)
+
+
+def test_bracket_solve_deterministic():
+    f = _Counted([3.0, 1.5], [2.0, 0.7])
+    first = bracket_solve(f, [0.0, 0.0], [2.0, 2.0])
+    assert np.array_equal(first, bracket_solve(f, [0.0, 0.0], [2.0, 2.0]))
+
+
+def test_bracket_solve_cap_returns_hi():
+    # a capped lane returns the hi of its bracket so far: f >= 0 there,
+    # and more rounds only move it down towards the root
+    f = _Counted([3.0], [2.0])
+    capped = [bracket_solve(f, 0.0, 2.0, max_iter=m)[0] for m in range(10)]
+    assert capped[0] == 2.0
+    assert all(b <= a for a, b in zip(capped, capped[1:]))
+    assert np.all(f(np.array(capped), np.zeros(10, dtype=int)) >= 0.0)
+    assert any(2.0 ** (1.0 / 3.0) + 1e-6 < x < 2.0 for x in capped)
+
+
+def test_bracket_solve_is_not_plain_bisection():
+    # bisection would need about 41 rounds to reach 1e-12 relative width
+    f = _Counted([3.0], [2.0])
+    x = bracket_solve(f, 0.0, 2.0)[0]
+    assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    assert f.calls <= 20
+
+
+def test_bracket_solve_only_evaluates_running_lanes():
+    # a lane whose bracket is already tight costs only its end points
+    f = _Counted([1.0, 3.0], [1.0, 2.0])
+    bracket_solve(f, [1.0 - 1e-14, 0.0], [1.0 + 1e-14, 2.0])
+    assert f.points == 4 + (f.calls - 1)
+
+
+def test_bracket_solve_needs_a_bracket():
+    f = _Counted([2.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        bracket_solve(f, [0.0, 2.0], [2.0, 3.0])
+    with pytest.raises(ValueError):
+        bracket_solve(f, [0.0, 0.0], [2.0, 2.0, 2.0])
