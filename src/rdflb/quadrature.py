@@ -128,14 +128,13 @@ def find_root(
     return 0.5 * (lo + hi)
 
 
-def bracket_solve(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo,
-    hi,
-    rtol: float = 1e-12,
-    ftol: float = 1e-12,
-    max_iter: int = 60,
-) -> np.ndarray:
+# bracket_solve's stopping rules: residual window, relative bracket width, rounds
+_FTOL = 1e-12
+_RTOL = 1e-12
+_MAX_ITER = 60
+
+
+def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     """Roots of increasing functions over independent lanes, each on its f >= 0 side.
 
     ``f(x, lanes)`` evaluates lane ``lanes[k]`` at ``x[k]`` and returns an
@@ -144,11 +143,11 @@ def bracket_solve(
     -inf.
 
     Each round takes one Illinois (modified regula falsi) step per running
-    lane, aimed at f = ftol/2, the middle of the accepted window.  A lane
+    lane, aimed at f = _FTOL/2, the middle of the accepted window.  A lane
     bisects instead while f(lo) is -inf or when the step would leave its
     bracket.  The bracket keeps f(lo) < 0 <= f(hi) throughout.  A lane stops
-    once a step lands with f in [0, ftol), once hi - lo <= rtol max(|lo|, |hi|),
-    or after max_iter rounds, and every lane returns its hi: a point where
+    once a step lands with f in [0, _FTOL), once hi - lo <= _RTOL max(|lo|, |hi|),
+    or after _MAX_ITER rounds, and every lane returns its hi: a point where
     f was evaluated and found >= 0.  Deterministic; f is called once for
     the two bracket ends and once per round, with only the running lanes.
     """
@@ -174,11 +173,11 @@ def bracket_solve(
         raise ValueError(
             f"no bracket on lane {k}: f({lo[k]})={f_lo[k]}, f({hi[k]})={f_hi[k]}"
         )
-    aim = 0.5 * ftol
+    aim = 0.5 * _FTOL
     g_lo, g_hi = f_lo - aim, f_hi - aim
     side = np.zeros(lo.size, dtype=np.int8)  # +1: hi moved last, -1: lo moved last
-    run = (f_hi >= ftol) & (hi - lo > rtol * np.maximum(np.abs(lo), np.abs(hi)))
-    for _ in range(max_iter):
+    run = (f_hi >= _FTOL) & (hi - lo > _RTOL * np.maximum(np.abs(lo), np.abs(hi)))
+    for _ in range(_MAX_ITER):
         act = np.flatnonzero(run)
         if act.size == 0:
             break
@@ -195,8 +194,8 @@ def bracket_solve(
         g_lo[moved_hi[side[moved_hi] == 1]] *= 0.5
         g_hi[moved_lo[side[moved_lo] == -1]] *= 0.5
         side[moved_hi], side[moved_lo] = 1, -1
-        run[moved_hi[fx[up] < ftol]] = False
-        run[act] &= hi[act] - lo[act] > rtol * np.maximum(np.abs(lo[act]), np.abs(hi[act]))
+        run[moved_hi[fx[up] < _FTOL]] = False
+        run[act] &= hi[act] - lo[act] > _RTOL * np.maximum(np.abs(lo[act]), np.abs(hi[act]))
     return hi
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rdflb import quadrature
 from rdflb.quadrature import (
     Quadrature,
     bracket_solve,
@@ -121,11 +122,14 @@ def test_bracket_solve_deterministic():
     assert np.array_equal(first, bracket_solve(f, [0.0, 0.0], [2.0, 2.0]))
 
 
-def test_bracket_solve_cap_returns_hi():
+def test_bracket_solve_cap_returns_hi(monkeypatch):
     # a capped lane returns the hi of its bracket so far: f >= 0 there,
     # and more rounds only move it down towards the root
     f = _Counted([3.0], [2.0])
-    capped = [bracket_solve(f, 0.0, 2.0, max_iter=m)[0] for m in range(10)]
+    capped = []
+    for m in range(10):
+        monkeypatch.setattr(quadrature, "_MAX_ITER", m)
+        capped.append(bracket_solve(f, 0.0, 2.0)[0])
     assert capped[0] == 2.0
     assert all(b <= a for a, b in zip(capped, capped[1:]))
     assert np.all(f(np.array(capped), np.zeros(10, dtype=int)) >= 0.0)
