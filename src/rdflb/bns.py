@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .bss import OrderedStatsBound, hamming_ball_threshold, log_q_minus
-from .logdomain import LOG_ZERO, log_diff, logsumexp
+from .bss import OrderedStatsBound, _log_one_minus_inv_q_pow, hamming_ball_threshold, log_q_minus
+from .logdomain import LOG_ZERO, log_binomial_row, log_diff, logsumexp
 from .ratedistortion import BinaryNonSymmetricSource, solve
 from .special import binary_entropy_nats
 
@@ -30,6 +29,13 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# A distance-law column whose linear convolution lies below this, in nats
+# relative to the product of the two part maxima, may have lost terms to
+# underflow; above it every lost term is below e^-58 of the column.
+_FLOOR = -650.0
+# Margin on the running sum that bounds the columns a scan reads, far above
+# the roundoff of the convolution
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,30 +53,46 @@ class WeightProfile:
         return np.exp(self.log_pmf)
 
 
-def _log_binom_row(m: int) -> np.ndarray:
-    j = np.arange(m + 1)
-    return gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-
-
 def _mismatch_parts(n: int, w: int, z: float):
     """Log pmfs of the mismatch counts among the w ones and n-w zeros of x."""
     lz, l1z = math.log(z), math.log1p(-z)
     i = np.arange(w + 1)
-    ones = _log_binom_row(w) + (w - i) * lz + i * l1z
+    ones = log_binomial_row(w) + (w - i) * lz + i * l1z
     j = np.arange(n - w + 1)
-    zeros = _log_binom_row(n - w) + j * lz + (n - w - j) * l1z
+    zeros = log_binomial_row(n - w) + j * lz + (n - w - j) * l1z
     return ones, zeros
 
 
-def _log_pmf_at(ones: np.ndarray, zeros: np.ndarray, d: int) -> float:
-    w = ones.size - 1
-    nz = zeros.size - 1
-    i_lo = max(0, d - nz)
-    i_hi = min(w, d)
-    if i_lo > i_hi:
-        return LOG_ZERO
-    i = np.arange(i_lo, i_hi + 1)
-    return float(logsumexp(ones[i] + zeros[d - i]))
+def _scan(law: np.ndarray, log_budget: float) -> tuple[int, np.ndarray]:
+    """Running log sums of law, in index order, and the first index where
+    they exceed log_budget (law.size when none does)."""
+    cum = np.logaddexp.accumulate(law)
+    return int(np.searchsorted(cum, log_budget, side="right")), cum
+
+
+def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) -> np.ndarray:
+    """ln P(n d(x,y) = d), d = 0..n, for weight-w x and codeword bits i.i.d. Bernoulli(z).
+
+    One max-shifted linear convolution of the two mismatch laws gives every
+    column above _FLOOR.  A column below it may have lost terms to underflow
+    and is recomputed by a log-sum-exp over its anti-diagonal, but only where
+    a scan against log_budget reads it: up to the first column where the
+    running sum of the above-floor columns, a lower estimate of the exact
+    one, exceeds log_budget + _SLACK.  The default budget reads every column.
+    """
+    ones, zeros = _mismatch_parts(n, w, z)
+    shift = ones.max() + zeros.max()
+    with np.errstate(divide="ignore", under="ignore"):
+        law = np.log(np.convolve(np.exp(ones - ones.max()), np.exp(zeros - zeros.max()))) + shift
+    low = law < shift + _FLOOR
+    last, _ = _scan(np.where(low, LOG_ZERO, law), log_budget + _SLACK)
+    cols = np.flatnonzero(low[: last + 1])
+    if cols.size:
+        i = np.arange(max(0, cols[0] - (n - w)), min(w, cols[-1]) + 1)
+        j = cols[:, None] - i
+        inside = (j >= 0) & (j <= n - w)
+        law[cols] = logsumexp(np.where(inside, ones[i] + zeros[np.clip(j, 0, n - w)], LOG_ZERO), axis=1)
+    return law
 
 
 def weight_distance_pmf(n: int, w: int, z: float) -> WeightProfile:
@@ -79,9 +101,7 @@ def weight_distance_pmf(n: int, w: int, z: float) -> WeightProfile:
         raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
     if not 0.0 < z < 1.0:
         raise ValueError(f"need 0 < z < 1, got {z}")
-    ones, zeros = _mismatch_parts(n, w, z)
-    log_pmf = np.array([_log_pmf_at(ones, zeros, d) for d in range(n + 1)])
-    return WeightProfile(n, w, z, log_pmf)
+    return WeightProfile(n, w, z, _log_distance_law(n, w, z))
 
 
 def _check(n: int, rate: float, p: float) -> None:
@@ -104,7 +124,7 @@ def _paired_sum_nats(n: int, rate: float, p: float, d: float) -> float:
     b-levels: ln q(x|y) at distance i, multiplicity Q C(n,i) up to the
     packing radius (leftover K at the radius), descending.
     """
-    lb = _log_binom_row(n)
+    lb = log_binomial_row(n)
     d_t, log_rem = hamming_ball_threshold(lb, n * (1.0 - rate) * _LN2)
     log_q = n * rate * _LN2
     lp, l1p = math.log(p), math.log1p(-p)
@@ -158,27 +178,13 @@ def lower_bound(n: int, rate: float, p: float) -> float:
 def _weight_window(n: int, p: float):
     """Weights with non-negligible probability, their log weights, and the
     log of the discarded tail mass."""
-    lb = _log_binom_row(n)
+    lb = log_binomial_row(n)
     w = np.arange(n + 1)
     logw = lb + w * math.log(p) + (n - w) * math.log1p(-p)
     keep = logw >= logw.max() - 92.0
     kept = float(logsumexp(logw[keep]))
     tail = log_diff(0.0, min(kept, 0.0))
     return w[keep], logw[keep], tail
-
-
-def _scan_threshold(ones, zeros, log_budget, n):
-    """Smallest t with cumulative pmf mass > budget; returns
-    (t, log cumulative below t, log pmf at t).  t == n+1 means the budget
-    exceeds the whole distribution."""
-    cum = LOG_ZERO
-    for t in range(n + 1):
-        lp = _log_pmf_at(ones, zeros, t)
-        new = float(np.logaddexp(cum, lp))
-        if new > log_budget:
-            return t, cum, lp
-        cum = new
-    return n + 1, cum, LOG_ZERO
 
 
 def upper_bound_os(n: int, rate: float, p: float, eps: float) -> OrderedStatsBound:
@@ -198,10 +204,9 @@ def upper_bound_os(n: int, rate: float, p: float, eps: float) -> OrderedStatsBou
     total = 0.0
     t_max = 0
     for w, lw in zip(weights, logw):
-        ones, zeros = _mismatch_parts(n, int(w), z)
-        t, cum, lp = _scan_threshold(ones, zeros, log_budget, n)
-        # budget demands cum_{<=t} >= b; _scan_threshold used strict >, so
-        # accept t when cum_{<=t} == b as well (float equality is moot)
+        t, _ = _scan(_log_distance_law(n, int(w), z, log_budget), log_budget)
+        # budget demands cum_{<=t} >= b; _scan uses strict >, which differs
+        # only when cum_{<=t} == b exactly (float equality is moot)
         t = min(t, n)
         t_max = max(t_max, t)
         total += math.exp(lw) * ((1.0 - eps) * t / n + eps / 2.0)
@@ -221,33 +226,24 @@ def upper_bound_rr(n: int, rate: float, p: float, d0: float) -> float:
     if not d < d0 < p:
         raise ValueError(f"need D < d0 < p with D={d:.6g}, got d0={d0}")
     z0 = (p - d0) / (1.0 - 2.0 * d0)
-    u = math.exp(-n * rate * _LN2)
-    if u < 1e-8:
-        pow_term = -1.0 + 0.5 * u + u * u / 6.0
-    else:
-        pow_term = (1.0 / u - 1.0) * math.log1p(-u)
-    log_budget = -n * rate * _LN2 + pow_term
+    log_budget = -n * rate * _LN2 + _log_one_minus_inv_q_pow(n, rate)
     ld0, l1d0 = math.log(d0), math.log1p(-d0)
     lp, l1p = math.log(p), math.log1p(-p)
     weights, logw, log_tail = _weight_window(n, p)
     total = 0.0
     for w, lw in zip(weights, logw):
         w = int(w)
-        ones, zeros = _mismatch_parts(n, w, z0)
-        dx, cum, lpmf = _scan_threshold(ones, zeros, log_budget, n)
+        law = _log_distance_law(n, w, z0, log_budget)
+        dx, cum = _scan(law, log_budget)
         log_px = w * lp + (n - w) * l1p
-        terms = []
-        cum_run = LOG_ZERO
-        for j in range(min(dx, n + 1)):
-            lpj = _log_pmf_at(ones, zeros, j)
-            terms.append(lpj + j * ld0 + (n - j) * l1d0 - log_px)
-            cum_run = float(np.logaddexp(cum_run, lpj))
+        j = np.arange(dx)
+        terms = law[:dx] + j * ld0 + (n - j) * l1d0 - log_px
         if dx <= n:
+            cum_run = cum[dx - 1] if dx else LOG_ZERO
             log_l_mass = log_diff(log_budget, cum_run) if log_budget > cum_run else LOG_ZERO
-            if log_l_mass > LOG_ZERO:
-                terms.append(log_l_mass + dx * ld0 + (n - dx) * l1d0 - log_px)
+            terms = np.append(terms, log_l_mass + dx * ld0 + (n - dx) * l1d0 - log_px)
         u_w = z0 * (1.0 - w / n) + (1.0 - z0) * w / n
-        h_w = u_w * (math.exp(logsumexp(np.array(terms))) if terms else 0.0)
+        h_w = u_w * math.exp(logsumexp(terms))
         total += math.exp(lw) * h_w
     total += math.exp(log_tail) * (1.0 - z0)
     return d0 + total

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, log_binomial, log_diff, logsumexp
+from .logdomain import LOG_ZERO, log_binomial_row, log_diff, logsumexp
 from .ratedistortion import BinarySymmetricSource, solve
 from .special import inverse_binary_entropy
 
@@ -51,10 +51,6 @@ def _check(n: int, rate: float) -> None:
         raise ValueError(f"rate must be in (0, 1), got {rate}")
 
 
-def _log_binoms(n: int) -> np.ndarray:
-    return np.array([log_binomial(n, j).log_value for j in range(n + 1)])
-
-
 def log_q_minus(n: float, rate: float, shift: int = 1) -> float:
     """ln(2**(n R) - shift), stable for huge n R."""
     lq = n * rate * _LN2
@@ -89,7 +85,7 @@ def lower_bound(n: int, rate: float) -> float:
     mass Q 2**-n [sum_{j<D} C(n,j) j/n + alpha C(n,D) D/n].
     """
     _check(n, rate)
-    lb = _log_binoms(n)
+    lb = log_binomial_row(n)
     d, log_rem = hamming_ball_threshold(lb, n * (1.0 - rate) * _LN2)
     if d > n:
         raise ValueError("rate too small: ball exceeds the whole space")
@@ -116,7 +112,7 @@ def upper_bound_os(n: int, rate: float, eps: float) -> OrderedStatsBound:
     if log_budget > 0.0:
         # budget exceeds total mass: threshold clamps at n
         return OrderedStatsBound((1.0 - eps) + eps / 2.0, n, degenerate=True)
-    lb = _log_binoms(n) - n * _LN2
+    lb = log_binomial_row(n) - n * _LN2
     total = LOG_ZERO
     t_eps = n
     for t in range(n + 1):
@@ -149,7 +145,7 @@ def upper_bound_rr(n: int, rate: float, ref_rate: float) -> float:
         raise ValueError(f"need 0 < ref_rate < rate, got {ref_rate}")
     p = inverse_binary_entropy(1.0 - ref_rate)
     log_btilde = -_LN2 - n * rate * _LN2 + _log_one_minus_inv_q_pow(n, rate)
-    lb = _log_binoms(n)
+    lb = log_binomial_row(n)
     # threshold: (1/2) sum_{j<d} C(n,j) <= 2**n * B
     d, log_rem = hamming_ball_threshold(lb - _LN2, n * _LN2 + log_btilde)
     lp, l1p = math.log(p), math.log1p(-p)

@@ -19,6 +19,7 @@ from .ratedistortion import (
     solve,
 )
 from .simulate import (
+    _ENUM_LIMIT,
     BudgetError,
     Codebook,
     ExperimentConfig,
@@ -28,8 +29,6 @@ from .simulate import (
     mc_mean_distortion,
 )
 from .special import binary_entropy, inverse_binary_entropy
-
-_ENUM_LIMIT = 24
 
 
 def _fmt(v: float) -> str:

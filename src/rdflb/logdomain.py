@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["LogReal", "LOG_ZERO", "log_sum", "log_diff", "log_binomial"]
+__all__ = ["LogReal", "LOG_ZERO", "log_sum", "log_diff", "log_binomial", "log_binomial_row"]
 
 LOG_ZERO = float("-inf")
 
@@ -148,3 +148,9 @@ def log_binomial(n: int, k: int) -> LogReal:
     if k == 0 or k == n:
         return LogReal(0.0)
     return LogReal(float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)))
+
+
+def log_binomial_row(m: int) -> np.ndarray:
+    """ln C(m, j) for j = 0..m; each entry equals ``log_binomial(m, j)``."""
+    g = gammaln(np.arange(1, m + 2))  # g[j] = ln j!
+    return g[m] - g - g[::-1]

@@ -43,6 +43,30 @@ def test_pmf_brute_force_enumeration():
     assert prof.pmf == pytest.approx(pmf, rel=1e-11)
 
 
+@pytest.mark.parametrize("w", [6, 150, 294])
+def test_pmf_vs_integer_oracle(w):
+    # z = 1/5: P(d) 5^n = sum_i C(w,i) C(n-w,d-i) 4^(n-w+2i-d), exact in integers;
+    # the far tail of w = 6 lies below e^-745, where a linear convolution gives -inf
+    n = 600
+    got = bns.weight_distance_pmf(n, w, 0.2).log_pmf
+    for d in range(n + 1):
+        s = sum(comb(w, i) * comb(n - w, d - i) * 4 ** (n - w + 2 * i - d)
+                for i in range(max(0, d - (n - w)), min(w, d) + 1))
+        assert got[d] == pytest.approx(math.log(s) - n * math.log(5), rel=1e-12)
+
+
+def test_budget_limits_exact_columns_to_those_read():
+    # n = 2000: both tails of the law fall below the convolution floor; a
+    # budgeted law must agree with the full one on every column a scan reads
+    n, w, z = 2000, 500, 0.175
+    full = bns._log_distance_law(n, w, z)
+    for log_budget in (-900.0, -400.0, -5.0, 0.0):
+        law = bns._log_distance_law(n, w, z, log_budget)
+        t, _ = bns._scan(law, log_budget)
+        assert t == bns._scan(full, log_budget)[0]
+        assert np.array_equal(law[: t + 1], full[: t + 1])
+
+
 def test_total_mass_over_weights():
     n, p, rate = 12, 0.4, 0.5
     z = solve(BinaryNonSymmetricSource(p), rate).marginal_one_prob
@@ -173,6 +197,20 @@ def test_upper_os_eps_sweep_range():
 def test_upper_os_degenerate():
     r = bns.upper_bound_os(4, 0.1, 0.4, 0.01)
     assert r.degenerate
+
+
+def test_upper_bounds_pinned_values():
+    # recorded before the distance law was vectorized; the OS bound must not
+    # move at all, the RR bound only by the roundoff of the new summation
+    p, rate, d0 = 0.25, 0.3, 0.1314047333665419
+    assert inverse_binary_entropy(binary_entropy(p) - 0.25) == pytest.approx(d0, rel=1e-12)
+    for n, os_value, threshold, rr_value in [
+        (200, 0.1293690736976784, 77, 0.22252740091517392),
+        (600, 0.12192659255944786, 157, 0.16486032977294388),
+    ]:
+        r = bns.upper_bound_os(n, rate, p, 0.01)
+        assert (r.value, r.threshold) == (os_value, threshold)
+        assert bns.upper_bound_rr(n, rate, p, d0) == pytest.approx(rr_value, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

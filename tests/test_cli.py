@@ -1,0 +1,50 @@
+import csv
+
+import pytest
+
+from rdflb import bns
+from rdflb.cli import main
+from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
+from rdflb.special import binary_entropy, inverse_binary_entropy
+
+P, RATE, EPS, REF_RATE = 0.25, 0.3, 0.01, 0.25
+BNS_CURVE = ["curve", "bns", "--p", str(P), "--rate", str(RATE), "--eps", str(EPS),
+             "--ref-rate", str(REF_RATE), "--n", "40:80:40", "--jobs", "1"]
+
+
+def test_curve_bns_cells_match_direct_calls(tmp_path):
+    out = tmp_path / "bns.csv"
+    assert main(BNS_CURVE + ["--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# params: family=bns")
+    rows = list(csv.DictReader(lines[1:]))
+    assert [row["n"] for row in rows] == ["40", "80"]
+    dstar = solve(BinaryNonSymmetricSource(P), RATE).dstar
+    d0 = inverse_binary_entropy(binary_entropy(P) - REF_RATE)
+    for row in rows:
+        n = int(row["n"])
+        want = {
+            "asymptote": dstar,
+            "lower": bns.lower_bound(n, RATE, P),
+            "upper_os_0.01": bns.upper_bound_os(n, RATE, P, EPS).value,
+            "upper_rr_0.25": bns.upper_bound_rr(n, RATE, P, d0),
+        }
+        assert row == {"n": str(n), **{k: f"{v:.10g}" for k, v in want.items()}}
+
+
+def test_curve_bns_is_byte_identical_across_runs(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(BNS_CURVE + ["--out", str(a)]) == 0
+    assert main(BNS_CURVE + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "bns", "--rate", "0.3", "--eps", "0.01", "--n", "40:80:40"],
+    ["curve", "bns", "--p", "0.25", "--rate", "0.3", "--eps", "0.01", "--n", "80:40:40"],
+], ids=["bns_without_p", "empty_n_range"])
+def test_curve_usage_errors_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--jobs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
