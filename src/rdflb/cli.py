@@ -23,6 +23,7 @@ from .simulate import (
     BudgetError,
     Codebook,
     ExperimentConfig,
+    _chunk_rng,
     delta_residue,
     duality_error_prob,
     exact_distortion,
@@ -223,14 +224,14 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    if args.family == "bss":
-        source = BinarySymmetricSource()
-    else:
-        if args.p is None:
-            print("error: bns needs --p", file=sys.stderr)
-            return 2
-        source = BinaryNonSymmetricSource(args.p)
+    if args.family == "bns" and args.p is None:
+        print("error: bns needs --p", file=sys.stderr)
+        return 2
+    if args.codebooks < 1:
+        print("error: --codebooks must be >= 1", file=sys.stderr)
+        return 2
     try:
+        source = BinarySymmetricSource() if args.family == "bss" else BinaryNonSymmetricSource(args.p)
         if args.n > _ENUM_LIMIT:
             raise BudgetError(f"n={args.n} exceeds the exact-enumeration budget ({_ENUM_LIMIT})")
         sol = solve(source, args.rate)
@@ -263,7 +264,7 @@ def cmd_validate(args) -> int:
             import numpy as np
 
             q = cfg.codebook_size
-            rng = np.random.Generator(np.random.Philox(key=np.array([args.seed, 2**32], dtype=np.uint64)))
+            rng = _chunk_rng(args.seed, 2**32)
             worst_id = 0.0
             worst_margin = math.inf
             for _ in range(args.codebooks):

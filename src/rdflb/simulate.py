@@ -4,6 +4,20 @@ These are the validation oracles for the analytic bounds: nearest-codeword
 distortion by brute force for small n, the residue identity that converts
 distortion gaps into information units, and reproducible random-codebook
 sampling (counter-based Philox streams keyed by (seed, chunk)).
+
+The enumeration packs source word i as the integer i (bit k is
+(i >> k) & 1) and each codeword the same way, so a Hamming distance is one
+popcount of an XOR.
+
+Stream contract of `mc_mean_distortion`: trials go in chunks of
+min(_CHUNK, _MC_BUDGET // (Q n)) rows, and chunk c draws from its own
+generator `_chunk_rng(seed, c)`. That generator first draws the chunk's
+source words x, then its codebooks, each array in C order. The codebooks
+are drawn and compared in slices of _SLICE rows; a C-order stream read in
+consecutive slices is the same stream, so the results do not depend on the
+slice size. The Gaussian law with a codeword bound rm redraws rejected
+codewords after the whole chunk's first draw, so it takes the chunk as one
+slice.
 """
 
 from __future__ import annotations
@@ -36,6 +50,8 @@ __all__ = [
 _LN2 = math.log(2.0)
 _CHUNK = 4096
 _ENUM_LIMIT = 24
+_ENUM_CELLS = 1 << 18  # (source word, codeword) distances held at once by the enumeration
+_SLICE = 128  # codebooks drawn and compared at once by the Monte Carlo
 _MC_BUDGET = 2_000_000_000  # Q * trials * n element operations
 
 
@@ -86,18 +102,26 @@ class ExperimentConfig:
         return int(round(2.0 ** (self.n * self.rate)))
 
 
-def _all_words(n: int) -> np.ndarray:
-    if n > _ENUM_LIMIT:
-        raise BudgetError(f"2**{n} enumeration exceeds the n <= {_ENUM_LIMIT} budget")
-    return (np.arange(1 << n, dtype=np.uint32)[:, None] >> np.arange(n)[None, :]) & 1
+def _packed_codewords(cb: Codebook) -> np.ndarray:
+    """Codeword j as the uint32 sum_k cw[j, k] << k, the packing of the source words."""
+    cw = cb.codewords
+    if cb.n > 31:
+        raise ValueError(f"packed enumeration holds at most 31 bits, got n={cb.n}")
+    if not np.isin(cw, (0, 1)).all():
+        raise ValueError("enumeration oracles need 0/1 codewords")
+    return (cw.astype(np.uint32) << np.arange(cb.n, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
 
 
-def _source_log_pmf(source: SourceModel, words: np.ndarray) -> np.ndarray:
-    n = words.shape[1]
+def _words(n: int) -> np.ndarray:
+    """Every source word of length n; word i has bit k equal to (i >> k) & 1."""
+    return np.arange(1 << n, dtype=np.uint32)
+
+
+def _source_log_pmf(source: SourceModel, n: int) -> np.ndarray:
     if isinstance(source, BinarySymmetricSource):
-        return np.full(words.shape[0], -n * _LN2)
+        return np.full(1 << n, -n * _LN2)
     if isinstance(source, BinaryNonSymmetricSource):
-        w = words.sum(axis=1)
+        w = np.bitwise_count(_words(n)).astype(np.int64)
         return w * math.log(source.p) + (n - w) * math.log1p(-source.p)
     raise ValueError("enumeration oracles are for binary sources")
 
@@ -118,23 +142,32 @@ def quantize(x: np.ndarray, cb: Codebook) -> tuple[int, float]:
     return j, float(dist[j])
 
 
-def _assignments(source: SourceModel, cb: Codebook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(all words, assigned index, Hamming distance to assigned codeword)."""
-    words = _all_words(cb.n)
-    best_d = np.full(words.shape[0], np.iinfo(np.int32).max, dtype=np.int32)
-    best_j = np.zeros(words.shape[0], dtype=np.int32)
-    for j in range(cb.size):
-        d = (words != cb.codewords[j][None, :]).sum(axis=1).astype(np.int32)
-        better = d < best_d
-        best_d = np.where(better, d, best_d)
-        best_j = np.where(better, j, best_j)
-    return words, best_j, best_d
+def _assignments(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """(assigned index, Hamming distance to assigned codeword) of every word.
+
+    Words go in blocks of about _ENUM_CELLS / Q, so memory is O(_ENUM_CELLS)
+    whatever n is; argmin keeps the first minimum, so ties go to the
+    smallest index as in `quantize`.
+    """
+    packed = _packed_codewords(cb)
+    if cb.n > _ENUM_LIMIT:
+        raise BudgetError(f"2**{cb.n} enumeration exceeds the n <= {_ENUM_LIMIT} budget")
+    words = _words(cb.n)
+    best_j = np.empty(words.size, dtype=np.int32)
+    best_d = np.empty(words.size, dtype=np.int32)
+    block = max(1, _ENUM_CELLS // cb.size)
+    for s in range(0, words.size, block):
+        d = np.bitwise_count(words[s : s + block, None] ^ packed[None, :])
+        j = d.argmin(axis=1)
+        best_j[s : s + block] = j
+        best_d[s : s + block] = np.take_along_axis(d, j[:, None], axis=1)[:, 0]
+    return best_j, best_d
 
 
 def exact_distortion(source: SourceModel, cb: Codebook) -> float:
     """Expected nearest-codeword distortion by full enumeration (binary)."""
-    words, _, best_d = _assignments(source, cb)
-    p = np.exp(_source_log_pmf(source, words))
+    _, best_d = _assignments(cb)
+    p = np.exp(_source_log_pmf(source, cb.n))
     return float((p * best_d).sum() / cb.n)
 
 
@@ -152,9 +185,9 @@ def delta_residue(source: BinarySymmetricSource, cb: Codebook, rate: float | Non
     from .special import inverse_binary_entropy
 
     q0 = inverse_binary_entropy(1.0 - rate)
-    words, _, best_d = _assignments(source, cb)
+    _, best_d = _assignments(cb)
     log_ratio = n * _LN2 + best_d * math.log(q0) + (n - best_d) * math.log1p(-q0)
-    p = np.exp(_source_log_pmf(source, words))
+    p = np.exp(_source_log_pmf(source, n))
     return float(n * rate * _LN2 - (p * log_ratio).sum())
 
 
@@ -168,7 +201,7 @@ def duality_error_prob(source: BinarySymmetricSource, cb: Codebook, rate: float 
     from .special import inverse_binary_entropy
 
     q0 = inverse_binary_entropy(1.0 - rate)
-    words, best_j, best_d = _assignments(source, cb)
+    _, best_d = _assignments(cb)
     q_xy = np.exp(best_d * math.log(q0) + (n - best_d) * math.log1p(-q0))
     return float(1.0 - q_xy.sum() / cb.size)
 
@@ -180,10 +213,6 @@ def duality_error_prob(source: BinarySymmetricSource, cb: Codebook, rate: float 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _draw_binary(rng, m, q, n, one_prob):
-    return (rng.random((m, q, n)) < one_prob).astype(np.uint8)
 
 
 def _draw_gaussian_codebooks(rng, m, q, n, std, rm):
@@ -210,10 +239,14 @@ def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
         raise BudgetError(f"Q*trials*n = {q * cfg.trials * n} exceeds the MC budget")
     gaussian = isinstance(cfg.source, GaussianSource)
     if gaussian:
+        if cfg.codebook_law == "uniform":
+            raise ValueError("uniform codebook law is undefined for the Gaussian source")
         sol = solve(cfg.source, cfg.rate)
         std = math.sqrt(sol.marginal_variance)
-    elif isinstance(cfg.source, BinaryNonSymmetricSource):
-        z = solve(cfg.source, cfg.rate).marginal_one_prob if cfg.rate < 1 else 0.5
+    elif cfg.codebook_law == "optimal-marginal" and isinstance(cfg.source, BinaryNonSymmetricSource):
+        one_prob = solve(cfg.source, cfg.rate).marginal_one_prob if cfg.rate < 1 else 0.5
+    else:
+        one_prob = 0.5
     chunk = max(1, min(_CHUNK, _MC_BUDGET // max(1, q * n)))
     total = 0.0
     total_sq = 0.0
@@ -224,31 +257,26 @@ def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
         rng = _chunk_rng(cfg.seed, c)
         if gaussian:
             x = rng.normal(0.0, math.sqrt(cfg.source.sigma2), size=(m, n))
-        elif isinstance(cfg.source, BinaryNonSymmetricSource):
-            x = (rng.random((m, n)) < cfg.source.p).astype(np.uint8)
         else:
-            x = (rng.random((m, n)) < 0.5).astype(np.uint8)
-        if cfg.codebook_law == "fixed":
-            cw = cfg.codebook.codewords
-            if gaussian:
-                d = (((x[:, None, :] - cw[None, :, :]) ** 2).sum(axis=2) / n).min(axis=1)
+            x = rng.random((m, n)) < (cfg.source.p if isinstance(cfg.source, BinaryNonSymmetricSource) else 0.5)
+        d = np.empty(m)
+        # rejection redraws follow the whole chunk's draws, so that path keeps whole chunks
+        r = m if gaussian and cfg.rm is not None else _SLICE
+        for s in range(0, m, r):
+            xs = x[s : s + r, None, :]
+            if cfg.codebook_law == "fixed":
+                y = cfg.codebook.codewords
+            elif gaussian:
+                y = _draw_gaussian_codebooks(rng, xs.shape[0], q, n, std, cfg.rm)
             else:
-                d = ((x[:, None, :] != cw[None, :, :]).sum(axis=2) / n).min(axis=1)
-        else:
+                y = rng.random((xs.shape[0], q, n)) < one_prob
             if gaussian:
-                if cfg.codebook_law == "uniform":
-                    raise ValueError("uniform codebook law is undefined for the Gaussian source")
-                y = _draw_gaussian_codebooks(rng, m, q, n, std, cfg.rm)
-                d = (((x[:, None, :] - y) ** 2).sum(axis=2) / n).min(axis=1)
+                dist = ((xs - y) ** 2).sum(axis=2)
             else:
-                if cfg.codebook_law == "uniform" or isinstance(cfg.source, BinarySymmetricSource):
-                    one_prob = 0.5
-                else:
-                    one_prob = z
-                y = _draw_binary(rng, m, q, n, one_prob)
-                d = ((x[:, None, :] != y).sum(axis=2) / n).min(axis=1)
+                dist = (xs != y).sum(axis=2, dtype=np.int32)
+            d[s : s + r] = dist.min(axis=1) / n
         total += float(d.sum())
-        total_sq += float((d.astype(float) ** 2).sum())
+        total_sq += float((d**2).sum())
         done += m
         c += 1
     mean = total / cfg.trials

@@ -1,8 +1,9 @@
 import csv
+from types import SimpleNamespace
 
 import pytest
 
-from rdflb import bns
+from rdflb import bns, bss
 from rdflb.cli import main
 from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
@@ -48,3 +49,38 @@ def test_curve_usage_errors_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--jobs", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+VALIDATE_BSS = ["validate", "bss", "--n", "8", "--rate", "0.5", "--trials", "2000", "--codebooks", "2"]
+
+
+def test_validate_passes_and_is_byte_identical_across_runs(capsys):
+    assert main(VALIDATE_BSS + ["--seed", "1"]) == 0
+    first = capsys.readouterr().out
+    assert main(VALIDATE_BSS + ["--seed", "1"]) == 0
+    assert capsys.readouterr().out == first
+    assert first.splitlines()[-1] == "pass=true"
+
+
+def test_validate_failed_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(bss, "upper_bound_os", lambda *a, **k: SimpleNamespace(value=0.0))
+    assert main(VALIDATE_BSS + ["--seed", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "sandwich_pass=false" in out and out[-1] == "pass=false"
+
+
+def test_validate_accepts_negative_seed(capsys):
+    assert main(VALIDATE_BSS + ["--seed", "-1"]) == 0
+    assert "seed=-1" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["validate", "bns", "--n", "8", "--rate", "0.3", "--trials", "10"], 2),
+    (["validate", "bns", "--p", "1.5", "--n", "8", "--rate", "0.3", "--trials", "10"], 2),
+    (VALIDATE_BSS[:-1] + ["0"], 2),
+    (["validate", "bss", "--n", "25", "--rate", "0.5", "--trials", "10"], 3),
+], ids=["bns_without_p", "bns_p_out_of_range", "zero_codebooks", "n_over_enumeration_budget"])
+def test_validate_errors_exit_with_their_code(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
