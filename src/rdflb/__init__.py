@@ -8,9 +8,8 @@ per-family bounds and experiments.
 """
 
 from . import bns, bss, gauss, geometry, logdomain, quadrature, ratedistortion, simulate, special
-from .geometry import BallPair, prob_diff, prob_intersect, semiangle, vol_diff, vol_intersect
-from .logdomain import LogReal, log_binomial, log_sum
-from .quadrature import Quadrature, find_root, integrate
+from .logdomain import log_binomial
+from .quadrature import find_root
 from .ratedistortion import (
     BinaryNonSymmetricSource,
     BinarySymmetricSource,
@@ -34,13 +33,11 @@ from .simulate import (
 from .special import (
     binary_entropy,
     chi2_cdf,
-    cone_area,
     exp_gap_inverse,
     inverse_binary_entropy,
+    log_unit_ball_volume,
+    log_unit_sphere_area,
     noncentral_chi2_cdf,
-    noncentral_chi2_quantile,
-    unit_ball_volume,
-    unit_sphere_area,
 )
 
 __version__ = "0.1.0"

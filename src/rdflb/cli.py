@@ -156,13 +156,13 @@ def cmd_curve(args) -> int:
         print("error: --alpha/--unbounded apply to the gauss family only", file=sys.stderr)
         return 2
 
-    if args.family == "bss":
-        source = BinarySymmetricSource()
-    elif args.family == "bns":
-        source = BinaryNonSymmetricSource(args.p)
-    else:
-        source = GaussianSource(args.sigma2)
     try:
+        if args.family == "bss":
+            source = BinarySymmetricSource()
+        elif args.family == "bns":
+            source = BinaryNonSymmetricSource(args.p)
+        else:
+            source = GaussianSource(args.sigma2)
         dstar = solve(source, args.rate).dstar
         task_base = {
             "family": args.family,
@@ -232,7 +232,8 @@ def cmd_validate(args) -> int:
         return 2
     try:
         source = BinarySymmetricSource() if args.family == "bss" else BinaryNonSymmetricSource(args.p)
-        if args.n > _ENUM_LIMIT:
+        # only bss enumerates codebooks exactly; bns runs the Monte Carlo alone
+        if args.family == "bss" and args.n > _ENUM_LIMIT:
             raise BudgetError(f"n={args.n} exceeds the exact-enumeration budget ({_ENUM_LIMIT})")
         sol = solve(source, args.rate)
         eps = 0.01

@@ -18,16 +18,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .geometry import log_shell_mass_batch, log_vol_diff_vec
-from .logdomain import LOG_ZERO, logsumexp
-from .quadrature import bracket_solve
+from .geometry import log_prob_intersect_batch, log_shell_mass_batch, log_vol_diff_vec
+from .logdomain import LOG_ZERO
+from .quadrature import bracket_solve, gl_panels
 from .special import (
-    exp_gap_inverse_vec,
     log_reg_gamma_lower,
+    log_unit_ball_volume,
     noncentral_chi2_log_cdf,
     reg_gamma_lower,
     reg_gamma_upper,
-    unit_ball_volume,
 )
 
 __all__ = [
@@ -139,10 +138,10 @@ def _log_gamma_radius(inp: GaussBoundInput, t: np.ndarray) -> np.ndarray:
     c1 = inp.scale * rm
     log_vdiff = log_vol_diff_vec(n, r0, c1, r1)
     with np.errstate(divide="ignore"):
-        log_v0 = unit_ball_volume(n).log_value + n * np.log(np.maximum(r0, 1e-300))
+        log_v0 = log_unit_ball_volume(n) + n * np.log(np.maximum(r0, 1e-300))
     log_v0 = np.where(r0 > 0, log_v0, LOG_ZERO)
     log_vtot = np.logaddexp(log_v0, inp.log_q + log_vdiff)
-    log_rn = (log_vtot - unit_ball_volume(n).log_value) / n
+    log_rn = (log_vtot - log_unit_ball_volume(n)) / n
     log_rtilde = np.log(c1 + r1)
     return np.minimum(log_rn, log_rtilde)
 
@@ -296,16 +295,6 @@ def lower_bound(inp: GaussBoundInput) -> float:
 # upper bounds (ordered statistics)
 # ---------------------------------------------------------------------------
 
-def _gl_panels(edges: np.ndarray, k: int = 32):
-    x, w = np.polynomial.legendre.leggauss(k)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    nodes = (a[:, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
-    wgt = (half[:, None] * w[None, :]).ravel()
-    return nodes, wgt
-
-
 def _source_radial_log_pdf(n: int, sigma2: float, x: np.ndarray) -> np.ndarray:
     """Log density of ||x||^2 for x ~ N(0, sigma2 I_n)."""
     a = 0.5 * n
@@ -319,53 +308,21 @@ def _source_window(n: int, sigma2: float, x_hi: float):
     return lo, hi
 
 
-def _quantile_deep(n: int, lam: float, log_p0: float, x0: float | None = None) -> float:
-    """x with ln CDF_{chi2(n, lam)}(x) = log_p0, warm-startable.
+def _unbounded_threshold(n: int, lam: np.ndarray, log_p0: float) -> np.ndarray:
+    """Per lane, x with ln CDF_{chi2(n, lam)}(x) >= log_p0, solved as one batch.
 
-    Secant iteration on the log-CDF (smooth, strictly increasing) with a
-    bisection fallback whenever a step leaves the current bracket.  The
-    secant aims at a residual ln CDF - log_p0 of 5e-13, the middle of the
-    accepted window [0, 1e-12), so rounding noise in the log-CDF does not
-    keep landing it just below log_p0.
-
-    Returns the secant point itself once its residual lies in [0, 1e-12).
-    If instead the bracket shrinks to 1e-11 relative width or the 60-step
-    cap is reached, it returns the bracket's upper end.  Either way
-    ln CDF >= log_p0 at the returned point: the threshold errs high, and so
-    does the upper bound built on it, which keeps that bound valid.
+    Each lane is bracketed on [0, n + lam + 10 sqrt(2n + 4 lam) + 10], where
+    the log-CDF runs from -inf to above log_p0.  ``bracket_solve`` returns
+    every lane on its ln CDF >= log_p0 side, so the threshold errs high, and
+    so does the upper bound built on it, which keeps that bound valid.
     """
-    hi = n + lam + 10.0 * math.sqrt(2.0 * n + 4.0 * lam) + 10.0
-    lo = 0.0
-    xa = x0 if x0 is not None and 0.0 < x0 < hi else 0.5 * hi
-    fa = noncentral_chi2_log_cdf(n, lam, xa) - log_p0
-    if fa < 0:
-        lo = xa
-    else:
-        hi = xa
-    xb = min(max(xa * 1.05 + 0.1, lo + 0.25 * (hi - lo)), hi)
-    fb = noncentral_chi2_log_cdf(n, lam, xb) - log_p0
-    if fb < 0:
-        lo = max(lo, xb)
-    else:
-        hi = min(hi, xb)
-    for _ in range(60):
-        if hi - lo <= 1e-11 * max(1.0, hi):
-            break
-        if fb != fa:
-            x_new = xb - (fb - 5e-13) * (xb - xa) / (fb - fa)
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        f_new = noncentral_chi2_log_cdf(n, lam, x_new) - log_p0
-        if f_new < 0:
-            lo = x_new
-        else:
-            hi = x_new
-        xa, fa, xb, fb = xb, fb, x_new, f_new
-        if 0.0 <= f_new < 1e-12:
-            return x_new
-    return hi
+    lam = np.asarray(lam, dtype=float)
+
+    def gap(x, lanes):
+        return np.array([noncentral_chi2_log_cdf(n, lam[k], xk) for xk, k in zip(x, lanes)]) - log_p0
+
+    hi = n + lam + 10.0 * np.sqrt(2.0 * n + 4.0 * lam) + 10.0
+    return bracket_solve(gap, np.zeros_like(lam), hi)
 
 
 def _moment_tail(n: int, sigma2: float, a: float) -> float:
@@ -411,14 +368,8 @@ def upper_bound_unbounded(inp: GaussBoundInput) -> GaussUpperBound:
     edges = [lo, 0.25 * lo + 0.75 * hi, hi]
     if kink is not None and lo < kink < hi:
         edges = [lo, kink, 0.5 * (kink + hi), hi]
-    nodes, wgt = _gl_panels(np.array(sorted(set(edges))), 32)
-
-    lam = nodes / mv
-    thr = np.empty_like(nodes)
-    x_prev = None
-    for i in np.argsort(lam):
-        x_prev = _quantile_deep(n, float(lam[i]), log_p0, x_prev)
-        thr[i] = x_prev * mv / n
+    nodes, wgt = gl_panels(np.array(sorted(set(edges))), 32)
+    thr = _unbounded_threshold(n, nodes / mv, log_p0) * mv / n
     integrand = np.exp(_source_radial_log_pdf(n, s2, nodes)) * np.minimum(nodes / n, thr)
     main = float((integrand * wgt).sum())
 
@@ -427,22 +378,6 @@ def upper_bound_unbounded(inp: GaussBoundInput) -> GaussUpperBound:
     above = _moment_tail(n, s2, hi) - _moment_tail(n, s2, x_hi) if hi < x_hi else 0.0
     tail = _moment_tail(n, s2, x_hi)
     return GaussUpperBound(main + below + max(above, 0.0) + tail + eps * (2.0 * s2 - d))
-
-
-def _log_prob_intersect_batch(n, r0, c1, r1, s2):
-    """ln P(ball(c1, r1) & ball(0, r0)) under N(0, s2 I), vectorized rows."""
-    c1 = np.asarray(c1, dtype=float)
-    r1 = np.asarray(r1, dtype=float)
-    out = np.full(c1.shape, LOG_ZERO)
-    disjoint = c1 >= r0 + r1
-    inner = np.minimum(np.maximum(r1 - c1, 0.0), r0)
-    with np.errstate(divide="ignore"):
-        log_ball = np.where(inner > 0, log_reg_gamma_lower(0.5 * n, 0.5 * inner**2 / s2), LOG_ZERO)
-    shell_lo = np.abs(c1 - r1)
-    shell_hi = np.minimum(r0, c1 + r1)
-    log_shell = log_shell_mass_batch(n, shell_lo, shell_hi, c1, r1, s2)
-    out = np.logaddexp(log_ball, log_shell)
-    return np.where(disjoint | (r1 <= 0), LOG_ZERO, out)
 
 
 def _bounded_radius(n: int, rm: float, mv: float, target: float, nodes: np.ndarray) -> np.ndarray:
@@ -455,7 +390,7 @@ def _bounded_radius(n: int, rm: float, mv: float, target: float, nodes: np.ndarr
     norms = np.sqrt(nodes)
 
     def gap(t, lanes):
-        return _log_prob_intersect_batch(n, rm, norms[lanes], t, mv) - target
+        return log_prob_intersect_batch(n, rm, norms[lanes], t, mv) - target
 
     return bracket_solve(gap, np.maximum(norms - rm, 0.0), norms + rm)
 
@@ -486,7 +421,7 @@ def upper_bound_bounded(inp: GaussBoundInput) -> GaussUpperBound:
     # gets a panel edge
     def kink_gap(x, _lanes):
         r = np.sqrt(x)
-        return _log_prob_intersect_batch(n, rm, r, r, mv) - target
+        return log_prob_intersect_batch(n, rm, r, r, mv) - target
 
     probe = np.linspace(lo, hi, 33)
     covered = kink_gap(probe, None) >= 0.0
@@ -496,7 +431,7 @@ def upper_bound_bounded(inp: GaussBoundInput) -> GaussUpperBound:
         i = int(crossing[0])
         kink = float(bracket_solve(kink_gap, probe[i], probe[i + 1])[0])
         edges = sorted({lo, kink, 0.5 * (kink + hi), hi})
-    nodes, wgt = _gl_panels(np.array(edges), 32)
+    nodes, wgt = gl_panels(np.array(edges), 32)
     thr = _bounded_radius(n, rm, mv, target, nodes) ** 2 / n
 
     integrand = np.exp(_source_radial_log_pdf(n, s2, nodes)) * np.minimum(nodes / n, thr)

@@ -1,88 +1,39 @@
-"""Volumes and Gaussian masses of differences/intersections of two n-balls.
+"""Gaussian masses and volumes of differences/intersections of two n-balls.
 
-The primitive is a radial integral over spheres: the part of the radius-r
-sphere inside the off-center ball is a cap, so every quantity reduces to
+C0 is the origin ball of radius r0 and C1 the ball of radius r1 centered
+at distance c1.  The primitive is a radial integral over spheres: the part
+of the radius-r sphere inside C1 is a cap, so every Gaussian mass reduces to
 
     integral  [density](r) * r^(n-1) * Omega_n(theta(r)) dr
 
 with theta(r) from the triangle (r, c1, r1).  Integrands underflow doubles
 for n beyond a few hundred, so everything is assembled in the log domain
-and re-exponentiated around the maximum.
+and re-exponentiated around the maximum.  Volumes use the exact
+radical-plane cap decomposition instead.  Every function is vectorized
+over rows of radii.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, LogReal, log_diff, logsumexp
-from .special import (
-    log_cone_area,
-    log_reg_gamma_lower,
-    log_reg_inc_beta,
-    noncentral_chi2_cdf,
-    unit_ball_volume,
-)
+from .logdomain import LOG_ZERO, logsumexp
+from .quadrature import gl_nodes
+from .special import log_cone_area, log_reg_gamma_lower, log_reg_inc_beta, log_unit_ball_volume
 
-__all__ = [
-    "BallPair",
-    "semiangle",
-    "prob_diff",
-    "prob_intersect",
-    "log_prob_diff",
-    "log_prob_intersect",
-    "vol_diff",
-    "vol_intersect",
-]
-
-
-@dataclass(frozen=True)
-class BallPair:
-    """Origin ball of radius r0, second ball of radius r1 centered at distance c1.
-
-    sigma2 is the per-coordinate variance of the ambient Gaussian measure.
-    """
-
-    dim: int
-    r0: float
-    c1: float
-    r1: float
-    sigma2: float = 1.0
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
-        if self.r0 < 0 or self.c1 < 0 or self.r1 < 0:
-            raise ValueError("radii and center distance must be >= 0")
-        if self.sigma2 <= 0:
-            raise ValueError(f"variance must be > 0, got {self.sigma2}")
-
-
-def semiangle(bp: BallPair, r: float) -> float:
-    """Cap semiangle theta(r) of the radius-r sphere inside the second ball."""
-    if bp.c1 <= 0 or r <= 0:
-        raise ValueError("semiangle needs c1 > 0 and r > 0")
-    arg = (bp.c1**2 + r * r - bp.r1**2) / (2.0 * bp.c1 * r)
-    if not -1.0 - 1e-12 <= arg <= 1.0 + 1e-12:
-        raise ValueError(f"cosine argument {arg} outside [-1, 1]: r={r} not in the shell")
-    return math.acos(min(1.0, max(-1.0, arg)))
+__all__ = ["log_shell_mass_batch", "log_prob_intersect_batch", "log_vol_diff_vec"]
 
 
 # ---------------------------------------------------------------------------
 # batched radial integrals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _gl_nodes(k: int):
-    x, w = np.polynomial.legendre.leggauss(k)
-    return x, w
+def _cap_angle(c1, r1, rho):
+    """Cap semiangle theta(rho) of the radius-rho sphere inside C1.
 
-
-def _log_cap_angle(n, c1, r1, rho):
-    """cos(theta) clamped to the geometric range; outside values mean the
+    cos(theta) is clamped to the geometric range; outside values mean the
     sphere is fully inside (theta = pi) or fully outside (theta = 0) the cap."""
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = (c1**2 + rho**2 - r1**2) / (2.0 * c1 * rho)
@@ -108,8 +59,8 @@ def _log_full_shell(n, a, b, sigma2):
         lb = log_reg_gamma_lower(0.5 * n, 0.5 * a**2 / sigma2)
         return _log_diff_vec(la, lb)
     with np.errstate(divide="ignore"):
-        lvb = unit_ball_volume(n).log_value + n * np.log(b)
-        lva = np.where(a > 0, unit_ball_volume(n).log_value + n * np.log(np.maximum(a, 1e-300)), LOG_ZERO)
+        lvb = log_unit_ball_volume(n) + n * np.log(b)
+        lva = np.where(a > 0, log_unit_ball_volume(n) + n * np.log(np.maximum(a, 1e-300)), LOG_ZERO)
     return _log_diff_vec(lvb, lva)
 
 
@@ -135,7 +86,7 @@ def _cap_half_quadrature(n, edge, far, c1, r1, sigma2, from_left, nodes):
         [np.zeros((rows, 1)), np.sort(np.concatenate([u_splits, frac], axis=1), axis=1), u_max[:, None]],
         axis=1,
     )
-    x, w = _gl_nodes(nodes)
+    x, w = gl_nodes(nodes)
     a = edges_u[:, :-1]
     b = edges_u[:, 1:]
     half = 0.5 * (b - a)
@@ -158,7 +109,7 @@ def _cap_half_quadrature(n, edge, far, c1, r1, sigma2, from_left, nodes):
     log_omega = np.full(base.shape, LOG_ZERO)
     if np.any(keep):
         ri, _ = np.nonzero(keep)
-        theta = _log_cap_angle(n, c1[ri], r1[ri], rho[keep])
+        theta = _cap_angle(c1[ri], r1[ri], rho[keep])
         log_omega[keep] = log_cone_area(n, theta)
     log_terms = base + log_omega
     return np.where(np.isnan(log_terms), LOG_ZERO, log_terms)
@@ -211,140 +162,35 @@ def log_shell_mass_batch(
     return np.where(hi > lo, out, LOG_ZERO)
 
 
-def _log_chi2_ball(n: int, radius: float, sigma2: float) -> float:
-    """ln P(||x|| <= radius) under N(0, sigma2 I_n)."""
-    if radius <= 0:
-        return LOG_ZERO
-    return float(log_reg_gamma_lower(0.5 * n, 0.5 * radius**2 / sigma2))
+def log_prob_intersect_batch(n: int, r0: float, c1: np.ndarray, r1: np.ndarray, s2: float) -> np.ndarray:
+    """ln P(C1 & C0) under N(0, s2 I_n) per row of (c1, r1); -inf where empty.
 
-
-# ---------------------------------------------------------------------------
-# probability of C1 \ C0 and C1 & C0
-# ---------------------------------------------------------------------------
-
-def log_prob_diff(bp: BallPair) -> float:
-    """ln P(C1 \\ C0) under the centered Gaussian; -inf when empty."""
-    n, r0, c1, r1, s2 = bp.dim, bp.r0, bp.c1, bp.r1, bp.sigma2
-    if r1 == 0.0 or r0 >= c1 + r1:
-        return LOG_ZERO
-    if c1 == 0.0:
-        if r1 <= r0:
-            return LOG_ZERO
-        return _log_shell_chi2(n, r0, r1, s2)
-    if r0 == 0.0:
-        p = noncentral_chi2_cdf(n, c1**2 / s2, r1**2 / s2)
-        return math.log(p) if p > 0 else LOG_ZERO
-    lo = max(r0, c1 - r1)
-    return float(log_shell_mass_batch(n, [lo], [c1 + r1], [c1], [r1], s2)[0])
-
-
-def _log_shell_chi2(n: int, r_lo: float, r_hi: float, sigma2: float) -> float:
-    """ln P(r_lo < ||x|| <= r_hi) for the centered Gaussian, concentric case."""
-    la = _log_chi2_ball(n, r_hi, sigma2)
-    lb = _log_chi2_ball(n, r_lo, sigma2)
-    return log_diff(la, lb)
-
-
-def log_prob_intersect(bp: BallPair) -> float:
-    """ln P(C1 intersect C0) under the centered Gaussian; -inf when empty."""
-    n, r0, c1, r1, s2 = bp.dim, bp.r0, bp.c1, bp.r1, bp.sigma2
-    if r0 == 0.0 or r1 == 0.0 or c1 >= r0 + r1:
-        return LOG_ZERO
-    if c1 == 0.0:
-        return _log_chi2_ball(n, min(r0, r1), s2)
-    if r1 <= c1:
-        lo = c1 - r1
-        hi = min(r0, c1 + r1)
-        return float(log_shell_mass_batch(n, [lo], [hi], [c1], [r1], s2)[0])
-    # origin lies inside C1: full ball of radius r1 - c1 plus a cap shell
-    inner = r1 - c1
-    if inner >= r0:
-        return _log_chi2_ball(n, r0, s2)
-    log_ball = _log_chi2_ball(n, inner, s2)
-    hi = min(r0, c1 + r1)
-    log_shell = float(log_shell_mass_batch(n, [inner], [hi], [c1], [r1], s2)[0])
-    return float(np.logaddexp(log_ball, log_shell))
-
-
-def prob_diff(bp: BallPair) -> float:
-    """P(C1 \\ C0) in [0, 1]; equals the noncentral chi-squared mass at r0 = 0."""
-    return min(1.0, math.exp(log_prob_diff(bp)))
-
-
-def prob_intersect(bp: BallPair) -> float:
-    """P(C1 intersect C0) in [0, 1]."""
-    return min(1.0, math.exp(log_prob_intersect(bp)))
-
-
-# ---------------------------------------------------------------------------
-# volumes: radical-plane cap decomposition, exact in the log domain
-# ---------------------------------------------------------------------------
-
-def _log_ball_volume(n: int, radius: float) -> float:
-    if radius <= 0:
-        return LOG_ZERO
-    return unit_ball_volume(n).log_value + n * math.log(radius)
-
-
-def _log_diff_soft(la: float, lb: float) -> float:
-    """log(exp(la) - exp(lb)) tolerating roundoff-level negatives."""
-    if lb == LOG_ZERO:
-        return la
-    d = lb - la
-    if d >= 0.0:
-        if d > 1e-9:
-            raise ValueError(f"negative volume difference: {la} < {lb}")
-        return LOG_ZERO
-    return la + math.log1p(-math.exp(d))
-
-
-def _log_cap_volume(n: int, r: float, a: float) -> float:
-    """ln volume of the cap of a radius-r ball cut by a hyperplane at
-    signed center distance a (a >= 0: minor cap, a < 0: major)."""
-    if a >= r:
-        return LOG_ZERO
-    if a <= -r:
-        return _log_ball_volume(n, r)
-    s = (r - a) * (r + a) / (r * r)
-    half = _log_ball_volume(n, r) - math.log(2.0)
-    log_i = float(log_reg_inc_beta(0.5 * (n + 1), 0.5, s))
-    if a >= 0.0:
-        return half + log_i
-    return float(np.logaddexp(half, _log_diff_soft(half, half + log_i)))
-
-
-def _log_vol_intersect(n: int, r0: float, c1: float, r1: float) -> float:
-    if r0 <= 0.0 or r1 <= 0.0 or c1 >= r0 + r1:
-        return LOG_ZERO
-    if c1 == 0.0:
-        return _log_ball_volume(n, min(r0, r1))
-    if c1 + r1 <= r0:
-        return _log_ball_volume(n, r1)
-    if c1 + r0 <= r1:
-        return _log_ball_volume(n, r0)
-    # lens: split by the radical hyperplane at distance d0 from the origin
-    d0 = (c1 * c1 + r0 * r0 - r1 * r1) / (2.0 * c1)
-    return float(np.logaddexp(_log_cap_volume(n, r0, d0), _log_cap_volume(n, r1, c1 - d0)))
-
-
-def vol_diff(bp: BallPair) -> LogReal:
-    """Lebesgue volume of C1 \\ C0 (sigma2 is ignored)."""
-    n, r0, c1, r1 = bp.dim, bp.r0, bp.c1, bp.r1
-    return LogReal.from_log(
-        _log_diff_soft(_log_ball_volume(n, r1), _log_vol_intersect(n, r0, c1, r1))
-    )
-
-
-def vol_intersect(bp: BallPair) -> LogReal:
-    """Lebesgue volume of C1 intersect C0 (sigma2 is ignored)."""
-    return LogReal.from_log(_log_vol_intersect(bp.dim, bp.r0, bp.c1, bp.r1))
+    The full ball of radius r1 - c1 around the origin (when C1 holds it)
+    comes in closed form; the cap shell from |c1 - r1| to min(r0, c1 + r1)
+    comes from ``log_shell_mass_batch``.
+    """
+    c1 = np.asarray(c1, dtype=float)
+    r1 = np.asarray(r1, dtype=float)
+    disjoint = c1 >= r0 + r1
+    inner = np.minimum(np.maximum(r1 - c1, 0.0), r0)
+    with np.errstate(divide="ignore"):
+        log_ball = np.where(inner > 0, log_reg_gamma_lower(0.5 * n, 0.5 * inner**2 / s2), LOG_ZERO)
+    shell_lo = np.abs(c1 - r1)
+    shell_hi = np.minimum(r0, c1 + r1)
+    log_shell = log_shell_mass_batch(n, shell_lo, shell_hi, c1, r1, s2)
+    out = np.logaddexp(log_ball, log_shell)
+    return np.where(disjoint | (r1 <= 0), LOG_ZERO, out)
 
 
 def log_vol_diff_vec(n: int, r0: np.ndarray, c1: float, r1: np.ndarray) -> np.ndarray:
-    """ln volume of C1 \\ C0 for vectors of radii at a fixed center distance."""
+    """ln Lebesgue volume of C1 \\ C0 for vectors of radii at a fixed center distance c1 > 0.
+
+    The lens C1 & C0 is split by the radical hyperplane into two caps, each
+    an incomplete-beta fraction of its ball.
+    """
     r0 = np.asarray(r0, dtype=float)
     r1 = np.asarray(r1, dtype=float)
-    log_vn = unit_ball_volume(n).log_value
+    log_vn = log_unit_ball_volume(n)
     with np.errstate(divide="ignore"):
         log_v1 = np.where(r1 > 0, log_vn + n * np.log(np.maximum(r1, 1e-300)), LOG_ZERO)
         log_v0 = np.where(r0 > 0, log_vn + n * np.log(np.maximum(r0, 1e-300)), LOG_ZERO)
@@ -369,7 +215,8 @@ def log_vol_diff_vec(n: int, r0: np.ndarray, c1: float, r1: np.ndarray) -> np.nd
     log_lens = np.where(c1 + r1 <= r0, log_v1, log_lens)
     log_lens = np.where(c1 + r0 <= r1, log_v0, log_lens)
     log_lens = np.where((r0 <= 0) | (r1 <= 0), LOG_ZERO, log_lens)
-    with np.errstate(invalid="ignore"):
+    # C1 inside C0 gives ratio 0 and an exact-zero difference, ln 0 = -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.minimum(log_lens - log_v1, 0.0)
         diff = log_v1 + np.log1p(-np.exp(ratio))
     diff = np.where(np.isneginf(log_lens), log_v1, diff)

@@ -2,110 +2,21 @@
 
 Everything that can overflow or underflow a double (codebook sizes
 2**(n*R), binomial masses, product pmfs) is carried as its natural
-logarithm.  Exact zero is encoded as -inf.
+logarithm, in plain floats and arrays.  Exact zero is encoded as -inf.
+This module holds the reductions over such logs (``logsumexp``,
+``log_diff``) and the log binomial coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["LogReal", "LOG_ZERO", "log_sum", "log_diff", "log_binomial", "log_binomial_row"]
+__all__ = ["LOG_ZERO", "logsumexp", "log_diff", "log_binomial", "log_binomial_row"]
 
 LOG_ZERO = float("-inf")
-
-
-@dataclass(frozen=True, order=True)
-class LogReal:
-    """A nonnegative real number stored as its natural logarithm.
-
-    Ordering and equality compare the underlying logs, which is the same
-    as comparing the represented values.
-    """
-
-    log_value: float
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_linear(x: float) -> "LogReal":
-        if x < 0:
-            raise ValueError(f"LogReal represents nonnegative reals, got {x}")
-        return LogReal(math.log(x) if x > 0 else LOG_ZERO)
-
-    @staticmethod
-    def from_log(log_value: float) -> "LogReal":
-        if math.isnan(log_value):
-            raise ValueError("NaN log value")
-        return LogReal(float(log_value))
-
-    @staticmethod
-    def zero() -> "LogReal":
-        return LogReal(LOG_ZERO)
-
-    @staticmethod
-    def one() -> "LogReal":
-        return LogReal(0.0)
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_value == LOG_ZERO
-
-    def to_linear(self) -> float:
-        """The represented value as a double (0.0 or inf on under/overflow)."""
-        if self.is_zero:
-            return 0.0
-        return math.exp(self.log_value)
-
-    def __float__(self) -> float:
-        return self.to_linear()
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.is_zero or other.is_zero:
-            return LogReal(LOG_ZERO)
-        return LogReal(self.log_value + other.log_value)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.is_zero:
-            raise ZeroDivisionError("LogReal division by exact zero")
-        if self.is_zero:
-            return LogReal(LOG_ZERO)
-        return LogReal(self.log_value - other.log_value)
-
-    def __pow__(self, exponent: float) -> "LogReal":
-        if self.is_zero:
-            if exponent <= 0:
-                raise ValueError("0**e undefined for e <= 0")
-            return LogReal(LOG_ZERO)
-        return LogReal(self.log_value * exponent)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        return LogReal(float(np.logaddexp(self.log_value, other.log_value)))
-
-    def __sub__(self, other: "LogReal") -> "LogReal":
-        """Exact-ish difference; other must not exceed self."""
-        return LogReal(log_diff(self.log_value, other.log_value))
-
-
-def log_sum(terms: Iterable[LogReal]) -> LogReal:
-    """Log-domain sum of a sequence of LogReal; empty sum is exact zero.
-
-    Uses a single max-shifted reduction, so the result is independent of
-    the input order up to roundoff (~1e-12 relative over ~600 orders of
-    magnitude).
-    """
-    logs = np.array([t.log_value for t in terms], dtype=float)
-    if logs.size == 0:
-        return LogReal(LOG_ZERO)
-    return LogReal(logsumexp(logs))
 
 
 def logsumexp(logs: np.ndarray, axis=None) -> np.ndarray | float:
@@ -141,13 +52,13 @@ def log_diff(log_a: float, log_b: float) -> float:
     return log_a + math.log1p(-math.exp(d))
 
 
-def log_binomial(n: int, k: int) -> LogReal:
+def log_binomial(n: int, k: int) -> float:
     """ln C(n, k) via log-gamma; exact to ~1e-13 relative up to n ~ 1e6."""
     if not 0 <= k <= n:
         raise ValueError(f"binomial coefficient needs 0 <= k <= n, got n={n}, k={k}")
     if k == 0 or k == n:
-        return LogReal(0.0)
-    return LogReal(float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)))
+        return 0.0
+    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
 def log_binomial_row(m: int) -> np.ndarray:

@@ -1,101 +1,38 @@
-"""Adaptive Simpson quadrature and bracketed root finding.
+"""Gauss-Legendre panels and bracketed root finding.
 
-The integrands are smooth away from interval endpoints, which the callers
-keep out of the integration range.  `find_root` bisects one scalar bracket;
-`bracket_solve` solves many independent brackets at once, with one call of
-the (vectorized) function per round over the lanes still running, and
-returns every root on its f >= 0 side.
+`gl_panels` lays a fixed Gauss-Legendre rule on each panel of a grid; the
+integrands are smooth inside the panels, and the callers put their kinks on
+panel edges.  `find_root` bisects one scalar bracket; `bracket_solve`
+solves many independent brackets at once, with one call of the
+(vectorized) function per round over the lanes still running, and returns
+every root on its f >= 0 side.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "Quadrature",
-    "IntegrationResult",
-    "integrate",
-    "integrate_report",
-    "find_root",
-    "bracket_solve",
-]
+__all__ = ["gl_nodes", "gl_panels", "find_root", "bracket_solve"]
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Tolerances for the adaptive Simpson rule."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-14
-    max_depth: int = 40
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol < 0 or self.max_depth < 1:
-            raise ValueError(f"invalid quadrature configuration: {self}")
+@lru_cache(maxsize=8)
+def gl_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-point Gauss-Legendre nodes and weights on [-1, 1] (shared, do not mutate)."""
+    return np.polynomial.legendre.leggauss(k)
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: float
-    error_estimate: float
-    converged: bool
-
-
-DEFAULT_QUADRATURE = Quadrature()
-
-
-def _simpson(fa, fm, fb, h):
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, m, b, fa, fm, fb, whole, cfg, depth, report):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(left + right))
-    if abs(delta) <= 15.0 * tol or depth >= cfg.max_depth:
-        if depth >= cfg.max_depth and abs(delta) > 15.0 * tol:
-            report[0] = max(report[0], abs(delta) / 15.0)
-        return left + right + delta / 15.0
-    return _adaptive(f, a, lm, m, fa, flm, fm, left, cfg, depth + 1, report) + _adaptive(
-        f, m, rm, b, fm, frm, fb, right, cfg, depth + 1, report
-    )
-
-
-def integrate_report(
-    f: Callable[[float], float], a: float, b: float, cfg: Quadrature = DEFAULT_QUADRATURE
-) -> IntegrationResult:
-    """Adaptive Simpson estimate of the integral of f over [a, b].
-
-    Exhausting max_depth does not raise; the achieved error estimate is
-    reported instead so callers can decide.
-    """
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    if a == b:
-        return IntegrationResult(0.0, 0.0, True)
-    report = [0.0]
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    value = _adaptive(f, a, m, b, fa, fm, fb, whole, cfg, 0, report)
-    achieved = report[0]
-    converged = achieved <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return IntegrationResult(value, achieved, converged)
-
-
-def integrate(
-    f: Callable[[float], float], a: float, b: float, cfg: Quadrature = DEFAULT_QUADRATURE
-) -> float:
-    return integrate_report(f, a, b, cfg).value
+def gl_panels(edges: np.ndarray, k: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a k-point Gauss-Legendre rule on each panel between edges."""
+    x, w = gl_nodes(k)
+    a = edges[:-1]
+    b = edges[1:]
+    half = 0.5 * (b - a)
+    nodes = (a[:, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
+    wgt = (half[:, None] * w[None, :]).ravel()
+    return nodes, wgt
 
 
 def find_root(
@@ -198,25 +135,3 @@ def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi) -> 
         run[act] &= hi[act] - lo[act] > _RTOL * np.maximum(np.abs(lo[act]), np.abs(hi[act]))
     return hi
 
-
-def golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [lo, hi]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a <= 1e-10 * max(1.0, abs(a) + abs(b)):
-            break
-    if fc < fd:
-        return c, fc
-    return d, fd

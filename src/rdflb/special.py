@@ -10,7 +10,8 @@ evaluated from the exact hypergeometric forms of the same functions
 prefactors are kept in logs.
 
 All array-accepting helpers broadcast; scalar wrappers keep the public
-API simple.
+API simple.  Hyperspherical areas and volumes are returned as natural
+logs, so they stay finite in any dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln, hyp1f1, hyp2f1
 
-from .logdomain import LOG_ZERO, LogReal, logsumexp
+from .logdomain import LOG_ZERO, logsumexp
 
 __all__ = [
     "binary_entropy",
@@ -32,11 +33,9 @@ __all__ = [
     "chi2_cdf",
     "noncentral_chi2_cdf",
     "noncentral_chi2_log_cdf",
-    "noncentral_chi2_quantile",
     "exp_gap_inverse",
-    "unit_sphere_area",
-    "unit_ball_volume",
-    "cone_area",
+    "log_unit_sphere_area",
+    "log_unit_ball_volume",
     "log_cone_area",
 ]
 
@@ -162,26 +161,6 @@ def noncentral_chi2_cdf(n: int, lam: float, x: float) -> float:
     return min(val, 1.0)
 
 
-def noncentral_chi2_quantile(n: int, lam: float, p0: float) -> float:
-    """x such that the noncentral chi-squared CDF at x equals p0."""
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"probability must be in (0, 1), got {p0}")
-    target = math.log(p0)
-    hi = n + lam + 10.0 * math.sqrt(2.0 * n + 4.0 * lam) + 10.0
-    while noncentral_chi2_log_cdf(n, lam, hi) < target:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if noncentral_chi2_log_cdf(n, lam, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # inverse of t -> t - 1 + exp(-t)
 # ---------------------------------------------------------------------------
@@ -213,18 +192,16 @@ def exp_gap_inverse_vec(mu: np.ndarray) -> np.ndarray:
 # hyperspherical areas and volumes
 # ---------------------------------------------------------------------------
 
-def unit_sphere_area(n: int) -> LogReal:
-    """Surface area of the unit sphere in R^n, A_n = 2 pi^(n/2) / Gamma(n/2)."""
+def log_unit_sphere_area(n: int) -> float:
+    """ln of the surface area of the unit sphere in R^n, A_n = 2 pi^(n/2) / Gamma(n/2)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return LogReal.from_log(_LN2 + 0.5 * n * math.log(math.pi) - float(gammaln(0.5 * n)))
+    return _LN2 + 0.5 * n * math.log(math.pi) - float(gammaln(0.5 * n))
 
 
-def unit_ball_volume(n: int) -> LogReal:
-    """Volume of the unit ball in R^n, V_n = A_n / n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return LogReal.from_log(unit_sphere_area(n).log_value - math.log(n))
+def log_unit_ball_volume(n: int) -> float:
+    """ln of the volume of the unit ball in R^n, V_n = A_n / n."""
+    return log_unit_sphere_area(n) - math.log(n)
 
 
 def _log_inc_beta(a: float, b: float, x: np.ndarray) -> np.ndarray:
@@ -277,9 +254,5 @@ def log_cone_area(n: int, theta) -> np.ndarray:
     out[small] = _log_inc_beta(a, 0.5, np.sin(theta[small]) ** 2)
     q = betainc(0.5, a, c2[~small])
     out[~small] = np.log1p(np.where(obtuse[~small], q, -q))
-    return _scalar_or_array(unit_sphere_area(n).log_value - _LN2 + out)
+    return _scalar_or_array(log_unit_sphere_area(n) - _LN2 + out)
 
-
-def cone_area(n: int, theta: float) -> LogReal:
-    """Cap area Omega_n(theta) as a LogReal; Omega_n(pi) = unit_sphere_area(n)."""
-    return LogReal.from_log(float(log_cone_area(n, theta)))

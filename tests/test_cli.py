@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rdflb import bns, bss
+from rdflb import bns, bss, svg
 from rdflb.cli import main
 from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
@@ -43,7 +43,8 @@ def test_curve_bns_is_byte_identical_across_runs(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["curve", "bns", "--rate", "0.3", "--eps", "0.01", "--n", "40:80:40"],
     ["curve", "bns", "--p", "0.25", "--rate", "0.3", "--eps", "0.01", "--n", "80:40:40"],
-], ids=["bns_without_p", "empty_n_range"])
+    ["curve", "bns", "--p", "1.5", "--rate", "0.3", "--eps", "0.01", "--n", "40:40:40"],
+], ids=["bns_without_p", "empty_n_range", "bns_p_out_of_range"])
 def test_curve_usage_errors_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert main(argv + ["--jobs", "1", "--out", str(out)]) == 2
@@ -69,6 +70,12 @@ def test_validate_failed_check_exits_1(monkeypatch, capsys):
     assert "sandwich_pass=false" in out and out[-1] == "pass=false"
 
 
+def test_validate_bns_beyond_the_enumeration_limit_runs_the_monte_carlo(capsys):
+    # bns validate enumerates nothing, so n > 24 is inside its budget
+    assert main(["validate", "bns", "--p", "0.25", "--n", "30", "--rate", "0.3", "--trials", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "pass=true"
+
+
 def test_validate_accepts_negative_seed(capsys):
     assert main(VALIDATE_BSS + ["--seed", "-1"]) == 0
     assert "seed=-1" in capsys.readouterr().out.splitlines()
@@ -84,3 +91,43 @@ def test_validate_errors_exit_with_their_code(capsys, argv, code):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+PLOT_CSV = """# params: family=bss
+n,asymptote,lower,upper_os_0.01,flags
+100,0.11,0.118,0.15,
+200,0.11,0.115,0.13,cross_upper_os_0.01
+"""
+
+
+def test_plot_is_byte_identical_across_runs(tmp_path):
+    csv_path = tmp_path / "curve.csv"
+    csv_path.write_text(PLOT_CSV, encoding="utf-8")
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    assert main(["plot", str(csv_path), "--out", str(a)]) == 0
+    assert main(["plot", str(csv_path), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    text = a.read_text(encoding="utf-8")
+    assert text.startswith("<svg") and text.count("<polyline") == 3
+    assert 'stroke-dasharray="6,4" points=' in text  # the asymptote is dashed
+
+
+def test_render_refuses_empty_input():
+    with pytest.raises(ValueError):
+        svg.render([], {})
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "# params: only a comment\n",
+    "n,lower\n",
+    "lower,n\n0.1,100\n",
+    "n,lower\n100,0.1,0.2\n",
+    "n,lower\n100,abc\n",
+], ids=["empty", "comment_only", "header_only", "n_not_first", "extra_field", "not_a_number"])
+def test_plot_bad_csv_exits_2(tmp_path, capsys, text):
+    csv_path, out = tmp_path / "curve.csv", tmp_path / "x.svg"
+    csv_path.write_text(text, encoding="utf-8")
+    assert main(["plot", str(csv_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

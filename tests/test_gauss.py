@@ -5,7 +5,9 @@ import pytest
 
 from rdflb import gauss
 from rdflb.gauss import GaussBoundInput
-from rdflb.special import noncentral_chi2_cdf, noncentral_chi2_log_cdf, reg_gamma_upper
+from rdflb.geometry import log_prob_intersect_batch
+from rdflb.quadrature import gl_panels
+from rdflb.special import chi2_cdf, log_reg_gamma_lower, noncentral_chi2_cdf, noncentral_chi2_log_cdf, reg_gamma_upper
 
 
 INP2 = GaussBoundInput(2, 0.5)
@@ -56,21 +58,18 @@ def test_gamma_cap_unbounded_is_one():
 def test_gamma_cap_limits_and_pieces():
     inp = GaussBoundInput(3, 0.5, rm=math.sqrt(1.5))
     assert gauss.gamma_cap(1e9, inp) == pytest.approx(1.0, abs=1e-12)
-    # cross-check the volume route against the exact closed-form pieces
+    # cross-check the volume route against the closed-form 3-D lens volume
     t = 1.0
     r0 = math.sqrt(float(inp.radius_sq(t, 0.0)))
     r1 = math.sqrt(float(inp.radius_sq(t, inp.rm)))
     c1 = inp.scale * inp.rm
-    from rdflb.geometry import BallPair, vol_diff
-    from rdflb.special import unit_ball_volume
-
-    v0 = math.exp(unit_ball_volume(3).log_value) * r0**3
-    vdiff = float(vol_diff(BallPair(3, r0, c1, r1)))
-    vtot = v0 + 2.0 ** (3 * 0.5) * vdiff
-    rn = (vtot / math.exp(unit_ball_volume(3).log_value)) ** (1.0 / 3.0)
-    r_e = min(rn, c1 + r1)
-    from rdflb.special import chi2_cdf
-
+    assert abs(r1 - r0) < c1 < r0 + r1  # a proper lens
+    lens = math.pi * (r0 + r1 - c1) ** 2 * (
+        c1 * c1 + 2 * c1 * (r0 + r1) - 3 * (r0 - r1) ** 2
+    ) / (12 * c1)
+    vdiff = 4 * math.pi / 3 * r1**3 - lens
+    vtot = 4 * math.pi / 3 * r0**3 + 2.0 ** (3 * 0.5) * vdiff
+    r_e = min((vtot / (4 * math.pi / 3)) ** (1.0 / 3.0), c1 + r1)
     assert gauss.gamma_cap(t, inp) == pytest.approx(chi2_cdf(3, r_e**2), rel=1e-9)
 
 
@@ -91,9 +90,10 @@ def test_delta_hat_zero_split_bounded_nonnegative():
 
 
 def test_delta_hat_against_direct_quadrature():
-    # independent evaluation through the scalar pieces and the generic
+    # independent evaluation through the pointwise pieces and scipy's
     # adaptive integrator
-    from rdflb.quadrature import Quadrature, integrate
+    from scipy.integrate import quad
+
     from rdflb.special import exp_gap_inverse
 
     inp = GaussBoundInput(4, 0.5, rm=math.sqrt(2.0))
@@ -109,8 +109,8 @@ def test_delta_hat_against_direct_quadrature():
         t = exp_gap_inverse(mu)
         return 1.0 - gauss.gamma_cap(t, inp)
 
-    want = integrate(first, 0.0, mu0, Quadrature(1e-9, 1e-12, 38))
-    want += integrate(second, mu0, 60.0, Quadrature(1e-9, 1e-12, 38))
+    want = quad(first, 0.0, mu0, epsabs=1e-12, epsrel=1e-9, limit=200)[0]
+    want += quad(second, mu0, 60.0, epsabs=1e-12, epsrel=1e-9, limit=200)[0]
     assert gauss.delta_hat(mu0, r, inp) == pytest.approx(want, rel=5e-4)
 
 
@@ -187,23 +187,24 @@ def test_upper_bounds_sandwich_lower():
 
 
 @pytest.mark.parametrize("n", [16, 128])
-def test_quantile_deep_hits_budget(n):
-    # the per-node threshold lands on ln p0, never below it (the valid
-    # side of the upper bound), cold-started and warm-started in
-    # increasing lambda as upper_bound_unbounded runs it
-    inp = GaussBoundInput(n, 0.5)
-    log_p0 = gauss._log_budget(inp)
-    mv = inp.sigma2 - inp.dstar
-    lo, hi = gauss._source_window(n, inp.sigma2, n * (inp.sigma2 + inp.delta))
-    x_warm = None
-    for lam in np.linspace(lo, hi, 12) / mv:
-        lam = float(lam)
-        x_cold = gauss._quantile_deep(n, lam, log_p0)
-        x_warm = gauss._quantile_deep(n, lam, log_p0, x_warm)
-        for x in (x_cold, x_warm):
-            res = noncentral_chi2_log_cdf(n, lam, x) - log_p0
-            assert abs(res) <= 1e-10
-            assert res >= 0.0
+def test_quantile_deep_hits_budget(n, monkeypatch):
+    # every node threshold of the bound lands on ln p0 or just above it
+    # (the valid side of the upper bound), never below
+    solved = []
+    inner = gauss._unbounded_threshold
+
+    def recorded(n_, lam, log_p0):
+        x = inner(n_, lam, log_p0)
+        solved.append((lam, x, log_p0))
+        return x
+
+    monkeypatch.setattr(gauss, "_unbounded_threshold", recorded)
+    gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5))
+    [(lam, x, log_p0)] = solved
+    assert lam.size == 96
+    res = np.array([noncentral_chi2_log_cdf(n, lm, xk) for lm, xk in zip(lam, x)]) - log_p0
+    assert res.min() >= 0.0
+    assert res.max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
@@ -221,31 +222,26 @@ def test_bounded_thresholds_valid_side(n, rm_of_n):
     rm = rm_of_n(n)
     inp = GaussBoundInput(n, 0.5, rm=rm)
     mv = inp.sigma2 - inp.dstar
-    target = gauss._log_budget(inp) + float(gauss.log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv))
+    target = gauss._log_budget(inp) + float(log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv))
     lo, hi = gauss._source_window(n, inp.sigma2, n * (inp.sigma2 + inp.delta))
-    nodes, _ = gauss._gl_panels(np.linspace(lo, hi, 4), 32)
+    nodes, _ = gl_panels(np.linspace(lo, hi, 4), 32)
     assert nodes.size == 96
     t = gauss._bounded_radius(n, rm, mv, target, nodes)
-    res = gauss._log_prob_intersect_batch(n, rm, np.sqrt(nodes), t, mv) - target
+    res = log_prob_intersect_batch(n, rm, np.sqrt(nodes), t, mv) - target
     assert res.min() >= 0.0
     assert res.max() <= 1e-10
 
 
 def test_truncated_nearest_prob_concentric():
     # P(|y - x|^2 <= t^2) at x = 0 equals CDF(t^2/(s2-D)) / C_m
-    from rdflb.gauss import _log_prob_intersect_batch
-    from rdflb.special import chi2_cdf, log_reg_gamma_lower
-
     n, mv, rm, t = 6, 0.5, 1.4, 1.0
     cm = math.exp(float(log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv)))
-    got = math.exp(float(_log_prob_intersect_batch(n, rm, np.array([0.0]), np.array([t]), mv)[0])) / cm
+    got = math.exp(float(log_prob_intersect_batch(n, rm, np.array([0.0]), np.array([t]), mv)[0])) / cm
     assert got == pytest.approx(chi2_cdf(n, t * t / mv) / cm, rel=1e-10)
 
 
 def test_truncated_nearest_prob_monte_carlo():
     # codewords from N(0, (s2-D) I) conditioned on |y| <= rm
-    from rdflb.gauss import _log_prob_intersect_batch
-
     n, mv, rm = 4, 0.5, math.sqrt(2.0)
     rng = np.random.default_rng(77)
     m = 2_000_000
@@ -253,18 +249,13 @@ def test_truncated_nearest_prob_monte_carlo():
     keep = (y**2).sum(axis=1) <= rm * rm
     y = y[keep]
     x = np.array([0.9, 0.0, 0.0, 0.0])
-    for t in (0.6, 1.2, 2.0):
+    ts = np.array([0.6, 1.2, 2.0])
+    cm_log = float(log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv))
+    got = np.exp(log_prob_intersect_batch(n, rm, np.full(3, 0.9), ts, mv) - cm_log)
+    for t, g in zip(ts, got):
         hat = float((((y - x) ** 2).sum(axis=1) <= t * t).mean())
         se = math.sqrt(max(hat * (1 - hat), 1e-12) / y.shape[0])
-        cm_log = float(
-            __import__("rdflb.special", fromlist=["log_reg_gamma_lower"]).log_reg_gamma_lower(
-                0.5 * n, 0.5 * rm**2 / mv
-            )
-        )
-        got = math.exp(
-            float(_log_prob_intersect_batch(n, rm, np.array([0.9]), np.array([t]), mv)[0]) - cm_log
-        )
-        assert got == pytest.approx(hat, abs=4 * se)
+        assert g == pytest.approx(hat, abs=4 * se)
 
 
 def test_upper_bound_requires_q_at_least_three():

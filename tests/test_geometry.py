@@ -3,84 +3,91 @@ import math
 import numpy as np
 import pytest
 
-from rdflb.geometry import (
-    BallPair,
-    prob_diff,
-    prob_intersect,
-    semiangle,
-    vol_diff,
-    vol_intersect,
-)
-from rdflb.special import noncentral_chi2_cdf, chi2_cdf, unit_ball_volume
+from rdflb.geometry import _cap_angle, log_prob_intersect_batch, log_shell_mass_batch, log_vol_diff_vec
+from rdflb.special import chi2_cdf, log_unit_ball_volume, noncentral_chi2_cdf
 
 
 def ball_volume(n, r):
-    return math.exp(unit_ball_volume(n).log_value + n * math.log(r)) if r > 0 else 0.0
+    return math.exp(log_unit_ball_volume(n) + n * math.log(r)) if r > 0 else 0.0
+
+
+def log_prob_diff(n, r0, c1, r1, s2=1.0):
+    """ln P(C1 \\ C0): the mass of C1 beyond radius r0, the shell the converse integrates."""
+    r0, c1, r1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r0, c1, r1)))
+    return log_shell_mass_batch(n, r0, c1 + r1, c1, r1, s2)
+
+
+def prob_diff(n, r0, c1, r1, s2=1.0):
+    return np.exp(log_prob_diff(n, r0, c1, r1, s2))
+
+
+def prob_intersect(n, r0, c1, r1, s2=1.0):
+    c1, r1 = np.broadcast_arrays(np.asarray(c1, dtype=float), np.asarray(r1, dtype=float))
+    return np.exp(log_prob_intersect_batch(n, r0, c1, r1, s2))
+
+
+def vol_diff(n, r0, c1, r1):
+    return np.exp(log_vol_diff_vec(n, np.atleast_1d(np.asarray(r0, dtype=float)), c1,
+                                   np.atleast_1d(np.asarray(r1, dtype=float))))
 
 
 # ---------------------------------------------------------------------------
-# semiangle
+# cap semiangle of the radial integrand
 # ---------------------------------------------------------------------------
 
 def test_semiangle_tangencies():
-    bp = BallPair(3, 0.5, 2.0, 1.0)
-    assert semiangle(bp, 3.0) == pytest.approx(0.0, abs=1e-7)
-    bp_in = BallPair(3, 0.5, 0.4, 1.0)
-    assert semiangle(bp_in, 0.6) == pytest.approx(math.pi, abs=1e-7)
+    # outer tangency r = c1 + r1: empty cap; r = r1 - c1 (origin inside C1): full sphere
+    theta = _cap_angle(np.array([2.0, 0.4]), np.array([1.0, 1.0]), np.array([3.0, 0.6]))
+    assert theta == pytest.approx([0.0, math.pi], abs=1e-7)
+    # outside the shell the cosine is clamped: the sphere misses C1 or lies inside it
+    theta = _cap_angle(np.array([2.0, 0.4]), np.array([1.0, 1.0]), np.array([10.0, 0.1]))
+    assert theta.tolist() == [0.0, math.pi]
 
 
 def test_semiangle_value():
-    bp = BallPair(3, 1.0, 2.0, 1.0)
-    assert semiangle(bp, 2.0) == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14)
-
-
-def test_semiangle_domain_error():
-    bp = BallPair(3, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        semiangle(bp, 10.0)  # sphere far outside the shell
+    theta = _cap_angle(np.array([2.0]), np.array([1.0]), np.array([2.0]))
+    assert theta[0] == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# probabilities
+# Gaussian masses
 # ---------------------------------------------------------------------------
 
 def test_prob_diff_degenerate_cases():
     # C1 entirely inside C0
-    assert prob_diff(BallPair(6, 5.0, 1.2, 0.9)) == 0.0
+    assert prob_diff(6, 5.0, 1.2, 0.9)[0] == 0.0
     # nothing subtracted: full noncentral ball mass
-    bp = BallPair(6, 0.0, 1.2, 0.9)
-    assert prob_diff(bp) == pytest.approx(noncentral_chi2_cdf(6, 1.44, 0.81), rel=1e-12)
+    assert prob_diff(6, 0.0, 1.2, 0.9)[0] == pytest.approx(noncentral_chi2_cdf(6, 1.44, 0.81), rel=1e-10)
     # disjoint difference equals the whole ball
-    bp = BallPair(6, 1.0, 5.0, 0.9)
-    assert prob_diff(bp) == pytest.approx(noncentral_chi2_cdf(6, 25.0, 0.81), rel=1e-6)
+    assert prob_diff(6, 1.0, 5.0, 0.9)[0] == pytest.approx(noncentral_chi2_cdf(6, 25.0, 0.81), rel=1e-6)
 
 
 def test_prob_intersect_degenerate_cases():
-    # concentric nested
-    assert prob_intersect(BallPair(5, 2.0, 0.0, 1.5)) == pytest.approx(chi2_cdf(5, 1.5**2), rel=1e-12)
-    # disjoint
-    assert prob_intersect(BallPair(5, 1.0, 4.0, 1.0)) == 0.0
-    # C0 inside C1
-    assert prob_intersect(BallPair(5, 0.7, 0.1, 3.0)) == pytest.approx(chi2_cdf(5, 0.49), rel=1e-12)
+    # concentric nested, disjoint, and C0 inside C1
+    got = prob_intersect(5, 2.0, [0.0], [1.5])[0], prob_intersect(5, 1.0, [4.0], [1.0])[0]
+    assert got[0] == pytest.approx(chi2_cdf(5, 1.5**2), rel=1e-12)
+    assert got[1] == 0.0
+    assert prob_intersect(5, 0.7, [0.1], [3.0])[0] == pytest.approx(chi2_cdf(5, 0.49), rel=1e-12)
 
 
 def test_prob_additivity_random():
+    # P(C1 \ C0) + P(C1 & C0) = P(C1), a noncentral chi-squared CDF
     rng = np.random.default_rng(7)
     for _ in range(120):
         n = int(rng.integers(2, 51))
         r0, c1, r1 = rng.uniform(0.05, 3.0, 3)
         s2 = float(rng.uniform(0.3, 2.0))
-        bp = BallPair(n, r0, c1, r1, s2)
-        total = prob_diff(bp) + prob_intersect(bp)
+        total = prob_diff(n, r0, c1, r1, s2)[0] + prob_intersect(n, r0, [c1], [r1], s2)[0]
         want = noncentral_chi2_cdf(n, c1**2 / s2, r1**2 / s2)
         assert total == pytest.approx(want, abs=1e-8)
 
 
 def test_prob_monotonicity():
-    base = BallPair(8, 1.0, 1.5, 1.2)
-    assert prob_diff(BallPair(8, 1.3, 1.5, 1.2)) <= prob_diff(base) + 1e-14
-    assert prob_intersect(BallPair(8, 1.3, 1.5, 1.2)) >= prob_intersect(base) - 1e-14
-    assert prob_intersect(BallPair(8, 1.0, 1.5, 1.5)) >= prob_intersect(base) - 1e-14
+    d = prob_diff(8, [1.0, 1.3], 1.5, 1.2)
+    assert d[1] <= d[0] + 1e-14
+    i = prob_intersect(8, 1.0, [1.5, 1.5], [1.2, 1.5])
+    assert i[1] >= i[0] - 1e-14
+    assert prob_intersect(8, 1.3, [1.5], [1.2])[0] >= i[0] - 1e-14
 
 
 @pytest.mark.parametrize("n,r0,c1,r1,s2", [
@@ -102,18 +109,14 @@ def test_prob_vs_monte_carlo(n, r0, c1, r1, s2):
     pi = float((in1 & in0).mean())
     se_d = math.sqrt(max(pd * (1 - pd), 1e-12) / m)
     se_i = math.sqrt(max(pi * (1 - pi), 1e-12) / m)
-    bp = BallPair(n, r0, c1, r1, s2)
-    assert prob_diff(bp) == pytest.approx(pd, abs=3.5 * se_d)
-    assert prob_intersect(bp) == pytest.approx(pi, abs=3.5 * se_i)
+    assert prob_diff(n, r0, c1, r1, s2)[0] == pytest.approx(pd, abs=3.5 * se_d)
+    assert prob_intersect(n, r0, [c1], [r1], s2)[0] == pytest.approx(pi, abs=3.5 * se_i)
 
 
 def test_high_dimension_no_overflow():
-    bp = BallPair(1000, math.sqrt(500.0), math.sqrt(900.0), math.sqrt(480.0))
-    v = prob_diff(bp)
-    assert 0.0 <= v < 1e-100  # a genuinely tiny but finite mass
-    from rdflb.geometry import log_prob_diff
-
-    assert math.isfinite(log_prob_diff(bp))
+    log_v = log_prob_diff(1000, math.sqrt(500.0), math.sqrt(900.0), math.sqrt(480.0))[0]
+    assert math.isfinite(log_v)
+    assert log_v < math.log(1e-100)  # a genuinely tiny but finite mass
 
 
 # ---------------------------------------------------------------------------
@@ -121,27 +124,29 @@ def test_high_dimension_no_overflow():
 # ---------------------------------------------------------------------------
 
 def test_vol_concentric_and_disjoint():
-    bp = BallPair(4, 2.0, 0.0, 1.0)
-    assert float(vol_intersect(bp)) == pytest.approx(ball_volume(4, 1.0), rel=1e-12)
-    assert float(vol_diff(bp)) == pytest.approx(0.0, abs=1e-300)
-    bp = BallPair(4, 1.0, 5.0, 1.5)
-    assert float(vol_diff(bp)) == pytest.approx(ball_volume(4, 1.5), rel=1e-12)
-    assert vol_intersect(bp).is_zero
+    # C1 nested in C0 (near-concentric; the center distance must be > 0)
+    assert vol_diff(4, 2.0, 1e-3, 1.0)[0] == 0.0
+    assert vol_diff(4, 2.0, 0.5, 1.0)[0] == 0.0
+    # C0 nested in C1 and disjoint balls
+    assert vol_diff(4, 0.5, 0.2, 1.5)[0] == pytest.approx(ball_volume(4, 1.5) - ball_volume(4, 0.5), rel=1e-12)
+    assert vol_diff(4, 1.0, 5.0, 1.5)[0] == pytest.approx(ball_volume(4, 1.5), rel=1e-12)
 
 
 def test_vol_lens_closed_form():
-    # classical 3-D lens: r0 = c1 = r1 = 1 gives volume 5 pi / 12
-    bp = BallPair(3, 1.0, 1.0, 1.0)
-    assert float(vol_intersect(bp)) == pytest.approx(5 * math.pi / 12, rel=1e-10)
+    # classical 3-D lens: r0 = c1 = r1 = 1 gives intersection 5 pi / 12
+    assert vol_diff(3, 1.0, 1.0, 1.0)[0] == pytest.approx(4 * math.pi / 3 - 5 * math.pi / 12, rel=1e-12)
 
 
 def test_vol_additivity_random():
+    # |C1 \ C0| + |C1 & C0| = |C1|, with the intersection from the radial
+    # route (volume mode: sphere caps inside C1 summed over 0 < r <= r0),
+    # independent of the radical-plane caps of log_vol_diff_vec
     rng = np.random.default_rng(3)
     for _ in range(150):
         n = int(rng.integers(2, 51))
         r0, c1, r1 = rng.uniform(0.1, 3.0, 3)
-        bp = BallPair(n, r0, c1, r1)
-        total = float(vol_diff(bp)) + float(vol_intersect(bp))
+        inter = math.exp(log_shell_mass_batch(n, 0.0, r0, c1, r1, None)[0])
+        total = vol_diff(n, r0, c1, r1)[0] + inter
         assert total == pytest.approx(ball_volume(n, r1), rel=1e-8)
 
 
@@ -154,16 +159,7 @@ def test_vol_vs_monte_carlo_3d():
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= (rng.random((m, 1)) ** (1.0 / n)) * r1
     pts[:, 0] += c1
-    frac = float(((pts**2).sum(axis=1) <= r0 * r0).mean())
+    frac = float(((pts**2).sum(axis=1) > r0 * r0).mean())
     want = frac * ball_volume(n, r1)
     se = ball_volume(n, r1) * math.sqrt(frac * (1 - frac) / m)
-    assert float(vol_intersect(BallPair(n, r0, c1, r1))) == pytest.approx(want, abs=3.5 * se)
-
-
-def test_ballpair_validation():
-    with pytest.raises(ValueError):
-        BallPair(1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        BallPair(3, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        BallPair(3, 1.0, 1.0, 1.0, sigma2=0.0)
+    assert vol_diff(n, r0, c1, r1)[0] == pytest.approx(want, abs=3.5 * se)
