@@ -87,7 +87,17 @@ def _curve_columns(args) -> list[str]:
 
 
 def _curve_row(task: dict) -> tuple[dict, list[str]]:
-    """One CSV row; separated out so rows can run in worker processes."""
+    """One CSV row; separated out so rows can run in worker processes.
+
+    A bound that rejects its input (ValueError) is re-raised with the row's n.
+    """
+    try:
+        return _curve_cells(task)
+    except ValueError as exc:
+        raise ValueError(f"n={task['n']}: {exc}") from exc
+
+
+def _curve_cells(task: dict) -> tuple[dict, list[str]]:
     n = task["n"]
     fam = task["family"]
     rate = task["rate"]
@@ -155,6 +165,9 @@ def cmd_curve(args) -> int:
     if args.family != "gauss" and (args.alpha or args.unbounded):
         print("error: --alpha/--unbounded apply to the gauss family only", file=sys.stderr)
         return 2
+    if args.alpha and min(args.alpha) <= 0:
+        print(f"error: --alpha must be > 0, got {min(args.alpha):g}", file=sys.stderr)
+        return 2
 
     try:
         if args.family == "bss":
@@ -175,9 +188,6 @@ def cmd_curve(args) -> int:
             "legacy_eps": args.legacy_eps,
             "dstar": dstar,
         }
-        if args.family == "gauss":
-            variants = [(f"a{a:g}", math.sqrt(a * 1.0)) for a in (args.alpha or [])]
-            task_base["variants"] = None  # per-n rm depends on n, fill in below
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -193,11 +203,15 @@ def cmd_curve(args) -> int:
         tasks.append(t)
 
     jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_curve_row, tasks))
-    else:
-        results = [_curve_row(t) for t in tasks]
+    try:
+        if jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_curve_row, tasks))
+        else:
+            results = [_curve_row(t) for t in tasks]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     cols = _curve_columns(args)
     any_flags = any(flags for _, flags in results)

@@ -1,11 +1,13 @@
 """Gauss-Legendre panels and bracketed root finding.
 
-`gl_panels` lays a fixed Gauss-Legendre rule on each panel of a grid; the
-integrands are smooth inside the panels, and the callers put their kinks on
-panel edges.  `find_root` bisects one scalar bracket; `bracket_solve`
-solves many independent brackets at once, with one call of the
-(vectorized) function per round over the lanes still running, and returns
-every root on its f >= 0 side.
+`gl_rule` lays a fixed Gauss-Legendre rule on each of a set of panels, and
+`gl_panels` on each panel of a grid; the integrands are smooth inside the
+panels, and the callers put their kinks on panel edges.  `gl_partial` reads
+the integral up to any point inside a panel from the same node values.
+`find_root` bisects one scalar bracket; `bracket_solve` solves many
+independent brackets at once, with one call of the (vectorized) function
+per round over the lanes still running, and returns every root on its
+f >= 0 side.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["gl_nodes", "gl_panels", "find_root", "bracket_solve"]
+__all__ = ["gl_nodes", "gl_rule", "gl_partial", "gl_panels", "find_root", "bracket_solve"]
 
 
 @lru_cache(maxsize=8)
@@ -24,15 +26,40 @@ def gl_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(k)
 
 
+def gl_rule(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, one row of k per panel, of a k-point Gauss-Legendre rule on each [a, b]."""
+    x, w = gl_nodes(k)
+    half = 0.5 * (np.asarray(b, dtype=float) - a)
+    return a[:, None] + half[:, None] * (x + 1.0), half[:, None] * w
+
+
+def gl_partial(y, k: int) -> np.ndarray:
+    """Weights W, one row per y in [-1, 1], with W @ f(x) the integral from -1
+    to y of the degree k-1 polynomial through f at the k Gauss-Legendre nodes.
+
+    The interpolant has Legendre coefficients c_m = (2m+1)/2 sum_i w_i P_m(x_i) f_i
+    (the k-point rule is exact for these products), and the integral of P_m
+    from -1 to y is (P_{m+1}(y) - P_{m-1}(y)) / (2m+1), or y + 1 for m = 0.
+    At y = 1 the row is the rule's weights.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    py = np.polynomial.legendre.legvander(y, k)
+    m = np.arange(1, k)
+    ints = np.concatenate([y[..., None] + 1.0, (py[..., 2:] - py[..., : k - 1]) / (2 * m + 1)], axis=-1)
+    return ints @ _interpolant_coef(k)
+
+
+@lru_cache(maxsize=8)
+def _interpolant_coef(k: int) -> np.ndarray:
+    """(2m+1)/2 w_i P_m(x_i), rows m, columns i: node values to Legendre coefficients."""
+    x, w = gl_nodes(k)
+    return (np.polynomial.legendre.legvander(x, k - 1) * w[:, None] * (np.arange(k) + 0.5)).T
+
+
 def gl_panels(edges: np.ndarray, k: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a k-point Gauss-Legendre rule on each panel between edges."""
-    x, w = gl_nodes(k)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    nodes = (a[:, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
-    wgt = (half[:, None] * w[None, :]).ravel()
-    return nodes, wgt
+    nodes, wgt = gl_rule(edges[:-1], edges[1:], k)
+    return nodes.ravel(), wgt.ravel()
 
 
 def find_root(

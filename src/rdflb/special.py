@@ -134,31 +134,45 @@ def chi2_cdf(n: int, x: float) -> float:
 # noncentral chi-squared
 # ---------------------------------------------------------------------------
 
-def noncentral_chi2_log_cdf(n: int, lam: float, x: float) -> float:
-    """ln of the noncentral chi-squared CDF, accurate deep into the left tail.
+# lanes x Poisson terms evaluated at once by noncentral_chi2_log_cdf
+_NCX2_BLOCK = 1 << 20
+
+
+def noncentral_chi2_log_cdf(n: int, lam, x):
+    """ln of the noncentral chi-squared CDF, elementwise over lam and x
+    (broadcast), accurate deep into the left tail; scalars give a float.
 
     Sums the Poisson mixture  sum_i Pois(i; lam/2) P(n/2 + i, x/2)  in logs
     over every i from 0 to 12 standard deviations (plus 60) above the
     Poisson mode.  Deep in the left tail the largest term can sit far below
     the mode, so no lower cut is made; beyond the upper cut both factors
     decrease, and the dropped terms sum to about e^-72 of the largest or less.
+    The lanes share one lanes x terms array (in blocks of at most
+    _NCX2_BLOCK entries), as long as its longest lane: the extra terms of a
+    shorter lane lie beyond its cut, far below a double's resolution.
     """
-    if n < 1 or lam < 0 or x < 0:
+    lam, x = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(x, dtype=float))
+    if n < 1 or np.any(lam < 0) or np.any(x < 0):
         raise ValueError("need n >= 1, lambda >= 0, x >= 0")
-    if x == 0.0:
-        return LOG_ZERO
-    if lam == 0.0:
-        return float(log_reg_gamma_lower(0.5 * n, 0.5 * x))
-    half = 0.5 * lam
-    i = np.arange(int(half + 12.0 * math.sqrt(half + 1.0) + 60.0) + 1)
-    lw = -half + i * math.log(half) - gammaln(i + 1.0)
-    return float(logsumexp(lw + _log_gamma_p(0.5 * n + i, 0.5 * x)))
+    half = 0.5 * lam.ravel()
+    xh = 0.5 * x.ravel()
+    out = np.full(half.size, LOG_ZERO)
+    last = (half + 12.0 * np.sqrt(half + 1.0) + 60.0).astype(int)
+    live = np.flatnonzero(xh > 0.0)
+    if live.size:
+        step = max(1, _NCX2_BLOCK // (int(last[live].max()) + 1))
+        for k in np.array_split(live, range(step, live.size, step)):
+            i = np.arange(int(last[k].max()) + 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lw = -half[k, None] + i * np.log(half[k, None]) - gammaln(i + 1.0)
+            lw[:, 0] = -half[k]  # i ln(lam/2) is 0 at i = 0, also for lam = 0
+            out[k] = logsumexp(lw + _log_gamma_p(0.5 * n + i, xh[k, None]), axis=1)
+    return _scalar_or_array(out.reshape(lam.shape))
 
 
-def noncentral_chi2_cdf(n: int, lam: float, x: float) -> float:
+def noncentral_chi2_cdf(n: int, lam, x):
     """CDF of the noncentral chi-squared distribution (Poisson mixture)."""
-    val = math.exp(noncentral_chi2_log_cdf(n, lam, x))
-    return min(val, 1.0)
+    return _scalar_or_array(np.minimum(np.exp(noncentral_chi2_log_cdf(n, lam, x)), 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -50,6 +54,33 @@ def test_curve_usage_errors_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--jobs", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "2:2:2"], "error: n=2: codebook size must be at least 3"),
+    (["--n", "8:8:8", "--alpha", "0"], "error: --alpha must be > 0"),
+    (["--n", "8:8:8", "--alpha", "2", "-1"], "error: --alpha must be > 0"),
+], ids=["codebook_below_three", "alpha_zero", "alpha_negative"])
+def test_curve_gauss_input_errors_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    argv = ["curve", "gauss", "--rate", "0.5", "--eps", "0.005", *argv, "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    # rdflb imports only scipy.special; the optimizers, integrators and
+    # distributions stay out of every CLI start (tests may use them as oracles)
+    code = (
+        "import sys, rdflb, rdflb.cli; "
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 VALIDATE_BSS = ["validate", "bss", "--n", "8", "--rate", "0.5", "--trials", "2000", "--codebooks", "2"]

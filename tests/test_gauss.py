@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -89,16 +90,14 @@ def test_delta_hat_zero_split_bounded_nonnegative():
     assert gauss.delta_hat(0.0, 0.3, inp) == pytest.approx(v, rel=1e-12)
 
 
-def test_delta_hat_against_direct_quadrature():
+def _direct_delta_hat(inp, mu0, r):
     # independent evaluation through the pointwise pieces and scipy's
     # adaptive integrator
     from scipy.integrate import quad
 
     from rdflb.special import exp_gap_inverse
 
-    inp = GaussBoundInput(4, 0.5, rm=math.sqrt(2.0))
-    mu0, r = 0.5, 1.0
-    q = 2.0 ** (4 * 0.5)
+    q = 2.0 ** (inp.n * inp.rate)
 
     def first(mu):
         t = exp_gap_inverse(mu)
@@ -110,8 +109,18 @@ def test_delta_hat_against_direct_quadrature():
         return 1.0 - gauss.gamma_cap(t, inp)
 
     want = quad(first, 0.0, mu0, epsabs=1e-12, epsrel=1e-9, limit=200)[0]
-    want += quad(second, mu0, 60.0, epsabs=1e-12, epsrel=1e-9, limit=200)[0]
-    assert gauss.delta_hat(mu0, r, inp) == pytest.approx(want, rel=5e-4)
+    return want + quad(second, mu0, 400.0, epsabs=1e-12, epsrel=1e-9, limit=200)[0]
+
+
+def test_delta_hat_against_direct_quadrature():
+    inp = GaussBoundInput(4, 0.5, rm=math.sqrt(2.0))
+    assert gauss.delta_hat(0.5, 1.0, inp) == pytest.approx(_direct_delta_hat(inp, 0.5, 1.0), rel=1e-7)
+
+
+def test_delta_hat_against_direct_quadrature_across_a_cap_kink():
+    # here r_n crosses c1 + r1 at t = 1.66, inside the tail: a kink of Gamma
+    inp = GaussBoundInput(8, 2.0, rm=2.0)
+    assert gauss.delta_hat(0.25, 2.0, inp) == pytest.approx(_direct_delta_hat(inp, 0.25, 2.0), rel=1e-7)
 
 
 def test_delta_hat_domain():
@@ -126,16 +135,19 @@ def test_delta_hat_domain():
 # lower bound
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _detail(n, alpha=None):
+    """lower_bound_detail at R = 1/2, sigma2 = 1, rm^2 = alpha n; shared by the tests."""
+    return gauss.lower_bound_detail(GaussBoundInput(n, 0.5, rm=None if alpha is None else math.sqrt(alpha * n)))
+
+
 def test_lower_bound_dominates_asymptote():
     for n in (4, 16, 64):
-        assert gauss.lower_bound(GaussBoundInput(n, 0.5)) >= 0.5 - 1e-12
+        assert _detail(n)[0] >= 0.5 - 1e-12
 
 
 def test_lower_bound_bounded_vs_unbounded():
-    n = 64
-    unb = gauss.lower_bound(GaussBoundInput(n, 0.5))
-    bnd = gauss.lower_bound(GaussBoundInput(n, 0.5, rm=math.sqrt(0.5 * n)))
-    assert bnd >= unb - 1e-9
+    assert _detail(64, 0.5)[0] >= _detail(64)[0] - 1e-9
 
 
 def test_lower_bound_inner_inf_property():
@@ -145,23 +157,47 @@ def test_lower_bound_inner_inf_property():
     rng = np.random.default_rng(3)
     r_cap = 10.0 * math.sqrt(24 * 0.5)
     for r in rng.uniform(0.0, r_cap, 60):
-        assert val <= gauss.delta_hat(mu0, float(r), inp) + 1e-6
+        assert val <= gauss.delta_hat(mu0, float(r), inp) + 1e-9
 
 
-def test_lower_bound_detail_evaluates_each_curve_once(monkeypatch):
-    # the grid pass and the refinements at neighbouring mu0 share their r
-    # values; each Delta curve is computed once per call
-    seen = []
-    inner = gauss._LowerTable.delta_curve
+# The converse from an independent kink-anchored dense quadrature at R = 1/2,
+# sigma2 = 1: t_x by brentq; A and T by 64 Gauss-Legendre panels of 16 nodes
+# between consecutive kinks (t_x, the touch points of the codeword balls with
+# C0, the crossing of r_n and c1 + r1); the inf over rho by a 41-point grid,
+# then bounded Brent around its minimum, and the sup over the split the same
+# way (scipy.optimize.brentq and minimize_scalar).
+ORACLE_UNBOUNDED = {16: 0.5259903293481, 64: 0.5134742715095, 256: 0.5054970930400}
+ORACLE_BOUNDED = {(16, 0.5): 0.526035264933, (64, 0.3): 0.520081281374, (16, 0.3): 0.528891889460}
 
-    def counted(self, rho):
-        seen.append(float(rho))
-        return inner(self, rho)
 
-    monkeypatch.setattr(gauss._LowerTable, "delta_curve", counted)
-    bound = gauss.lower_bound_detail(GaussBoundInput(16, 0.5))[0]
-    assert len(seen) == len(set(seen))
-    assert bound == 0.5261623661047637
+@pytest.mark.parametrize("n", sorted(ORACLE_UNBOUNDED))
+def test_lower_bound_vs_dense_oracle(n):
+    want = ORACLE_UNBOUNDED[n]
+    got = _detail(n)[0]
+    assert got <= want * (1.0 + 1e-9)
+    assert got == pytest.approx(want, abs=1e-8)
+    # rm^2 = 2n leaves the optimum unconstrained, and the tail negligible
+    assert _detail(n, 2.0)[0] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("n,alpha", sorted(ORACLE_BOUNDED))
+def test_lower_bound_bounded_vs_dense_oracle(n, alpha):
+    # these have an interior split: the sup over mu0 is not at t_end
+    bound, _, mu0, _ = _detail(n, alpha)
+    assert bound == pytest.approx(ORACLE_BOUNDED[(n, alpha)], rel=1e-6)
+    assert mu0 < 10.0
+
+
+def test_crossing_ends_the_support_of_f():
+    # f(t, rho) > 0 below t_x and f = 0 on a probe grid beyond it
+    inp = GaussBoundInput(64, 0.5)
+    cv = gauss._table(inp)
+    rho = np.array([2.0, 5.3, 8.0])
+    tx = cv.crossing(rho)
+    for r, x in zip(rho, tx):
+        below = gauss._captured_density(inp, r, np.linspace(0.05, 0.999, 8) * x)
+        beyond = gauss._captured_density(inp, r, x + np.geomspace(1e-6, cv.t_end - x, 8))
+        assert (below > 0.0).all() and (beyond == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +209,15 @@ def test_upper_unbounded_tail_and_eps_pieces():
     n, s2, delta = 100, 1.0, 0.5
     a = n * (s2 + delta)
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((400_000, n))
-    r2 = (x**2).sum(axis=1)
+    r2 = rng.chisquare(n, 400_000)  # the law of |x|^2 for x ~ N(0, I_n)
     hat = float(np.where(r2 > a, r2 / n, 0.0).mean())
     want = s2 * float(reg_gamma_upper(0.5 * (n + 2), 0.5 * a / s2))
     assert want == pytest.approx(hat, abs=4e-4)
 
 
 def test_upper_bounds_sandwich_lower():
-    for n in (16, 64, 128):
-        inp = GaussBoundInput(n, 0.5)
-        assert gauss.upper_bound_unbounded(inp).value >= gauss.lower_bound(inp)
+    for n in (16, 64, 256):
+        assert gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5)).value >= _detail(n)[0]
 
 
 @pytest.mark.parametrize("n", [16, 128])
@@ -202,7 +236,7 @@ def test_quantile_deep_hits_budget(n, monkeypatch):
     gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5))
     [(lam, x, log_p0)] = solved
     assert lam.size == 96
-    res = np.array([noncentral_chi2_log_cdf(n, lm, xk) for lm, xk in zip(lam, x)]) - log_p0
+    res = noncentral_chi2_log_cdf(n, lam, x) - log_p0
     assert res.min() >= 0.0
     assert res.max() <= 1e-10
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdflb import quadrature
-from rdflb.quadrature import bracket_solve, find_root, gl_panels
+from rdflb.quadrature import bracket_solve, find_root, gl_nodes, gl_panels, gl_partial, gl_rule
 
 
 def _gl_integral(f, edges, k=32):
@@ -31,6 +31,31 @@ def test_integrate_empty_interval():
     nodes, wgt = gl_panels(np.array([3.0, 3.0]))
     assert np.all(nodes == 3.0) and np.all(wgt == 0.0)
     assert _gl_integral(lambda x: 1e9 + 0.0 * x, [3.0, 3.0]) == 0.0
+
+
+def test_gl_rule_is_gl_panels_per_row():
+    edges = np.array([0.0, 0.5, 2.0, 2.0, 5.0])
+    t, w = gl_rule(edges[:-1], edges[1:], 6)
+    assert t.shape == w.shape == (4, 6)
+    nodes, wgt = gl_panels(edges, 6)
+    assert np.array_equal(t.ravel(), nodes) and np.array_equal(w.ravel(), wgt)
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_gl_partial_integrates_the_interpolant(k):
+    # exact for every polynomial of degree < k, read at any y in [-1, 1]
+    x, w = gl_nodes(k)
+    y = np.array([-1.0, -0.7, 0.0, 0.31, 1.0])
+    weights = gl_partial(y, k)
+    assert weights.shape == (5, k)
+    assert np.all(weights[0] == 0.0)
+    np.testing.assert_allclose(weights[-1], w, rtol=0.0, atol=1e-15)
+    for d in range(k):
+        want = (y ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+        np.testing.assert_allclose(weights @ x**d, want, rtol=0.0, atol=1e-14)
+    # a smooth non-polynomial: the partial integral of cos converges with k
+    if k == 8:
+        np.testing.assert_allclose(weights @ np.cos(x), np.sin(y) + math.sin(1.0), atol=1e-6)
 
 
 def test_find_root_examples():

@@ -156,6 +156,31 @@ def test_noncentral_large_dof_vs_scipy():
     assert sp.noncentral_chi2_log_cdf(n, lam, x) == pytest.approx(want, rel=1e-9)
 
 
+def test_noncentral_log_cdf_vectorized_matches_scalar_and_scipy():
+    from scipy.stats import ncx2
+
+    n = 64
+    lam = np.array([0.0, 0.3, 5.0, 60.0, 60.0, 400.0, 3000.0])
+    x = np.array([10.0, 64.0, 2.0, 90.0, 0.0, 500.0, 2500.0])
+    got = sp.noncentral_chi2_log_cdf(n, lam, x)
+    assert got.shape == lam.shape
+    scalar = [sp.noncentral_chi2_log_cdf(n, lm, xk) for lm, xk in zip(lam, x)]
+    assert all(isinstance(v, float) for v in scalar)
+    # a lane padded to the longest lane's terms sums in another order: a few ulps
+    np.testing.assert_allclose(got, scalar, rtol=1e-14, atol=0.0)
+    assert got[4] == -math.inf
+    live = x > 0
+    np.testing.assert_allclose(got[live], ncx2.logcdf(x[live], n, lam[live]), rtol=1e-9)
+    # broadcasting, and more lanes x terms than one block holds
+    grid = sp.noncentral_chi2_log_cdf(n, lam[:, None], x[None, 1:4])
+    assert grid.shape == (lam.size, 3)
+    assert grid[6, 2] == pytest.approx(sp.noncentral_chi2_log_cdf(n, 3000.0, 90.0), rel=1e-14)
+    big = sp.noncentral_chi2_log_cdf(n, np.full(600, 3000.0), np.linspace(1500.0, 3500.0, 600))
+    assert big[-1] == pytest.approx(sp.noncentral_chi2_log_cdf(n, 3000.0, 3500.0), rel=1e-14)
+    with pytest.raises(ValueError):
+        sp.noncentral_chi2_log_cdf(n, np.array([1.0, -1.0]), 2.0)
+
+
 def _quantile(n, lam, p0):
     # the batched threshold solve of the unbounded Gaussian upper bound
     from rdflb.gauss import _unbounded_threshold
