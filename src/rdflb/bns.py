@@ -1,11 +1,16 @@
-"""Finite-blocklength bounds for the binary non-symmetric source.
+"""Finite-blocklength bounds for the binary sources, symmetric or not.
+
+This module owns every binary upper bound, the ordered-statistics (OS) and
+reference-rate (RR) bounds of a Bernoulli(p) source, p <= 1/2, and the pieces
+``bss`` shares; ``bss`` reads its OS and RR bounds from here at p = 1/2.
 
 The lower bound pairs the sorted source masses with the largest codeword
-likelihoods (rearrangement inequality); both arrays have 2**n entries but
-only O(n) distinct levels, so the pairing is walked level by level with
-log-domain multiplicities.  The upper bounds decompose over the Hamming
-weight of the source word, whose distance law is a convolution of two
-binomials.
+likelihoods (rearrangement inequality), walked over the O(n) distinct levels
+with log-domain multiplicities.  The upper bounds decompose over the Hamming
+weight w of the source word, whose distance law is a convolution of two
+binomials.  At p = 1/2 the codeword marginals z and z0 are exactly 1/2, so
+every class has the Binomial(n, 1/2) distance law, ln p(x) = -n ln 2 and the
+cap u_w = 1/2: the class w = 0 alone is their average, exactly.
 """
 
 from __future__ import annotations
@@ -15,14 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bss import OrderedStatsBound, _log_one_minus_inv_q_pow, hamming_ball_threshold, log_q_minus
 from .logdomain import LOG_ZERO, log_binomial_row, log_diff, logsumexp
 from .ratedistortion import BinaryNonSymmetricSource, solve
 from .special import binary_entropy_nats
 
 __all__ = [
+    "OrderedStatsBound",
     "WeightProfile",
     "weight_distance_pmf",
+    "hamming_ball_threshold",
+    "log_q_minus",
     "lower_bound",
     "upper_bound_os",
     "upper_bound_rr",
@@ -36,6 +43,49 @@ _FLOOR = -650.0
 # Margin on the running sum that bounds the columns a scan reads, far above
 # the roundoff of the convolution
 _SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class OrderedStatsBound:
+    """Ordered-statistics bound value with its distance threshold.
+
+    degenerate is set when the per-codeword budget exceeds the whole
+    probability space (tiny Q), in which case the threshold is clamped at n.
+    """
+
+    value: float
+    threshold: int
+    degenerate: bool = False
+
+    def __float__(self) -> float:
+        return self.value
+
+
+def log_q_minus(n: float, rate: float, shift: int = 1) -> float:
+    """ln(2**(n R) - shift), stable for huge n R."""
+    lq = n * rate * _LN2
+    return log_diff(lq, math.log(shift)) if shift else lq
+
+
+def _log_one_minus_inv_q_pow(n: int, rate: float) -> float:
+    """(Q-1) ln((Q-1)/Q) with Q = 2**(nR), stable for all magnitudes."""
+    u = math.exp(-n * rate * _LN2)  # 1/Q, may underflow to 0 for huge nR
+    if u < 1e-8:
+        # (1/u - 1) log1p(-u) = -1 + u/2 + u^2/6 + O(u^3)
+        return -1.0 + 0.5 * u + u * u / 6.0
+    return (1.0 / u - 1.0) * math.log1p(-u)
+
+
+def hamming_ball_threshold(log_masses: np.ndarray, log_budget: float) -> tuple[int, float]:
+    """Largest d with sum_{j<d} exp(log_masses[j]) <= exp(log_budget), plus the
+    log of the budget left over after that partial sum.
+
+    A partial sum is admitted only if its running log sum is <= log_budget,
+    with no slack.  d equals len(log_masses) when even the full sum fits.
+    """
+    cum = np.logaddexp.accumulate(log_masses)
+    d = int(np.searchsorted(cum, log_budget, side="right"))
+    return d, log_diff(log_budget, cum[d - 1]) if d else log_budget
 
 
 @dataclass(frozen=True)
@@ -63,13 +113,6 @@ def _mismatch_parts(n: int, w: int, z: float):
     return ones, zeros
 
 
-def _scan(law: np.ndarray, log_budget: float) -> tuple[int, np.ndarray]:
-    """Running log sums of law, in index order, and the first index where
-    they exceed log_budget (law.size when none does)."""
-    cum = np.logaddexp.accumulate(law)
-    return int(np.searchsorted(cum, log_budget, side="right")), cum
-
-
 def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) -> np.ndarray:
     """ln P(n d(x,y) = d), d = 0..n, for weight-w x and codeword bits i.i.d. Bernoulli(z).
 
@@ -85,7 +128,7 @@ def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) ->
     with np.errstate(divide="ignore", under="ignore"):
         law = np.log(np.convolve(np.exp(ones - ones.max()), np.exp(zeros - zeros.max()))) + shift
     low = law < shift + _FLOOR
-    last, _ = _scan(np.where(low, LOG_ZERO, law), log_budget + _SLACK)
+    last, _ = hamming_ball_threshold(np.where(low, LOG_ZERO, law), log_budget + _SLACK)
     cols = np.flatnonzero(low[: last + 1])
     if cols.size:
         i = np.arange(max(0, cols[0] - (n - w)), min(w, cols[-1]) + 1)
@@ -135,30 +178,25 @@ def _paired_sum_nats(n: int, rate: float, p: float, d: float) -> float:
     a_mult = [float(lb[k]) for k in range(n + 1)]
     # b-levels: distance i value in nats, with multiplicities summing to 2**n
     b_vals = [i * ld + (n - i) * l1d for i in range(d_t + 1)]
-    b_mult = [log_q + float(lb[i]) for i in range(d_t)]
-    b_mult.append(log_q + log_rem if log_rem > LOG_ZERO else LOG_ZERO)
+    b_mult = [log_q + float(lb[i]) for i in range(d_t)] + [log_q + log_rem]
 
+    # pair the current a- and b-levels over their common multiplicity, then
+    # move past every level that is used up
     terms = []
     ia = ib = 0
     ra, rb = a_mult[0], b_mult[0]
     while ia <= n and ib <= d_t:
-        if rb == LOG_ZERO:
-            ib += 1
-            if ib > d_t:
-                break
-            rb = b_mult[ib]
-            continue
-        if ra == LOG_ZERO:
-            ia += 1
-            if ia > n:
-                break
-            ra = a_mult[ia]
-            continue
         take = min(ra, rb)
-        val = -(a_vals[ia] + math.log(-b_vals[ib]))  # b values are < 0
-        terms.append(take - val)
+        if take > LOG_ZERO:
+            terms.append(take + (a_vals[ia] + math.log(-b_vals[ib])))  # b values are < 0
         ra = log_diff(ra, take) if ra > take else LOG_ZERO
         rb = log_diff(rb, take) if rb > take else LOG_ZERO
+        if ra == LOG_ZERO:
+            ia += 1
+            ra = a_mult[ia] if ia <= n else LOG_ZERO
+        if rb == LOG_ZERO:
+            ib += 1
+            rb = b_mult[ib] if ib <= d_t else LOG_ZERO
     return -math.exp(logsumexp(np.array(terms)))
 
 
@@ -177,7 +215,13 @@ def lower_bound(n: int, rate: float, p: float) -> float:
 
 def _weight_window(n: int, p: float):
     """Weights with non-negligible probability, their log weights, and the
-    log of the discarded tail mass."""
+    log of the discarded tail mass.
+
+    At p = 1/2 the class w = 0 stands for all of them, exactly (see the
+    module docstring).
+    """
+    if p == 0.5:
+        return np.array([0]), np.array([0.0]), LOG_ZERO
     lb = log_binomial_row(n)
     w = np.arange(n + 1)
     logw = lb + w * math.log(p) + (n - w) * math.log1p(-p)
@@ -204,9 +248,9 @@ def upper_bound_os(n: int, rate: float, p: float, eps: float) -> OrderedStatsBou
     total = 0.0
     t_max = 0
     for w, lw in zip(weights, logw):
-        t, _ = _scan(_log_distance_law(n, int(w), z, log_budget), log_budget)
-        # budget demands cum_{<=t} >= b; _scan uses strict >, which differs
-        # only when cum_{<=t} == b exactly (float equality is moot)
+        # the first distance whose running mass exceeds the budget; "reaches"
+        # differs only when the running mass equals it exactly
+        t, _ = hamming_ball_threshold(_log_distance_law(n, int(w), z, log_budget), log_budget)
         t = min(t, n)
         t_max = max(t_max, t)
         total += math.exp(lw) * ((1.0 - eps) * t / n + eps / 2.0)
@@ -234,14 +278,11 @@ def upper_bound_rr(n: int, rate: float, p: float, d0: float) -> float:
     for w, lw in zip(weights, logw):
         w = int(w)
         law = _log_distance_law(n, w, z0, log_budget)
-        dx, cum = _scan(law, log_budget)
-        log_px = w * lp + (n - w) * l1p
-        j = np.arange(dx)
-        terms = law[:dx] + j * ld0 + (n - j) * l1d0 - log_px
-        if dx <= n:
-            cum_run = cum[dx - 1] if dx else LOG_ZERO
-            log_l_mass = log_diff(log_budget, cum_run) if log_budget > cum_run else LOG_ZERO
-            terms = np.append(terms, log_l_mass + dx * ld0 + (n - dx) * l1d0 - log_px)
+        dx, log_left = hamming_ball_threshold(law, log_budget)
+        # whole columns below dx, the leftover budget at dx (if dx <= n)
+        mass = np.append(law[:dx], log_left)[: n + 1]
+        j = np.arange(mass.size)
+        terms = mass + j * ld0 + (n - j) * l1d0 - (w * lp + (n - w) * l1p)
         u_w = z0 * (1.0 - w / n) + (1.0 - z0) * w / n
         h_w = u_w * math.exp(logsumexp(terms))
         total += math.exp(lw) * h_w

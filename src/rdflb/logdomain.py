@@ -17,6 +17,7 @@ from scipy.special import gammaln
 __all__ = ["LOG_ZERO", "logsumexp", "log_diff", "log_binomial", "log_binomial_row"]
 
 LOG_ZERO = float("-inf")
+_LN2 = math.log(2.0)
 
 
 def logsumexp(logs: np.ndarray, axis=None) -> np.ndarray | float:
@@ -38,7 +39,10 @@ def logsumexp(logs: np.ndarray, axis=None) -> np.ndarray | float:
 def log_diff(log_a: float, log_b: float) -> float:
     """log(exp(log_a) - exp(log_b)) for log_a >= log_b.
 
-    A tiny negative difference (roundoff) is clamped to exact zero.
+    A tiny negative difference (roundoff) is clamped to exact zero.  The
+    factor log(1 - e^d), d = log_b - log_a < 0, takes log(-expm1(d)) for
+    d > -ln 2 and log1p(-e^d) below, so it stays finite and accurate for
+    arguments that differ in their last bits.
     """
     if log_b == LOG_ZERO:
         return log_a
@@ -49,7 +53,7 @@ def log_diff(log_a: float, log_b: float) -> float:
         raise ValueError(f"negative difference in log_diff: log_a={log_a}, log_b={log_b}")
     if d >= 0.0:
         return LOG_ZERO
-    return log_a + math.log1p(-math.exp(d))
+    return log_a + (math.log(-math.expm1(d)) if d > -_LN2 else math.log1p(-math.exp(d)))
 
 
 def log_binomial(n: int, k: int) -> float:

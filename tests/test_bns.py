@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rdflb import bns, bss
+from rdflb.logdomain import LOG_ZERO
 from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
 
@@ -62,9 +63,31 @@ def test_budget_limits_exact_columns_to_those_read():
     full = bns._log_distance_law(n, w, z)
     for log_budget in (-900.0, -400.0, -5.0, 0.0):
         law = bns._log_distance_law(n, w, z, log_budget)
-        t, _ = bns._scan(law, log_budget)
-        assert t == bns._scan(full, log_budget)[0]
+        t, _ = bns.hamming_ball_threshold(law, log_budget)
+        assert t == bns.hamming_ball_threshold(full, log_budget)[0]
         assert np.array_equal(law[: t + 1], full[: t + 1])
+
+
+def test_threshold_exact_tie_is_admitted():
+    d, left = bns.hamming_ball_threshold(np.log([1.0, 1.0, 1.0, 1.0]), math.log(2.0))
+    assert (d, left) == (2, LOG_ZERO)
+
+
+def test_threshold_budget_below_first_mass():
+    assert bns.hamming_ball_threshold(np.log([1.0, 1.0]), -1.0) == (0, -1.0)
+
+
+def test_threshold_infinite_budget_takes_everything():
+    d, _ = bns.hamming_ball_threshold(np.log([1.0, 2.0, 3.0]), math.inf)
+    assert d == 3
+
+
+def test_threshold_admits_no_sum_above_the_budget():
+    # the running sum ln 2 lies 5e-14 above the budget: strictly not admitted
+    budget = math.log(2.0) - 5e-14
+    d, left = bns.hamming_ball_threshold(np.log([1.0, 1.0]), budget)
+    assert d == 1
+    assert left == pytest.approx(math.log(1.0 - 1e-13), rel=1e-3)
 
 
 def test_total_mass_over_weights():
@@ -269,16 +292,41 @@ def test_upper_rr_domain():
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_degeneration_matches_bss(n):
+    # two different formulas: the rearrangement walk and the closed-form
+    # sphere-covering bound (bss reads its upper bounds from bns itself)
     rate = 0.5
     assert bns.lower_bound(n, rate, 0.5) == pytest.approx(bss.lower_bound(n, rate), abs=1e-9)
-    a = bns.upper_bound_os(n, rate, 0.5, 0.01)
-    b = bss.upper_bound_os(n, rate, 0.01)
-    assert a.value == pytest.approx(b.value, abs=1e-9)
-    r0 = 0.45
-    d0 = inverse_binary_entropy(1.0 - r0)
-    assert bns.upper_bound_rr(n, rate, 0.5, d0) == pytest.approx(
-        bss.upper_bound_rr(n, rate, r0), abs=1e-9
-    )
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_half_collapse_matches_every_weight_class(n):
+    # at p = 1/2 the bounds evaluate the class w = 0 alone; here the general
+    # per-class formulas are summed over every w with Binomial(n, 1/2) weights
+    rate, eps, d0 = 0.5, 0.01, inverse_binary_entropy(0.55)
+    q = 2.0 ** (n * rate)
+    os_budget = math.log(1 / eps) / (q - 1)
+    rr_budget = (1 / q) * ((q - 1) / q) ** (q - 1)
+    z = solve(BinaryNonSymmetricSource(0.5), rate).marginal_one_prob
+    z0 = (0.5 - d0) / (1 - 2 * d0)
+    os_total = rr_total = 0.0
+    for w in range(n + 1):
+        weight = comb(n, w) * 0.5**n
+        cum = np.cumsum(bns.weight_distance_pmf(n, w, z).pmf)
+        t = min(int(np.searchsorted(cum, os_budget, side="right")), n)
+        os_total += weight * ((1 - eps) * t / n + eps / 2)
+        pmf = bns.weight_distance_pmf(n, w, z0).pmf
+        acc, val = 0.0, 0.0
+        for j in range(n + 1):
+            ratio = d0**j * (1 - d0) ** (n - j) / 0.5**n
+            if acc + pmf[j] > rr_budget:
+                val += (rr_budget - acc) * ratio
+                break
+            acc += pmf[j]
+            val += pmf[j] * ratio
+        u_w = z0 * (1 - w / n) + (1 - z0) * w / n
+        rr_total += weight * u_w * val
+    assert bns.upper_bound_os(n, rate, 0.5, eps).value == pytest.approx(os_total, rel=1e-12)
+    assert bns.upper_bound_rr(n, rate, 0.5, d0) == pytest.approx(d0 + rr_total, rel=1e-12)
 
 
 def test_sandwich_bns():

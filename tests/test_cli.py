@@ -44,6 +44,17 @@ def test_curve_bns_is_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_curve_bns_at_n_one(tmp_path):
+    # the rearrangement walk at n = 1 subtracts two log multiplicities that
+    # differ in their last bit; log_diff must not raise on that
+    out = tmp_path / "bns1.csv"
+    argv = ["curve", "bns", "--p", str(P), "--rate", str(RATE), "--eps", str(EPS),
+            "--n", "1:1:1", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    (row,) = csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:])
+    assert float(row["lower"]) >= float(row["asymptote"])
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "bns", "--rate", "0.3", "--eps", "0.01", "--n", "40:80:40"],
     ["curve", "bns", "--p", "0.25", "--rate", "0.3", "--eps", "0.01", "--n", "80:40:40"],

@@ -1,9 +1,10 @@
 import math
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rdflb.logdomain import LOG_ZERO, log_binomial, log_binomial_row, log_diff, logsumexp
 
@@ -51,6 +52,21 @@ def test_log_diff():
     assert log_diff(0.0, 0.0) == LOG_ZERO
     with pytest.raises(ValueError):
         log_diff(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-700.0, max_value=700.0)),
+    st.floats(min_value=-18.0, max_value=0.0),
+)
+@example(0.0, -17.0)
+def test_log_diff_vs_mpmath(log_a, log10_gap):
+    # gaps from 1e-18 to 1; below about 1.1e-16, e^(log_b - log_a) rounds to 1
+    log_b = log_a - 10.0**log10_gap
+    with mpmath.workdps(60):
+        gap = mpmath.mpf(log_a) - mpmath.mpf(log_b)
+        want = LOG_ZERO if gap == 0 else float(log_a + mpmath.log(-mpmath.expm1(-gap)))
+    assert log_diff(log_a, log_b) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_log_binomial_small_exact():
