@@ -24,9 +24,7 @@ from .simulate import (
     Codebook,
     ExperimentConfig,
     _chunk_rng,
-    delta_residue,
-    duality_error_prob,
-    exact_distortion,
+    _region_sums,
     mc_mean_distortion,
 )
 from .special import binary_entropy, inverse_binary_entropy
@@ -284,9 +282,7 @@ def cmd_validate(args) -> int:
             worst_margin = math.inf
             for _ in range(args.codebooks):
                 cb = Codebook(args.n, (rng.random((q, args.n)) < 0.5).astype(np.uint8))
-                ed = exact_distortion(source, cb)
-                dr = delta_residue(source, cb, args.rate)
-                pe = duality_error_prob(source, cb, args.rate)
+                ed, dr, pe = _region_sums(source, cb, args.rate)
                 worst_id = max(worst_id, abs(ed - sol.dstar - sol.lambda_hat_nats / args.n * dr))
                 worst_margin = min(worst_margin, dr - pe)
             id_ok = worst_id <= 1e-10
