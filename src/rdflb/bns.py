@@ -1,16 +1,19 @@
 """Finite-blocklength bounds for the binary sources, symmetric or not.
 
-This module owns every binary upper bound, the ordered-statistics (OS) and
-reference-rate (RR) bounds of a Bernoulli(p) source, p <= 1/2, and the pieces
-``bss`` shares; ``bss`` reads its OS and RR bounds from here at p = 1/2.
+This module owns every binary bound of a Bernoulli(p) source, p <= 1/2:
+the rearrangement lower bound and the ordered-statistics (OS) and
+reference-rate (RR) upper bounds; ``bss`` reads all three from here at
+p = 1/2.
 
-The lower bound pairs the sorted source masses with the largest codeword
-likelihoods (rearrangement inequality), walked over the O(n) distinct levels
-with log-domain multiplicities.  The upper bounds decompose over the Hamming
-weight w of the source word, whose distance law is a convolution of two
-binomials.  At p = 1/2 the codeword marginals z and z0 are exactly 1/2, so
-every class has the Binomial(n, 1/2) distance law, ln p(x) = -n ln 2 and the
-cap u_w = 1/2: the class w = 0 alone is their average, exactly.
+The lower bound serves the source words in decreasing probability order
+(weight ascending) from the codewords' distance slots, nearest first, and
+sums P(distance > t) over t in one vectorized pass over the weight classes.
+
+The upper bounds decompose over the Hamming weight w of the source word,
+whose distance law is a convolution of two binomials.  At p = 1/2 the
+codeword marginals z and z0 are exactly 1/2, so every class has the
+Binomial(n, 1/2) distance law, ln p(x) = -n ln 2 and the cap u_w = 1/2:
+the class w = 0 alone is their average, exactly.
 """
 
 from __future__ import annotations
@@ -157,56 +160,38 @@ def _check(n: int, rate: float, p: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# lower bound: rearrangement pairing of source masses and codeword likelihoods
+# lower bound: source words served nearest first, most probable first
 # ---------------------------------------------------------------------------
 
-def _paired_sum_nats(n: int, rate: float, p: float, d: float) -> float:
-    """sum a_i b_i over the 2**n best pairings, in nats.
-
-    a-levels: source masses p^k (1-p)^(n-k), multiplicity C(n,k), descending.
-    b-levels: ln q(x|y) at distance i, multiplicity Q C(n,i) up to the
-    packing radius (leftover K at the radius), descending.
-    """
-    lb = log_binomial_row(n)
-    d_t, log_rem = hamming_ball_threshold(lb, n * (1.0 - rate) * _LN2)
-    log_q = n * rate * _LN2
-    lp, l1p = math.log(p), math.log1p(-p)
-    ld, l1d = math.log(d), math.log1p(-d)
-
-    # a-levels in descending value order (p <= 1/2 makes k ascending work)
-    a_vals = [k * lp + (n - k) * l1p for k in range(n + 1)]
-    a_mult = [float(lb[k]) for k in range(n + 1)]
-    # b-levels: distance i value in nats, with multiplicities summing to 2**n
-    b_vals = [i * ld + (n - i) * l1d for i in range(d_t + 1)]
-    b_mult = [log_q + float(lb[i]) for i in range(d_t)] + [log_q + log_rem]
-
-    # pair the current a- and b-levels over their common multiplicity, then
-    # move past every level that is used up
-    terms = []
-    ia = ib = 0
-    ra, rb = a_mult[0], b_mult[0]
-    while ia <= n and ib <= d_t:
-        take = min(ra, rb)
-        if take > LOG_ZERO:
-            terms.append(take + (a_vals[ia] + math.log(-b_vals[ib])))  # b values are < 0
-        ra = log_diff(ra, take) if ra > take else LOG_ZERO
-        rb = log_diff(rb, take) if rb > take else LOG_ZERO
-        if ra == LOG_ZERO:
-            ia += 1
-            ra = a_mult[ia] if ia <= n else LOG_ZERO
-        if rb == LOG_ZERO:
-            ib += 1
-            rb = b_mult[ib] if ib <= d_t else LOG_ZERO
-    return -math.exp(logsumexp(np.array(terms)))
-
-
 def lower_bound(n: int, rate: float, p: float) -> float:
-    """Rearrangement lower bound on the distortion of any size-2**(nR) quantizer."""
+    """Rearrangement lower bound on the distortion of any size-2**(nR) quantizer.
+
+    Q codewords serve at most Q C(n,i) words at distance i, so serving the most
+    probable words nearest first gives E[d] >= (1/n) sum_t P(distance > t).  This
+    is the paper's D* + (lambda/n) residue with ln q(x|y) = n ln(1-D*) - i/lambda
+    at distance i and R ln 2 = H(p) - h(D*) substituted: D* and lambda cancel.
+    """
     _check(n, rate, p)
-    sol = solve(BinaryNonSymmetricSource(p), rate)
-    s = _paired_sum_nats(n, rate, p, sol.dstar)
-    residue = n * rate * _LN2 - (s + n * binary_entropy_nats(p))
-    return sol.dstar + sol.lambda_hat_nats / n * residue
+    lb = log_binomial_row(n)
+    cnt = np.logaddexp.accumulate(lb)  # ln #words of weight <= k, the most probable first
+    slots = n * rate * _LN2 + cnt  # ln #words served at distance <= t
+    slots = slots[slots < cnt[-1]]  # the distances t that leave words unserved
+    c = np.searchsorted(cnt, slots)  # the weight class of the last word served
+    # ln of the class masses C(n,k) p^k (1-p)^(n-k), short of the common ln (1-p)^n
+    cls = lb + np.arange(n + 1.0) * (math.log(p) - math.log1p(-p))
+    top = cls.max()
+    # classes below e^-745 of the largest weigh nothing in a double
+    live = np.flatnonzero(cls >= top - 745.0)
+    lo, hi = live[0], live[-1]
+    mass = np.exp(cls[lo : hi + 1] - top)
+    total = mass.sum()
+    # above[i]: mass of the classes lo + i and up, normalized to the window total
+    # so that the rounding of ln C(n,k) cancels; 1 below the window, 0 above it
+    above = np.append(np.cumsum(mass[::-1])[::-1], 0.0) / total
+    with np.errstate(divide="ignore"):
+        # the unserved words of class c, (cnt[c] - slots) words at p^c (1-p)^(n-c)
+        part = np.exp(cls[c] - lb[c] + cnt[c] + np.log1p(-np.exp(slots - cnt[c])) - top) / total
+    return float((above[np.clip(c - lo + 1, 0, above.size - 1)] + part).sum() / n)
 
 
 # ---------------------------------------------------------------------------

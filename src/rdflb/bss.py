@@ -1,22 +1,16 @@
 """Finite-blocklength distortion bounds for the binary symmetric source.
 
-The OS and RR upper bounds are the ``bns`` bounds at p = 1/2, where bns
-evaluates one weight class exactly.  This module keeps the closed-form
-sphere-covering lower bound (the bns rearrangement walk at p = 1/2 agrees to
-5e-12 at n = 20 000, but walks O(n) levels in Python and is 20x slower), the
-legacy curve and the asymptote.  Masses and codebook sizes are kept as logs.
+The sphere-covering lower bound and the OS and RR upper bounds are the
+``bns`` bounds at p = 1/2, where every source word is equally likely: the
+lower bound serves the words in any order, and the upper bounds evaluate
+one weight class, exactly.  This module adds the legacy reference-rate
+curve, a comparison that bns has no analogue of.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from . import bns
 from .bns import OrderedStatsBound, hamming_ball_threshold, log_q_minus
-from .logdomain import log_binomial_row, logsumexp
-from .ratedistortion import BinarySymmetricSource, solve
 from .special import inverse_binary_entropy
 
 __all__ = [
@@ -29,8 +23,6 @@ __all__ = [
     "hamming_ball_threshold",
 ]
 
-_LN2 = math.log(2.0)
-
 
 def _check(n: int, rate: float) -> None:
     if n < 1:
@@ -40,22 +32,13 @@ def _check(n: int, rate: float) -> None:
 
 
 def lower_bound(n: int, rate: float) -> float:
-    """Sphere-covering style lower bound on the size-2**(nR) quantizer distortion.
+    """Sphere-covering lower bound on the size-2**(nR) quantizer distortion.
 
-    The Hamming radius D packs mass 2**(-n R) around each codeword:
-    D = max{d : sum_{j<d} C(n,j) <= 2**(n(1-R))}, the fractional layer
-    alpha fills the remainder, and the bound is the mean distance-weighted
-    mass Q 2**-n [sum_{j<D} C(n,j) j/n + alpha C(n,D) D/n].
+    Each codeword serves at most C(n,i) words at distance i, so the mean
+    distance is at least that of the words served nearest first:
+    ``bns.lower_bound`` at p = 1/2.
     """
-    _check(n, rate)
-    lb = log_binomial_row(n)
-    # the budget is at least C(n, 0) = 1, so d >= 1
-    d, log_rem = hamming_ball_threshold(lb, n * (1.0 - rate) * _LN2)
-    if d > n:
-        raise ValueError("rate too small: ball exceeds the whole space")
-    # C(n,j) j/n for 0 < j < d, then alpha C(n,d) d/n with log_rem = ln(alpha C(n,d))
-    terms = np.append(lb[1:d], log_rem) + np.log(np.arange(1, d + 1) / n)
-    return math.exp(n * (rate - 1.0) * _LN2 + logsumexp(terms))
+    return bns.lower_bound(n, rate, 0.5)
 
 
 def upper_bound_os(n: int, rate: float, eps: float) -> OrderedStatsBound:
@@ -92,8 +75,3 @@ def upper_bound_legacy(n: int, rate: float, ref_rate: float, eps_rate: float) ->
         raise ValueError(f"need 0 < eps_rate < rate - ref_rate, got {eps_rate}")
     d0 = inverse_binary_entropy(1.0 - ref_rate)
     return d0 + 2.0 ** (-(rate - ref_rate - eps_rate) * n)
-
-
-def asymptote(rate: float) -> float:
-    """D* of the binary symmetric source at the given rate."""
-    return solve(BinarySymmetricSource(), rate).dstar

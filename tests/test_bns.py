@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from rdflb import bns, bss
+from rdflb import bns
 from rdflb.logdomain import LOG_ZERO
 from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
+from rdflb.simulate import Codebook, exact_distortion
 from rdflb.special import binary_entropy, inverse_binary_entropy
 
 
@@ -163,6 +165,48 @@ def test_rearrangement_beats_random_pairings():
         assert float(a_arr @ b_arr[perm]) <= s_sorted + 1e-12
 
 
+def _bigint_lower(n, rate, p):
+    """The rearrangement bound in exact arithmetic, p = a/b and Q = 2**(nR) integers.
+
+    Walks the weight classes k ascending (C(n,k) words of probability
+    a^k (b-a)^(n-k) / b^n) against the distance levels i ascending (Q C(n,i)
+    slots each), pairing their common multiplicities until every word is served.
+    """
+    a, b = p.numerator, p.denominator
+    q = 2 ** round(n * rate)
+    num, k, i = 0, 0, 0
+    words, slots, weight, unserved = 1, q, (b - a) ** n, 2**n
+    while unserved:
+        take = min(words, slots)
+        num += take * weight * i
+        unserved, words, slots = unserved - take, words - take, slots - take
+        if not words:
+            k += 1
+            words, weight = comb(n, k), weight // (b - a) * a
+        if not slots:
+            i += 1
+            slots = q * comb(n, i)
+    return float(Fraction(num, n * b**n))
+
+
+@pytest.mark.parametrize("n,rate,p", [(600, 0.3, "1/4"), (1000, 0.1, "1/10"), (2000, 0.3, "1/4"), (2000, 0.5, "1/2")])
+def test_lower_bound_vs_bigint_oracle(n, rate, p):
+    p = Fraction(p)
+    assert bns.lower_bound(n, rate, float(p)) == pytest.approx(_bigint_lower(n, rate, p), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n,rate,p", [(10, 0.5, 0.25), (12, 0.25, 0.1), (8, 0.5, 0.5), (12, 0.5, 0.4)])
+def test_lower_bound_below_random_codebooks(n, rate, p):
+    # the converse holds for every codebook; these are drawn from the optimal marginal
+    source = BinaryNonSymmetricSource(p)
+    z = solve(source, rate).marginal_one_prob
+    rng = np.random.default_rng(7)
+    q = round(2.0 ** (n * rate))
+    best = min(exact_distortion(source, Codebook(n, (rng.random((q, n)) < z).astype(np.int8)))
+               for _ in range(200))
+    assert bns.lower_bound(n, rate, p) <= best
+
+
 def test_lower_bound_residue_nonnegative():
     for (n, rate, p) in [(4, 0.5, 0.4), (16, 0.5, 0.4), (64, 0.25, 0.3), (256, 0.25, 0.1)]:
         sol = solve(BinaryNonSymmetricSource(p), rate)
@@ -287,16 +331,8 @@ def test_upper_rr_domain():
 
 
 # ---------------------------------------------------------------------------
-# degeneration to the symmetric source at p = 1/2
+# collapse to the single weight class at p = 1/2
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n", [8, 16, 32])
-def test_degeneration_matches_bss(n):
-    # two different formulas: the rearrangement walk and the closed-form
-    # sphere-covering bound (bss reads its upper bounds from bns itself)
-    rate = 0.5
-    assert bns.lower_bound(n, rate, 0.5) == pytest.approx(bss.lower_bound(n, rate), abs=1e-9)
-
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_half_collapse_matches_every_weight_class(n):
