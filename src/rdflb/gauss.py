@@ -12,9 +12,14 @@ relative of a dense oracle where tested; the inf over a finite set of
 norms errs high and is the one step not certified (``lower_bound_detail``
 lists each step).
 
-Upper bounds: ordered statistics with the nearest-codeword radius from the
-(truncated) noncentral chi-squared law.  Every radius threshold is solved
-to the side where the bound stays valid.
+Upper bounds: one ordered-statistics integral, E[min(|x|^2, r(x)^2)]/n
+plus an eps term, for both codebook classes.  The covering radius r(x) is
+where a random codeword lands within r(x) of the source word x with the
+probability budget ln(1/eps)/(Q-2); the classes differ only in the codeword
+law behind it, N(0, (sigma2 - D) I_n) (a noncentral chi-squared distance)
+for an unbounded codebook and that law conditioned on |y| <= rm for a
+bounded one.  Every radius is solved to the side where the bound stays
+valid.
 
 Everything multiplied by the codebook size Q = 2**(n R) runs in the log
 domain; Q*K products are clamped at 1 before entering integrands.
@@ -459,39 +464,11 @@ def lower_bound(inp: GaussBoundInput) -> float:
 # upper bounds (ordered statistics)
 # ---------------------------------------------------------------------------
 
-def _source_radial_log_pdf(n: int, sigma2: float, x: np.ndarray) -> np.ndarray:
-    """Log density of ||x||^2 for x ~ N(0, sigma2 I_n)."""
-    a = 0.5 * n
-    return (a - 1.0) * np.log(x) - 0.5 * x / sigma2 - a * math.log(2.0 * sigma2) - gammaln(a)
-
-
 def _source_window(n: int, sigma2: float, x_hi: float):
     spread = sigma2 * math.sqrt(2.0 * n + 60.0)
     lo = max(1e-9, n * sigma2 - 15.0 * spread)
     hi = min(x_hi, n * sigma2 + 15.0 * spread)
     return lo, hi
-
-
-def _unbounded_threshold(n: int, lam: np.ndarray, log_p0: float) -> np.ndarray:
-    """Per lane, x with ln CDF_{chi2(n, lam)}(x) >= log_p0, solved as one batch.
-
-    Each lane is bracketed on [0, n + lam + 10 sqrt(2n + 4 lam) + 10], where
-    the log-CDF runs from -inf to above log_p0.  ``bracket_solve`` returns
-    every lane on its ln CDF >= log_p0 side, so the threshold errs high, and
-    so does the upper bound built on it, which keeps that bound valid.
-    """
-    lam = np.asarray(lam, dtype=float)
-
-    def gap(x, lanes):
-        return noncentral_chi2_log_cdf(n, lam[lanes], x) - log_p0
-
-    hi = n + lam + 10.0 * np.sqrt(2.0 * n + 4.0 * lam) + 10.0
-    return bracket_solve(gap, np.zeros_like(lam), hi)
-
-
-def _moment_tail(n: int, sigma2: float, a: float) -> float:
-    """E[(||x||^2/n) 1{||x||^2 > a}] = sigma2 (1 - CDF_{chi2(n+2)}(a/sigma2))."""
-    return sigma2 * float(reg_gamma_upper(0.5 * (n + 2), 0.5 * a / sigma2))
 
 
 def _log_budget(inp: GaussBoundInput) -> float:
@@ -503,107 +480,93 @@ def _log_budget(inp: GaussBoundInput) -> float:
     return math.log(math.log(1.0 / inp.eps)) - log_qm2
 
 
-def upper_bound_unbounded(inp: GaussBoundInput) -> GaussUpperBound:
-    """Achievability bound for an unbounded random codebook.
+def _os_bound(inp: GaussBoundInput, log_cover, radius_bracket, eps_term: float) -> GaussUpperBound:
+    """E[min(|x|^2, r(x)^2)]/n + eps_term, the ordered-statistics bound of
+    either codebook class.
 
-    One codeword is pinned at the origin; the per-source-word radius
-    threshold is the noncentral chi-squared quantile of the codeword law
-    at probability ln(1/eps)/(Q-2).
+    r(x), the covering radius of a source word of squared norm x, is the
+    smallest t with ``log_cover(x, t)`` = ln P(|Y - x| <= t) >= ln p0 for a
+    codeword Y of the class's law; ``radius_bracket(x)`` gives t brackets
+    with the gap log_cover - ln p0 < 0 at one end and >= 0 at the other.
+    One ``bracket_solve`` returns every node's radius on its gap >= 0 side,
+    so it is at least the covering radius and the bound errs high, the
+    valid side.  So does the mass outside the source window, bounded by
+    its |x|^2/n moment.
+
+    The integrand kinks where r(x) = |x|.  The balls B(|x| u, |x|) all
+    touch the origin and are nested in |x|, so under either (rotation
+    invariant) law the gap at t = |x| rises in x and crosses zero at most
+    once: its sign at the window's ends and one bracket solve find the
+    kink when it lies in the window, and it becomes a panel edge.
+    Otherwise the window is cut at its middle.
     """
     n, s2, d, eps, delta = inp.n, inp.sigma2, inp.dstar, inp.eps, inp.delta
     log_p0 = _log_budget(inp)
     if log_p0 >= 0.0:
         # budget exceeds 1: threshold undefined, fall back to the pin codeword
         return GaussUpperBound(s2 + delta + eps * (2.0 * s2 - d), degenerate=True)
-    mv = s2 - d
-    x_hi = n * (s2 + delta)
-    lo, hi = _source_window(n, s2, x_hi)
+    lo, hi = _source_window(n, s2, n * (s2 + delta))
 
-    # kink x* of min{x/n, threshold(x)}: CDF(lam, lam) = p0 at lam = x*/(s2-d)
-    def kink_gap(lam, _lanes):
-        return noncentral_chi2_log_cdf(n, lam, lam) - log_p0
+    def kink_gap(x, _lanes):
+        return log_cover(x, np.sqrt(x)) - log_p0
 
-    lam_lo, lam_hi = 1e-9, x_hi / mv
-    kink = None
-    gap_lo, gap_hi = kink_gap([lam_lo, lam_hi], None)
-    if gap_lo < 0.0 < gap_hi:
-        kink = float(bracket_solve(kink_gap, lam_lo, lam_hi)[0]) * mv
-
-    edges = [lo, 0.25 * lo + 0.75 * hi, hi]
-    if kink is not None and lo < kink < hi:
-        edges = [lo, kink, 0.5 * (kink + hi), hi]
-    nodes, wgt = gl_panels(np.array(sorted(set(edges))), 32)
-    thr = _unbounded_threshold(n, nodes / mv, log_p0) * mv / n
-    integrand = np.exp(_source_radial_log_pdf(n, s2, nodes)) * np.minimum(nodes / n, thr)
+    edges = np.array([lo, 0.5 * (lo + hi), hi])
+    gap_lo, gap_hi = kink_gap(np.array([lo, hi]), None)
+    if gap_lo < 0.0 <= gap_hi:
+        kink = float(bracket_solve(kink_gap, lo, hi)[0])
+        edges = np.unique([lo, kink, 0.5 * (kink + hi), hi])
+    nodes, wgt = gl_panels(edges, 32)
+    radius = bracket_solve(lambda t, k: log_cover(nodes[k], t) - log_p0, *radius_bracket(nodes))
+    a = 0.5 * n  # |x|^2 / sigma2 is chi-squared with n degrees
+    log_pdf = (a - 1.0) * np.log(nodes) - 0.5 * nodes / s2 - a * math.log(2.0 * s2) - gammaln(a)
+    integrand = np.exp(log_pdf) * np.minimum(nodes, radius**2) / n
     main = float((integrand * wgt).sum())
 
-    # window truncation remainders, kept on the upper side
+    # outside the window |x|^2/n bounds the integrand: below it by lo/n, above
+    # it by the moment E[|x|^2/n; |x|^2 > hi] = sigma2 (1 - CDF_chi2(n+2)(hi/sigma2))
     below = float(reg_gamma_lower(0.5 * n, 0.5 * lo / s2)) * lo / n
-    above = _moment_tail(n, s2, hi) - _moment_tail(n, s2, x_hi) if hi < x_hi else 0.0
-    tail = _moment_tail(n, s2, x_hi)
-    return GaussUpperBound(main + below + max(above, 0.0) + tail + eps * (2.0 * s2 - d))
+    above = s2 * float(reg_gamma_upper(0.5 * (n + 2), 0.5 * hi / s2))
+    return GaussUpperBound(main + below + above + eps_term)
 
 
-def _bounded_radius(n: int, rm: float, mv: float, target: float, nodes: np.ndarray) -> np.ndarray:
-    """Per-node radius t with ln P(ball(x, t) & ball(0, rm)) = target, |x|^2 = nodes.
+def upper_bound_unbounded(inp: GaussBoundInput) -> GaussUpperBound:
+    """Achievability bound for an unbounded random codebook.
 
-    Solved on the bracket [max(|x| - rm, 0), |x| + rm], where the log-probability
-    runs from -inf to ln C_m; every returned t has log-probability >= target,
-    so the threshold errs high.
+    One codeword is pinned at the origin; the others are drawn from
+    N(0, (sigma2 - D) I_n), so |Y - x|^2 / (sigma2 - D) is noncentral
+    chi-squared with noncentrality |x|^2 / (sigma2 - D).
     """
-    norms = np.sqrt(nodes)
+    n, mv = inp.n, inp.sigma2 - inp.dstar
 
-    def gap(t, lanes):
-        return log_prob_intersect_batch(n, rm, norms[lanes], t, mv) - target
+    def log_cover(x, t):
+        return noncentral_chi2_log_cdf(n, x / mv, t**2 / mv)
 
-    return bracket_solve(gap, np.maximum(norms - rm, 0.0), norms + rm)
+    def radius_bracket(x):
+        # the log-CDF runs from -inf at 0 to above ln p0 at n + lam + 10 sqrt(2n + 4 lam) + 10
+        lam = x / mv
+        return np.zeros_like(x), np.sqrt(mv * (n + lam + 10.0 * np.sqrt(2.0 * n + 4.0 * lam) + 10.0))
+
+    return _os_bound(inp, log_cover, radius_bracket, inp.eps * (2.0 * inp.sigma2 - inp.dstar))
 
 
 def upper_bound_bounded(inp: GaussBoundInput) -> GaussUpperBound:
     """Achievability bound when codewords are confined to ||y|| <= rm,
-    drawn from the truncated optimal marginal.
-
-    Each node's threshold is solved to the side where the codeword lands
-    inside it with probability at least the budget, so it errs high, and
-    the bound with it.
+    drawn from the truncated optimal marginal N(0, (sigma2 - D) I_n)
+    conditioned on the rm-ball, whose mass is C_m.
     """
     if inp.rm is None:
         raise ValueError("bounded upper bound needs rm")
-    n, s2, d, eps, delta, rm = inp.n, inp.sigma2, inp.dstar, inp.eps, inp.delta, inp.rm
-    log_p0 = _log_budget(inp)
-    if log_p0 >= 0.0:
-        return GaussUpperBound(s2 + delta + eps * (2.0 * s2 - d), degenerate=True)
-    mv = s2 - d
+    n, s2, eps, rm = inp.n, inp.sigma2, inp.eps, inp.rm
+    mv = s2 - inp.dstar
     log_cm = float(log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv))
-    x_hi = n * (s2 + delta)
-    lo, hi = _source_window(n, s2, x_hi)
-    target = log_p0 + log_cm
 
-    # threshold(x) > x/n exactly where the radius-|x| ball misses the
-    # budget, since the log-probability increases in the radius; its sign
-    # change is the kink of min{x/n, threshold(x)}, where the integration
-    # gets a panel edge
-    def kink_gap(x, _lanes):
+    def log_cover(x, t):
+        return log_prob_intersect_batch(n, rm, np.sqrt(x), t, mv) - log_cm
+
+    def radius_bracket(x):
+        # from the radius that misses the rm-ball (-inf) to one that holds it (0)
         r = np.sqrt(x)
-        return log_prob_intersect_batch(n, rm, r, r, mv) - target
+        return np.maximum(r - rm, 0.0), r + rm
 
-    probe = np.linspace(lo, hi, 33)
-    covered = kink_gap(probe, None) >= 0.0
-    edges = [lo, 0.5 * (lo + hi), hi]
-    crossing = np.nonzero(~covered[:-1] & covered[1:])[0]
-    if crossing.size:
-        i = int(crossing[0])
-        kink = float(bracket_solve(kink_gap, probe[i], probe[i + 1])[0])
-        edges = sorted({lo, kink, 0.5 * (kink + hi), hi})
-    nodes, wgt = gl_panels(np.array(edges), 32)
-    thr = _bounded_radius(n, rm, mv, target, nodes) ** 2 / n
-
-    integrand = np.exp(_source_radial_log_pdf(n, s2, nodes)) * np.minimum(nodes / n, thr)
-    main = float((integrand * wgt).sum())
-    below = float(reg_gamma_lower(0.5 * n, 0.5 * lo / s2)) * lo / n
-    above = _moment_tail(n, s2, hi) - _moment_tail(n, s2, x_hi) if hi < x_hi else 0.0
-    tail = _moment_tail(n, s2, x_hi)
-    eps_term = eps * s2 + eps * math.exp(-log_cm) * mv * float(
-        reg_gamma_lower(0.5 * (n + 2), 0.5 * rm**2 / mv)
-    )
-    return GaussUpperBound(main + below + max(above, 0.0) + tail + eps_term)
+    eps_term = eps * s2 + eps * math.exp(-log_cm) * mv * float(reg_gamma_lower(0.5 * (n + 2), 0.5 * rm**2 / mv))
+    return _os_bound(inp, log_cover, radius_bracket, eps_term)

@@ -165,21 +165,12 @@ def log_shell_mass_batch(
 def log_prob_intersect_batch(n: int, r0: float, c1: np.ndarray, r1: np.ndarray, s2: float) -> np.ndarray:
     """ln P(C1 & C0) under N(0, s2 I_n) per row of (c1, r1); -inf where empty.
 
-    The full ball of radius r1 - c1 around the origin (when C1 holds it)
-    comes in closed form; the cap shell from |c1 - r1| to min(r0, c1 + r1)
-    comes from ``log_shell_mass_batch``.
+    This is the shell mass from 0 to min(r0, c1 + r1): ``log_shell_mass_batch``
+    takes the full ball of radius r1 - c1 around the origin (when C1 holds
+    it) in closed form, and gives -inf to disjoint rows and rows with r1 <= 0.
     """
-    c1 = np.asarray(c1, dtype=float)
-    r1 = np.asarray(r1, dtype=float)
-    disjoint = c1 >= r0 + r1
-    inner = np.minimum(np.maximum(r1 - c1, 0.0), r0)
-    with np.errstate(divide="ignore"):
-        log_ball = np.where(inner > 0, log_reg_gamma_lower(0.5 * n, 0.5 * inner**2 / s2), LOG_ZERO)
-    shell_lo = np.abs(c1 - r1)
-    shell_hi = np.minimum(r0, c1 + r1)
-    log_shell = log_shell_mass_batch(n, shell_lo, shell_hi, c1, r1, s2)
-    out = np.logaddexp(log_ball, log_shell)
-    return np.where(disjoint | (r1 <= 0), LOG_ZERO, out)
+    hi = np.minimum(r0, np.add(c1, r1, dtype=float))
+    return log_shell_mass_batch(n, np.zeros_like(hi), hi, c1, r1, s2)
 
 
 def log_vol_diff_vec(n: int, r0: np.ndarray, c1: float, r1: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ def test_pmf_hand_convolution():
 def test_pmf_weight_zero_is_binomial():
     prof = bns.weight_distance_pmf(5, 0, 0.3)
     want = [comb(5, d) * 0.3**d * 0.7 ** (5 - d) for d in range(6)]
-    assert prof.pmf == pytest.approx(want, rel=1e-12)
+    assert prof.pmf == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n,w,z", [(7, 3, 0.37), (12, 12, 0.2), (20, 9, 0.5), (31, 1, 0.01)])
@@ -55,7 +55,7 @@ def test_pmf_vs_integer_oracle(w):
     for d in range(n + 1):
         s = sum(comb(w, i) * comb(n - w, d - i) * 4 ** (n - w + 2 * i - d)
                 for i in range(max(0, d - (n - w)), min(w, d) + 1))
-        assert got[d] == pytest.approx(math.log(s) - n * math.log(5), rel=1e-12)
+        assert got[d] == pytest.approx(math.log(s) - n * math.log(5), rel=1e-12, abs=0)
 
 
 def test_budget_limits_exact_columns_to_those_read():
@@ -270,14 +270,14 @@ def test_upper_bounds_pinned_values():
     # recorded before the distance law was vectorized; the OS bound must not
     # move at all, the RR bound only by the roundoff of the new summation
     p, rate, d0 = 0.25, 0.3, 0.1314047333665419
-    assert inverse_binary_entropy(binary_entropy(p) - 0.25) == pytest.approx(d0, rel=1e-12)
+    assert inverse_binary_entropy(binary_entropy(p) - 0.25) == pytest.approx(d0, rel=1e-12, abs=0)
     for n, os_value, threshold, rr_value in [
         (200, 0.1293690736976784, 77, 0.22252740091517392),
         (600, 0.12192659255944786, 157, 0.16486032977294388),
     ]:
         r = bns.upper_bound_os(n, rate, p, 0.01)
         assert (r.value, r.threshold) == (os_value, threshold)
-        assert bns.upper_bound_rr(n, rate, p, d0) == pytest.approx(rr_value, rel=1e-12)
+        assert bns.upper_bound_rr(n, rate, p, d0) == pytest.approx(rr_value, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +361,8 @@ def test_half_collapse_matches_every_weight_class(n):
             val += pmf[j] * ratio
         u_w = z0 * (1 - w / n) + (1 - z0) * w / n
         rr_total += weight * u_w * val
-    assert bns.upper_bound_os(n, rate, 0.5, eps).value == pytest.approx(os_total, rel=1e-12)
-    assert bns.upper_bound_rr(n, rate, 0.5, d0) == pytest.approx(d0 + rr_total, rel=1e-12)
+    assert bns.upper_bound_os(n, rate, 0.5, eps).value == pytest.approx(os_total, rel=1e-12, abs=0)
+    assert bns.upper_bound_rr(n, rate, 0.5, d0) == pytest.approx(d0 + rr_total, rel=1e-12, abs=0)
 
 
 def test_sandwich_bns():

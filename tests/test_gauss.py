@@ -7,8 +7,15 @@ import pytest
 from rdflb import gauss
 from rdflb.gauss import GaussBoundInput
 from rdflb.geometry import log_prob_intersect_batch
-from rdflb.quadrature import gl_panels
-from rdflb.special import chi2_cdf, log_reg_gamma_lower, noncentral_chi2_cdf, noncentral_chi2_log_cdf, reg_gamma_upper
+from rdflb.quadrature import bracket_solve, gl_panels
+from rdflb.special import (
+    chi2_cdf,
+    log_reg_gamma_lower,
+    noncentral_chi2_cdf,
+    noncentral_chi2_log_cdf,
+    reg_gamma_lower,
+    reg_gamma_upper,
+)
 
 
 INP2 = GaussBoundInput(2, 0.5)
@@ -21,7 +28,7 @@ INP2 = GaussBoundInput(2, 0.5)
 def test_k0_closed_form():
     # sigma2=1, R=1/2: D=1/2, R(t,0) = 2t, so K0(1) = CDF_chi2(2) at 2
     assert gauss.k0(0.0, INP2) == 0.0
-    assert gauss.k0(1.0, INP2) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+    assert gauss.k0(1.0, INP2) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12, abs=0)
     assert gauss.k0(1e6, INP2) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -87,7 +94,7 @@ def test_delta_hat_zero_split_bounded_nonnegative():
     v = gauss.delta_hat(0.0, 1.0, inp)
     assert v >= 0.0
     # independent of the codeword norm at mu0 = 0
-    assert gauss.delta_hat(0.0, 0.3, inp) == pytest.approx(v, rel=1e-12)
+    assert gauss.delta_hat(0.0, 0.3, inp) == pytest.approx(v, rel=1e-12, abs=0)
 
 
 def _direct_delta_hat(inp, mu0, r):
@@ -220,27 +227,6 @@ def test_upper_bounds_sandwich_lower():
         assert gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5)).value >= _detail(n)[0]
 
 
-@pytest.mark.parametrize("n", [16, 128])
-def test_quantile_deep_hits_budget(n, monkeypatch):
-    # every node threshold of the bound lands on ln p0 or just above it
-    # (the valid side of the upper bound), never below
-    solved = []
-    inner = gauss._unbounded_threshold
-
-    def recorded(n_, lam, log_p0):
-        x = inner(n_, lam, log_p0)
-        solved.append((lam, x, log_p0))
-        return x
-
-    monkeypatch.setattr(gauss, "_unbounded_threshold", recorded)
-    gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5))
-    [(lam, x, log_p0)] = solved
-    assert lam.size == 96
-    res = noncentral_chi2_log_cdf(n, lam, x) - log_p0
-    assert res.min() >= 0.0
-    assert res.max() <= 1e-10
-
-
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_upper_bounded_reduces_to_unbounded(n):
     ub = gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5)).value
@@ -248,22 +234,91 @@ def test_upper_bounded_reduces_to_unbounded(n):
     assert bd == pytest.approx(ub, rel=1e-10)
 
 
+def _node_residuals(inp, monkeypatch):
+    """The upper bound's source nodes and, per node, the cover gap at its
+    solved radius, ln P(|Y - x| <= r(x)) - ln p0, evaluated independently."""
+    nodes, radii = [], []
+
+    def panels(edges, k):
+        out = gl_panels(edges, k)
+        nodes.append(out[0])
+        return out
+
+    def solve(f, lo, hi):
+        out = bracket_solve(f, lo, hi)
+        radii.append(out)
+        return out
+
+    monkeypatch.setattr(gauss, "gl_panels", panels)
+    monkeypatch.setattr(gauss, "bracket_solve", solve)
+    n, mv = inp.n, inp.sigma2 - inp.dstar
+    if inp.rm is None:
+        gauss.upper_bound_unbounded(inp)
+        log_cover = noncentral_chi2_log_cdf(n, nodes[0] / mv, radii[-1] ** 2 / mv)
+    else:
+        gauss.upper_bound_bounded(inp)
+        log_cm = float(log_reg_gamma_lower(0.5 * n, 0.5 * inp.rm**2 / mv))
+        log_cover = log_prob_intersect_batch(n, inp.rm, np.sqrt(nodes[0]), radii[-1], mv) - log_cm
+    return nodes[0], log_cover - gauss._log_budget(inp)
+
+
 @pytest.mark.parametrize("n", [16, 64, 128])
-@pytest.mark.parametrize("rm_of_n", [lambda n: math.sqrt(2.0 * n), lambda n: 200.0], ids=["a2", "rm200"])
-def test_bounded_thresholds_valid_side(n, rm_of_n):
-    # every node threshold lands on the budget or just above it (the valid
-    # side of the upper bound), never below
-    rm = rm_of_n(n)
-    inp = GaussBoundInput(n, 0.5, rm=rm)
-    mv = inp.sigma2 - inp.dstar
-    target = gauss._log_budget(inp) + float(log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv))
-    lo, hi = gauss._source_window(n, inp.sigma2, n * (inp.sigma2 + inp.delta))
-    nodes, _ = gl_panels(np.linspace(lo, hi, 4), 32)
+@pytest.mark.parametrize("rm_of_n", [None, lambda n: math.sqrt(2.0 * n), lambda n: 200.0], ids=["unbounded", "a2", "rm200"])
+def test_bounded_thresholds_valid_side(n, rm_of_n, monkeypatch):
+    # every node radius of either upper bound, unbounded or bounded codebook,
+    # lands on the budget or just above it (the valid side), never below
+    inp = GaussBoundInput(n, 0.5, rm=None if rm_of_n is None else rm_of_n(n))
+    nodes, res = _node_residuals(inp, monkeypatch)
     assert nodes.size == 96
-    t = gauss._bounded_radius(n, rm, mv, target, nodes)
-    res = log_prob_intersect_batch(n, rm, np.sqrt(nodes), t, mv) - target
     assert res.min() >= 0.0
     assert res.max() <= 1e-10
+
+
+def _dense_oracle(inp, panels=8):
+    """The upper bound's integrand on `panels` equal 32-node panels over the
+    source window, plus the same truncation remainders and eps term.  The
+    unbounded class's radii are solved in the noncentral chi-squared
+    variable, the bounded class's in the radius."""
+    n, s2, d, eps = inp.n, inp.sigma2, inp.dstar, inp.eps
+    mv, log_p0, x_hi = s2 - d, gauss._log_budget(inp), n * (s2 + inp.delta)
+    lo, hi = gauss._source_window(n, s2, x_hi)
+    x, w = gl_panels(np.linspace(lo, hi, panels + 1), 32)
+    a = 0.5 * n
+    if inp.rm is None:
+        lam = x / mv
+        y = bracket_solve(
+            lambda y, k: noncentral_chi2_log_cdf(n, lam[k], y) - log_p0,
+            np.zeros_like(lam),
+            n + lam + 10.0 * np.sqrt(2.0 * n + 4.0 * lam) + 10.0,
+        )
+        r2 = y * mv
+        eps_term = eps * (2.0 * s2 - d)
+    else:
+        rm, norm = inp.rm, np.sqrt(x)
+        log_cm = float(log_reg_gamma_lower(a, 0.5 * rm**2 / mv))
+        t = bracket_solve(
+            lambda t, k: log_prob_intersect_batch(n, rm, norm[k], t, mv) - log_cm - log_p0,
+            np.maximum(norm - rm, 0.0),
+            norm + rm,
+        )
+        r2 = t**2
+        eps_term = eps * s2 + eps * math.exp(-log_cm) * mv * float(reg_gamma_lower(a + 1.0, 0.5 * rm**2 / mv))
+    pdf = np.exp((a - 1.0) * np.log(x) - 0.5 * x / s2 - a * math.log(2.0 * s2) - math.lgamma(a))
+    main = float((pdf * np.minimum(x, r2) / n * w).sum())
+    below = float(reg_gamma_lower(a, 0.5 * lo / s2)) * lo / n
+    moment = lambda v: s2 * float(reg_gamma_upper(a + 1.0, 0.5 * v / s2))  # noqa: E731
+    return main + below + max(moment(hi) - moment(x_hi), 0.0) + moment(x_hi) + eps_term
+
+
+@pytest.mark.parametrize("n,alpha", [(1200, None), (1800, None), (1200, 2.0)])
+def test_upper_vs_dense_oracle_without_kink(n, alpha):
+    # at these n the kink of min(|x|^2, r^2) lies outside the source window,
+    # so the integrand is smooth there and 8 equal panels resolve it; the
+    # unbounded layout with one panel over most of the window came out up
+    # to 2.2e-7 too low here
+    inp = GaussBoundInput(n, 0.5, rm=None if alpha is None else math.sqrt(alpha * n))
+    bound = gauss.upper_bound_unbounded if alpha is None else gauss.upper_bound_bounded
+    assert bound(inp).value == pytest.approx(_dense_oracle(inp), rel=1e-11, abs=0)
 
 
 def test_truncated_nearest_prob_concentric():

@@ -46,7 +46,7 @@ def test_semiangle_tangencies():
 
 def test_semiangle_value():
     theta = _cap_angle(np.array([2.0]), np.array([1.0]), np.array([2.0]))
-    assert theta[0] == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14)
+    assert theta[0] == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +65,9 @@ def test_prob_diff_degenerate_cases():
 def test_prob_intersect_degenerate_cases():
     # concentric nested, disjoint, and C0 inside C1
     got = prob_intersect(5, 2.0, [0.0], [1.5])[0], prob_intersect(5, 1.0, [4.0], [1.0])[0]
-    assert got[0] == pytest.approx(chi2_cdf(5, 1.5**2), rel=1e-12)
+    assert got[0] == pytest.approx(chi2_cdf(5, 1.5**2), rel=1e-12, abs=0)
     assert got[1] == 0.0
-    assert prob_intersect(5, 0.7, [0.1], [3.0])[0] == pytest.approx(chi2_cdf(5, 0.49), rel=1e-12)
+    assert prob_intersect(5, 0.7, [0.1], [3.0])[0] == pytest.approx(chi2_cdf(5, 0.49), rel=1e-12, abs=0)
 
 
 def test_prob_additivity_random():
@@ -128,13 +128,13 @@ def test_vol_concentric_and_disjoint():
     assert vol_diff(4, 2.0, 1e-3, 1.0)[0] == 0.0
     assert vol_diff(4, 2.0, 0.5, 1.0)[0] == 0.0
     # C0 nested in C1 and disjoint balls
-    assert vol_diff(4, 0.5, 0.2, 1.5)[0] == pytest.approx(ball_volume(4, 1.5) - ball_volume(4, 0.5), rel=1e-12)
-    assert vol_diff(4, 1.0, 5.0, 1.5)[0] == pytest.approx(ball_volume(4, 1.5), rel=1e-12)
+    assert vol_diff(4, 0.5, 0.2, 1.5)[0] == pytest.approx(ball_volume(4, 1.5) - ball_volume(4, 0.5), rel=1e-12, abs=0)
+    assert vol_diff(4, 1.0, 5.0, 1.5)[0] == pytest.approx(ball_volume(4, 1.5), rel=1e-12, abs=0)
 
 
 def test_vol_lens_closed_form():
     # classical 3-D lens: r0 = c1 = r1 = 1 gives intersection 5 pi / 12
-    assert vol_diff(3, 1.0, 1.0, 1.0)[0] == pytest.approx(4 * math.pi / 3 - 5 * math.pi / 12, rel=1e-12)
+    assert vol_diff(3, 1.0, 1.0, 1.0)[0] == pytest.approx(4 * math.pi / 3 - 5 * math.pi / 12, rel=1e-12, abs=0)
 
 
 def test_vol_additivity_random():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdflb import special as sp
+from rdflb.quadrature import bracket_solve
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +183,13 @@ def test_noncentral_log_cdf_vectorized_matches_scalar_and_scipy():
 
 
 def _quantile(n, lam, p0):
-    # the batched threshold solve of the unbounded Gaussian upper bound
-    from rdflb.gauss import _unbounded_threshold
+    # x with ln CDF(x) >= ln p0, on the bracket of the unbounded Gaussian
+    # upper bound's radius solve, [0, n + lam + 10 sqrt(2n + 4 lam) + 10]
+    def gap(x, _lanes):
+        return sp.noncentral_chi2_log_cdf(n, lam, x) - math.log(p0)
 
-    return float(_unbounded_threshold(n, np.array([lam]), math.log(p0))[0])
+    hi = n + lam + 10.0 * math.sqrt(2.0 * n + 4.0 * lam) + 10.0
+    return float(bracket_solve(gap, 0.0, hi)[0])
 
 
 def test_quantile_roundtrips():
