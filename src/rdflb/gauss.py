@@ -10,7 +10,13 @@ where the integrand ends and taking the sup over a finite set of splits
 err low, the valid side; the quadrature errs either way, within 2e-12
 relative of a dense oracle where tested; the inf over a finite set of
 norms errs high and is the one step not certified (``lower_bound_detail``
-lists each step).
+lists each step).  The per-lane work, the crossing t_x(rho) and A(., rho)
+on the default panels, depends on (n, R, sigma2, t_end) and rho but never
+on rm, so it is solved once per norm value and shared by every codebook
+class with the same t_end (``_LaneTable``); t_end, the norm grid, the
+splits, the tail T beyond the split and the fine pass at the optimum
+depend on rm and belong to the class (``_Converse``).  A value does not
+depend on which classes ran before it.
 
 Upper bounds: one ordered-statistics integral, E[min(|x|^2, r(x)^2)]/n
 plus an eps term, for both codebook classes.  The covering radius r(x) is
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -291,8 +297,100 @@ def _captured_density(inp: GaussBoundInput, rho, t) -> np.ndarray:
     return np.maximum(0.0, _one_minus_k0(inp, t) - qk) * -np.expm1(-t)
 
 
+# panels per shell-mass call when lanes are laid out, 256 node rows: it
+# bounds the size of the shell-mass temporaries, and since rows are
+# independent it does not move a value
+_CHUNK = 256 // _NODES
+
+
+def _crossing(inp: GaussBoundInput, rho: np.ndarray, t_end: float) -> np.ndarray:
+    """t_x per lane, where ln Q + ln K_excess(t, rho) = ln(1 - K0(t)).
+
+    The gap ln Q K_excess - ln(1 - K0) rises with t wherever it was
+    probed, so f > 0 exactly below t_x; were it to fall again, the part of
+    f beyond t_x would be dropped, which errs low.  Every lane comes back
+    on its f = 0 side.  Lanes with f = 0 from t = 0 on get 0, lanes whose
+    gap stays negative up to t_end get t_end.
+    """
+    tx = np.full(rho.shape, t_end)
+    lanes = np.flatnonzero(rho > 0.0)
+
+    def gap(t, k):
+        with np.errstate(divide="ignore"):
+            return inp.log_q + _log_k_excess(inp, rho[lanes[k]], t) - np.log(_one_minus_k0(inp, t))
+
+    m = lanes.size
+    ends = gap(np.repeat([0.0, t_end], m), np.tile(np.arange(m), 2))
+    tx[lanes[ends[:m] >= 0.0]] = 0.0
+    lanes = lanes[(ends[:m] < 0.0) & (ends[m:] >= 0.0)]
+    if lanes.size:
+        tx[lanes] = bracket_solve(gap, np.zeros(lanes.size), np.full(lanes.size, t_end))
+    return tx
+
+
+def _lane_panels(inp: GaussBoundInput, rho: np.ndarray, tx: np.ndarray, panels=_PANELS, cuts=()) -> _Panels:
+    """A(., rho) per lane as panels on [0, t_x]; the lanes' nodes go through
+    the shell masses ``_CHUNK`` panels at a time."""
+    edges = [_panel_edges(0.0, x, np.append(_GRADING, _touch(inp, r)), panels, cuts) for r, x in zip(rho, tx)]
+    counts = np.array([e.size - 1 for e in edges])
+    lo = np.concatenate([e[:-1] for e in edges])
+    t, _ = gl_rule(lo, np.concatenate([e[1:] for e in edges]), _NODES)
+    rows = np.repeat(rho, counts)[:, None]
+    vals = [_captured_density(inp, rows[i : i + _CHUNK], t[i : i + _CHUNK]) for i in range(0, t.shape[0], _CHUNK)]
+    return _Panels(edges, np.concatenate(vals))
+
+
+class _LaneTable:
+    """The per-lane work of the converse, which depends on (n, R, sigma2,
+    t_end) and the norm rho, never on rm.
+
+    Per norm value it keeps the crossing t_x and A(., rho) on the default
+    panels without cuts, each solved once, for every codebook class with
+    this t_end.  ``lanes`` rebuilds the panels in the order asked for:
+    ``_Panels.below`` is a running sum across lanes, so the order sets its
+    last bits.
+    """
+
+    def __init__(self, inp: GaussBoundInput, t_end: float):
+        self.inp = inp
+        self.t_end = t_end
+        self._tx: dict[float, float] = {}
+        self._lanes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def crossing(self, rho: np.ndarray) -> np.ndarray:
+        """t_x per lane (``_crossing``); the norms not seen before are solved in one batch."""
+        new = np.array([r for r in dict.fromkeys(rho.tolist()) if r not in self._tx])
+        if new.size:
+            self._tx.update(zip(new.tolist(), _crossing(self.inp, new, self.t_end).tolist()))
+        return np.array([self._tx[r] for r in rho.tolist()])
+
+    def lanes(self, rho: np.ndarray) -> _Panels:
+        """A(., rho) per lane; the norms not seen before are laid out in one batch."""
+        new = np.array([r for r in dict.fromkeys(rho.tolist()) if r not in self._lanes])
+        if new.size:
+            p = _lane_panels(self.inp, new, self.crossing(new))
+            split = np.cumsum([e.size - 1 for e in p.edges])[:-1]
+            self._lanes.update(zip(new.tolist(), zip(p.edges, np.split(p.vals, split))))
+        edges, vals = zip(*(self._lanes[r] for r in rho.tolist()))
+        return _Panels(list(edges), np.concatenate(vals))
+
+
+@lru_cache(maxsize=16)
+def _lane_table(n: int, rate: float, sigma2: float, t_end: float) -> _LaneTable:
+    return _LaneTable(GaussBoundInput(n, rate, sigma2), t_end)
+
+
 class _Converse:
-    """Per-input pieces of the converse: the t range, the tail T and the coarse grids."""
+    """What the converse of one codebook class (n, R, sigma2, rm) holds of its own.
+
+    That is everything that depends on rm: t_end (doubled for a bounded
+    class until 1 - Gamma is negligible), the coarse norm grid (capped at
+    rm), the splits, the tail T with its anchors (the kinks from
+    ``_cap_kinks`` among them) and the fine pass at the optimum, and
+    ``detail``, the class's solved converse.  The per-lane work comes from
+    ``shared``, the lane table of (n, R, sigma2, t_end), which every class
+    with the same t_end reads.
+    """
 
     def __init__(self, inp: GaussBoundInput):
         self.inp = inp
@@ -305,6 +403,7 @@ class _Converse:
                     break
                 t_end *= 2.0
         self.t_end = t_end
+        self.shared = _lane_table(n, inp.rate, s2, t_end)
         rho_typ = math.sqrt(n * (s2 - d))
         r_cap = inp.rm if inp.rm is not None else 10.0 * rho_typ
         grid = rho_typ * _RHO_GRID
@@ -316,42 +415,6 @@ class _Converse:
             probe = np.append(0.0, self.splits)
             self.tail_anchors = np.concatenate([self.splits, [_touch(inp, inp.rm)], _cap_kinks(inp, probe)])
             self.tail_panels = self.tail(_TAIL_PANELS)
-
-    def crossing(self, rho: np.ndarray) -> np.ndarray:
-        """t_x per lane, where ln Q + ln K_excess(t, rho) = ln(1 - K0(t)).
-
-        The gap ln Q K_excess - ln(1 - K0) rises with t wherever it was
-        probed, so f > 0 exactly below t_x; were it to fall again, the part of
-        f beyond t_x would be dropped, which errs low.  Every lane comes back
-        on its f = 0 side.  Lanes with f = 0 from t = 0 on get 0, lanes whose
-        gap stays negative up to t_end get t_end.
-        """
-        inp = self.inp
-        tx = np.full(rho.shape, self.t_end)
-        lanes = np.flatnonzero(rho > 0.0)
-
-        def gap(t, k):
-            with np.errstate(divide="ignore"):
-                return inp.log_q + _log_k_excess(inp, rho[lanes[k]], t) - np.log(_one_minus_k0(inp, t))
-
-        m = lanes.size
-        ends = gap(np.repeat([0.0, self.t_end], m), np.tile(np.arange(m), 2))
-        tx[lanes[ends[:m] >= 0.0]] = 0.0
-        lanes = lanes[(ends[:m] < 0.0) & (ends[m:] >= 0.0)]
-        if lanes.size:
-            tx[lanes] = bracket_solve(gap, np.zeros(lanes.size), np.full(lanes.size, self.t_end))
-        return tx
-
-    def lanes(self, rho: np.ndarray, tx: np.ndarray, panels=_PANELS, cuts=()) -> _Panels:
-        """A(., rho) per lane as panels on [0, t_x]; every lane's nodes go
-        through one shell-mass call."""
-        edges = [
-            _panel_edges(0.0, x, np.append(_GRADING, _touch(self.inp, r)), panels, cuts) for r, x in zip(rho, tx)
-        ]
-        counts = np.array([e.size - 1 for e in edges])
-        lo = np.concatenate([e[:-1] for e in edges])
-        t, _ = gl_rule(lo, np.concatenate([e[1:] for e in edges]), _NODES)
-        return _Panels(edges, _captured_density(self.inp, np.repeat(rho, counts)[:, None], t))
 
     def tail(self, panels: int, cuts=()) -> _Panels:
         """(1 - Gamma)(1 - e^-t) as panels on [0, t_end], anchored at the
@@ -369,15 +432,44 @@ class _Converse:
             return a
         return a + _tail_above(self.tail_panels, splits)
 
+    @cached_property
+    def detail(self) -> tuple[float, float, float, float]:
+        """``lower_bound_detail`` of this class, solved once."""
+        rho, splits = self.rho, self.splits
+        for _ in range(_ROUNDS):
+            v = self.objective(self.shared.lanes(rho), splits)
+            j = int(np.argmax(v.min(axis=0)))
+            best = int(np.argmin(v[:, j]))
+            rho = np.concatenate([rho, _zoom(rho, best, _ROUND_RHO)])
+            if self.inp.rm is not None:
+                splits = np.union1d(splits, _zoom(splits, j, _ROUND_SPLITS))
+        v = self.objective(self.shared.lanes(rho), splits)
+        j = int(np.argmax(v.min(axis=0)))
+        best = int(np.argmin(v[:, j]))
+        s, r = float(splits[j]), float(rho[best])
+        # the optimum again, on twice the panels and with the split as an edge
+        one = np.array([r])
+        fine = float(_lane_panels(self.inp, one, self.shared.crossing(one), 2 * _PANELS, [s]).at(s)[0, 0])
+        if self.inp.rm is not None:
+            fine += float(_tail_above(self.tail(2 * _TAIL_PANELS, [s]), s)[0, 0])
+        best_val = max(min(float(v[best, j]), fine), 0.0)
+        d = self.inp.dstar
+        return d * (1.0 + 2.0 * best_val / self.inp.n), best_val, s + math.expm1(-s), r
+
 
 def _tail_above(tail: _Panels, s) -> np.ndarray:
     """T(s), the tail's integral from s to t_end."""
     return tail.at(tail.edges[0][-1]) - tail.at(s)
 
 
-@lru_cache(maxsize=16)
 def _table(inp: GaussBoundInput) -> _Converse:
-    return _Converse(inp)
+    """The class table of inp, keyed on (n, R, sigma2, rm): eps and delta do not enter the converse."""
+    return _class_table(inp.n, inp.rate, inp.sigma2, inp.rm)
+
+
+@lru_cache(maxsize=16)
+def _class_table(n: int, rate: float, sigma2: float, rm: float | None) -> _Converse:
+    return _Converse(GaussBoundInput(n, rate, sigma2, rm))
 
 
 def delta_hat(mu0: float, r: float, inp: GaussBoundInput) -> float:
@@ -390,7 +482,8 @@ def delta_hat(mu0: float, r: float, inp: GaussBoundInput) -> float:
     cv = _table(inp)
     rho = np.array([float(r)])
     t0 = min(exp_gap_inverse(mu0), cv.t_end)
-    return float(cv.objective(cv.lanes(rho, cv.crossing(rho), cuts=[t0]), np.array([t0]))[0, 0])
+    lanes = _lane_panels(inp, rho, cv.shared.crossing(rho), cuts=[t0])
+    return float(cv.objective(lanes, np.array([t0]))[0, 0])
 
 
 def _zoom(points: np.ndarray, best: int, m: int) -> np.ndarray:
@@ -401,19 +494,23 @@ def _zoom(points: np.ndarray, best: int, m: int) -> np.ndarray:
 
 
 def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float]:
-    """(bound, sup-inf value, argmax mu0, argmin r).
+    """(bound, sup-inf value, argmax mu0, argmin r), all plain floats.
 
     The value is sup over the split mu0 of inf over the codeword norm rho of
     Delta(mu0, rho) = A(mu0, rho) + T(mu0): A integrates f(t, rho) dmu up to
     the split, T integrates 1 - Gamma beyond it (dmu = (1 - e^-t) dt; T = 0
-    for the unbounded class, whose only split is t_end).  Each step, and the
-    side it errs on:
+    for the unbounded class, whose only split is t_end).  A's lanes (t_x
+    and the default panels per norm) do not depend on rm and are shared by
+    every class with the same t_end (``_LaneTable``); t_end, the norm grid,
+    the splits, T and the fine pass belong to the class (``_Converse``).
+    The value does not depend on which classes ran before.  Each step, and
+    the side it errs on:
 
     * t is cut at t_end, where the origin ball holds all but about 1e-13 of
       the mass (and 1 - Gamma < 1e-13): the dropped integrand is >= 0, so
       the cut errs low, the valid side.
     * Per norm lane, one ``bracket_solve`` finds t_x, past which f = 0 (see
-      ``_Converse.crossing``), so A's panels cover f's whole support.
+      ``_crossing``), so A's panels cover f's whole support.
     * A and T are Gauss-Legendre sums on panels whose edges hold the kinks:
       t_x and the touch point of C_j and C0 for f; the rm codeword's touch
       point and the crossings of r_n and c1 + r1 for 1 - Gamma.  A split
@@ -428,31 +525,7 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
       the curvature in rho times the squared final spacing.  It is not
       certified.
     """
-    cv = _table(inp)
-    rho, splits = cv.rho, cv.splits
-    tx = cv.crossing(rho)
-    lanes = cv.lanes(rho, tx)
-    for _ in range(_ROUNDS):
-        v = cv.objective(lanes, splits)
-        j = int(np.argmax(v.min(axis=0)))
-        best = int(np.argmin(v[:, j]))
-        new_rho = _zoom(rho, best, _ROUND_RHO)
-        new_tx = cv.crossing(new_rho)
-        lanes = lanes + cv.lanes(new_rho, new_tx)
-        rho, tx = np.concatenate([rho, new_rho]), np.concatenate([tx, new_tx])
-        if inp.rm is not None:
-            splits = np.union1d(splits, _zoom(splits, j, _ROUND_SPLITS))
-    v = cv.objective(lanes, splits)
-    j = int(np.argmax(v.min(axis=0)))
-    best = int(np.argmin(v[:, j]))
-    s = splits[j]
-    fine = cv.lanes(rho[best : best + 1], tx[best : best + 1], 2 * _PANELS, [s])
-    fine_val = float(fine.at(s)[0, 0])
-    if inp.rm is not None:
-        fine_val += float(_tail_above(cv.tail(2 * _TAIL_PANELS, [s]), s)[0, 0])
-    best_val = max(min(float(v[best, j]), fine_val), 0.0)
-    d = inp.dstar
-    return d * (1.0 + 2.0 * best_val / inp.n), best_val, s + math.expm1(-s), float(rho[best])
+    return _table(inp).detail
 
 
 def lower_bound(inp: GaussBoundInput) -> float:

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from rdflb import bns, bss, svg
-from rdflb.cli import main
-from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
+from rdflb import bns, bss, gauss, svg
+from rdflb.cli import _fmt, main
+from rdflb.ratedistortion import BinaryNonSymmetricSource, GaussianSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
 
 P, RATE, EPS, REF_RATE = 0.25, 0.3, 0.01, 0.25
@@ -79,6 +80,32 @@ def test_curve_gauss_input_errors_exit_2(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
     assert not out.exists()
+
+
+GAUSS_CURVE = ["curve", "gauss", "--rate", "0.5", "--eps", "0.005", "--alpha", "2", "--unbounded", "--n", "16:32:16"]
+
+
+def test_curve_gauss_cells_match_direct_calls(tmp_path):
+    # the CLI runs the alpha = 2 class first, and the unbounded one reads
+    # its shared norm lanes; every cell must still be the cold value
+    one, two = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
+    assert main(GAUSS_CURVE + ["--jobs", "1", "--out", str(one)]) == 0
+    assert main(GAUSS_CURVE + ["--jobs", "2", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    rows = list(csv.DictReader(one.read_text(encoding="utf-8").splitlines()[1:]))
+    assert [row["n"] for row in rows] == ["16", "32"]
+    dstar = solve(GaussianSource(1.0), 0.5).dstar
+    for row in rows:
+        n = int(row["n"])
+        want = {"n": str(n), "asymptote": _fmt(dstar)}
+        for tag, rm in (("a2", math.sqrt(2.0 * n)), ("unbounded", None)):
+            gauss._class_table.cache_clear()
+            gauss._lane_table.cache_clear()
+            inp = gauss.GaussBoundInput(n, 0.5, rm=rm, eps=0.005)
+            upper = gauss.upper_bound_unbounded(inp) if rm is None else gauss.upper_bound_bounded(inp)
+            want[f"lower_{tag}"] = _fmt(gauss.lower_bound(inp))
+            want[f"upper_os_0.005_{tag}"] = _fmt(upper.value)
+        assert row == want
 
 
 def test_import_loads_no_heavy_scipy_modules():

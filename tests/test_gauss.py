@@ -6,7 +6,7 @@ import pytest
 
 from rdflb import gauss
 from rdflb.gauss import GaussBoundInput
-from rdflb.geometry import log_prob_intersect_batch
+from rdflb.geometry import log_prob_intersect_batch, log_shell_mass_batch
 from rdflb.quadrature import bracket_solve, gl_panels
 from rdflb.special import (
     chi2_cdf,
@@ -142,10 +142,15 @@ def test_delta_hat_domain():
 # lower bound
 # ---------------------------------------------------------------------------
 
+def _class(n, alpha=None):
+    """The codebook class at R = 1/2, sigma2 = 1, rm^2 = alpha n (unbounded for None)."""
+    return GaussBoundInput(n, 0.5, rm=None if alpha is None else math.sqrt(alpha * n))
+
+
 @lru_cache(maxsize=None)
 def _detail(n, alpha=None):
-    """lower_bound_detail at R = 1/2, sigma2 = 1, rm^2 = alpha n; shared by the tests."""
-    return gauss.lower_bound_detail(GaussBoundInput(n, 0.5, rm=None if alpha is None else math.sqrt(alpha * n)))
+    """lower_bound_detail of ``_class(n, alpha)``; shared by the tests."""
+    return gauss.lower_bound_detail(_class(n, alpha))
 
 
 def test_lower_bound_dominates_asymptote():
@@ -200,11 +205,67 @@ def test_crossing_ends_the_support_of_f():
     inp = GaussBoundInput(64, 0.5)
     cv = gauss._table(inp)
     rho = np.array([2.0, 5.3, 8.0])
-    tx = cv.crossing(rho)
+    tx = cv.shared.crossing(rho)
     for r, x in zip(rho, tx):
         below = gauss._captured_density(inp, r, np.linspace(0.05, 0.999, 8) * x)
         beyond = gauss._captured_density(inp, r, x + np.geomspace(1e-6, cv.t_end - x, 8))
         assert (below > 0.0).all() and (beyond == 0.0).all()
+
+
+def _cold():
+    """Drop every converse table, so the next call solves all of its lanes."""
+    gauss._class_table.cache_clear()
+    gauss._lane_table.cache_clear()
+
+
+def _count_shell_mass(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return log_shell_mass_batch(*args, **kwargs)
+
+    monkeypatch.setattr(gauss, "log_shell_mass_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("alpha", [2.0, 0.5, 0.3])
+def test_lower_bound_same_cold_or_warm_in_either_order(n, alpha):
+    # the classes share their norm lanes; no value may depend on which ran first
+    bounded, unbounded = _class(n, alpha), _class(n, None)
+    _cold()
+    bounded_cold = gauss.lower_bound_detail(bounded)
+    unbounded_warm = gauss.lower_bound_detail(unbounded)
+    _cold()
+    unbounded_cold = gauss.lower_bound_detail(unbounded)
+    bounded_warm = gauss.lower_bound_detail(bounded)
+    assert bounded_warm == bounded_cold
+    assert unbounded_warm == unbounded_cold
+
+
+def test_unbounded_converse_reads_the_lanes_of_the_alpha_2_class(monkeypatch):
+    # at n = 64 every norm lane of the alpha = 2 converse is one of the
+    # unbounded converse's, which cold makes about 95 shell-mass calls
+    _cold()
+    gauss.lower_bound(_class(64, 2.0))
+    calls = _count_shell_mass(monkeypatch)
+    gauss.lower_bound(_class(64, None))
+    assert 0 < calls[0] <= 15
+
+
+def test_lower_bound_ignores_eps_and_delta(monkeypatch):
+    # the converse reads neither, so another eps or delta reuses its tables
+    base = gauss.lower_bound(GaussBoundInput(64, 0.5))
+    calls = _count_shell_mass(monkeypatch)
+    assert gauss.lower_bound(GaussBoundInput(64, 0.5, eps=0.01)) == base
+    assert gauss.lower_bound(GaussBoundInput(64, 0.5, delta=2.0)) == base
+    assert calls[0] == 0
+
+
+def test_lower_bound_detail_returns_plain_floats():
+    for alpha in (None, 2.0):
+        assert [type(x) for x in gauss.lower_bound_detail(_class(16, alpha))] == [float] * 4
 
 
 # ---------------------------------------------------------------------------
