@@ -9,16 +9,12 @@ per-family bounds and experiments.
 
 from . import bns, bss, gauss, geometry, logdomain, quadrature, ratedistortion, simulate, special
 from .logdomain import log_binomial
-from .quadrature import find_root
 from .ratedistortion import (
     BinaryNonSymmetricSource,
     BinarySymmetricSource,
-    DiscreteChannel,
     GaussianSource,
     RdSolution,
     SourceModel,
-    blahut_arimoto,
-    kkt_residual,
     solve,
 )
 from .simulate import (
@@ -28,16 +24,13 @@ from .simulate import (
     duality_error_prob,
     exact_distortion,
     mc_mean_distortion,
-    quantize,
 )
 from .special import (
     binary_entropy,
-    chi2_cdf,
     exp_gap_inverse,
     inverse_binary_entropy,
     log_unit_ball_volume,
     log_unit_sphere_area,
-    noncentral_chi2_cdf,
 )
 
 __version__ = "0.1.0"

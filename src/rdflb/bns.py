@@ -29,8 +29,6 @@ from .special import binary_entropy_nats
 
 __all__ = [
     "OrderedStatsBound",
-    "WeightProfile",
-    "weight_distance_pmf",
     "hamming_ball_threshold",
     "log_q_minus",
     "lower_bound",
@@ -64,10 +62,9 @@ class OrderedStatsBound:
         return self.value
 
 
-def log_q_minus(n: float, rate: float, shift: int = 1) -> float:
-    """ln(2**(n R) - shift), stable for huge n R."""
-    lq = n * rate * _LN2
-    return log_diff(lq, math.log(shift)) if shift else lq
+def log_q_minus(n: float, rate: float) -> float:
+    """ln(2**(n R) - 1), stable for huge n R."""
+    return log_diff(n * rate * _LN2, 0.0)
 
 
 def _log_one_minus_inv_q_pow(n: int, rate: float) -> float:
@@ -89,21 +86,6 @@ def hamming_ball_threshold(log_masses: np.ndarray, log_budget: float) -> tuple[i
     cum = np.logaddexp.accumulate(log_masses)
     d = int(np.searchsorted(cum, log_budget, side="right"))
     return d, log_diff(log_budget, cum[d - 1]) if d else log_budget
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """Distribution of the Hamming distance n*d(x, y) for a weight-w word x
-    against a codeword with i.i.d. Bernoulli(z) bits."""
-
-    n: int
-    w: int
-    z: float
-    log_pmf: np.ndarray  # index d = 0..n
-
-    @property
-    def pmf(self) -> np.ndarray:
-        return np.exp(self.log_pmf)
 
 
 def _mismatch_parts(n: int, w: int, z: float):
@@ -139,15 +121,6 @@ def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) ->
         inside = (j >= 0) & (j <= n - w)
         law[cols] = logsumexp(np.where(inside, ones[i] + zeros[np.clip(j, 0, n - w)], LOG_ZERO), axis=1)
     return law
-
-
-def weight_distance_pmf(n: int, w: int, z: float) -> WeightProfile:
-    """P(n d(x,y) = d) for weight-w x, codeword bits i.i.d. Bernoulli(z)."""
-    if not 0 <= w <= n:
-        raise ValueError(f"need 0 <= w <= n, got w={w}, n={n}")
-    if not 0.0 < z < 1.0:
-        raise ValueError(f"need 0 < z < 1, got {z}")
-    return WeightProfile(n, w, z, _log_distance_law(n, w, z))
 
 
 def _check(n: int, rate: float, p: float) -> None:
@@ -226,7 +199,7 @@ def upper_bound_os(n: int, rate: float, p: float, eps: float) -> OrderedStatsBou
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     z = solve(BinaryNonSymmetricSource(p), rate).marginal_one_prob
-    log_budget = math.log(math.log(1.0 / eps)) - log_q_minus(n, rate, 1)
+    log_budget = math.log(math.log(1.0 / eps)) - log_q_minus(n, rate)
     if log_budget > 0.0:
         return OrderedStatsBound((1.0 - eps) + eps / 2.0, n, degenerate=True)
     weights, logw, log_tail = _weight_window(n, p)

@@ -11,6 +11,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import bns, bss, gauss
 from .ratedistortion import (
     BinaryNonSymmetricSource,
@@ -62,30 +64,10 @@ def _read_config(path: str) -> dict[str, str]:
 # curve
 # ---------------------------------------------------------------------------
 
-def _curve_columns(args) -> list[str]:
-    cols = ["n", "asymptote"]
-    if args.family == "gauss":
-        tags = [f"a{a:g}" for a in (args.alpha or [])]
-        if args.unbounded or not tags:
-            tags.append("unbounded")
-        for tag in tags:
-            cols.append(f"lower_{tag}")
-            for eps in args.eps or []:
-                cols.append(f"upper_os_{eps:g}_{tag}")
-    else:
-        cols.append("lower")
-        for eps in args.eps or []:
-            cols.append(f"upper_os_{eps:g}")
-        for r0 in args.ref_rate or []:
-            cols.append(f"upper_rr_{r0:g}")
-        if args.legacy_eps is not None:
-            for r0 in args.ref_rate or []:
-                cols.append(f"upper_legacy_{r0:g}")
-    return cols
-
-
 def _curve_row(task: dict) -> tuple[dict, list[str]]:
     """One CSV row; separated out so rows can run in worker processes.
+
+    The row's keys, in insertion order, are the CSV's columns.
 
     A bound that rejects its input (ValueError) is re-raised with the row's n.
     """
@@ -211,7 +193,7 @@ def cmd_curve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cols = _curve_columns(args)
+    cols = list(results[0][0])
     any_flags = any(flags for _, flags in results)
     params = (
         f"family={args.family} rate={args.rate} n={args.n} p={args.p} sigma2={args.sigma2} "
@@ -274,8 +256,6 @@ def cmd_validate(args) -> int:
         lines.append(f"sandwich_pass={'true' if sandwich else 'false'}")
         ok = sandwich
         if args.family == "bss":
-            import numpy as np
-
             q = cfg.codebook_size
             rng = _chunk_rng(args.seed, 2**32)
             worst_id = 0.0

@@ -10,13 +10,13 @@ where the integrand ends and taking the sup over a finite set of splits
 err low, the valid side; the quadrature errs either way, within 2e-12
 relative of a dense oracle where tested; the inf over a finite set of
 norms errs high and is the one step not certified (``lower_bound_detail``
-lists each step).  The per-lane work, the crossing t_x(rho) and A(., rho)
-on the default panels, depends on (n, R, sigma2, t_end) and rho but never
-on rm, so it is solved once per norm value and shared by every codebook
-class with the same t_end (``_LaneTable``); t_end, the norm grid, the
-splits, the tail T beyond the split and the fine pass at the optimum
-depend on rm and belong to the class (``_Converse``).  A value does not
-depend on which classes ran before it.
+lists each step).  The cut t_end and the per-lane work, the crossing
+t_x(rho) and A(., rho) on the default panels, depend on (n, R, sigma2) and
+rho but never on rm, so they are solved once per norm value and shared by
+every codebook class (``_LaneTable``); the norm grid, the splits, the tail
+T beyond the split and the fine pass at the optimum depend on rm and
+belong to the class (``_Converse``).  A value does not depend on which
+classes ran before it.
 
 Upper bounds: one ordered-statistics integral, E[min(|x|^2, r(x)^2)]/n
 plus an eps term, for both codebook classes.  The covering radius r(x) is
@@ -262,9 +262,6 @@ class _Panels:
         below = np.cumsum(seg) - seg
         self.below = below - np.repeat(below[self.first], counts)
 
-    def __add__(self, other: "_Panels") -> "_Panels":
-        return _Panels(self.edges + other.edges, np.concatenate([self.vals, other.vals]))
-
     def at(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         p = self.first[:, None] + np.array(
@@ -341,19 +338,26 @@ def _lane_panels(inp: GaussBoundInput, rho: np.ndarray, tx: np.ndarray, panels=_
 
 
 class _LaneTable:
-    """The per-lane work of the converse, which depends on (n, R, sigma2,
-    t_end) and the norm rho, never on rm.
+    """The cut t_end and the per-lane work of the converse, which depend on
+    (n, R, sigma2) and the norm rho, never on rm.
+
+    t_end puts the origin ball's squared radius, over sigma2, at chi2_n's
+    point n + 12 sqrt(2n) + 60.  That is beyond n + 2 sqrt(30 n) + 60, whose
+    tail Laurent & Massart (2000, Lemma 1, x = 30) bound by e^-30, so
+    1 - K0(t_end) <= e^-30, about 9.4e-14, for every n.  Every class shares
+    it: its 1 - Gamma is at most 1 - K0, since r_E >= r0 (r_n's ball holds
+    C0's volume, and c1 + r1 >= r1 >= r0).
 
     Per norm value it keeps the crossing t_x and A(., rho) on the default
-    panels without cuts, each solved once, for every codebook class with
-    this t_end.  ``lanes`` rebuilds the panels in the order asked for:
-    ``_Panels.below`` is a running sum across lanes, so the order sets its
-    last bits.
+    panels without cuts, each solved once, for every codebook class.
+    ``lanes`` rebuilds the panels in the order asked for: ``_Panels.below``
+    is a running sum across lanes, so the order sets its last bits.
     """
 
-    def __init__(self, inp: GaussBoundInput, t_end: float):
+    def __init__(self, inp: GaussBoundInput):
         self.inp = inp
-        self.t_end = t_end
+        n, s2, d = inp.n, inp.sigma2, inp.dstar
+        self.t_end = (s2 - d) / (2.0 * d) * (n + 12.0 * math.sqrt(2.0 * n) + 60.0)
         self._tx: dict[float, float] = {}
         self._lanes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -376,34 +380,26 @@ class _LaneTable:
 
 
 @lru_cache(maxsize=16)
-def _lane_table(n: int, rate: float, sigma2: float, t_end: float) -> _LaneTable:
-    return _LaneTable(GaussBoundInput(n, rate, sigma2), t_end)
+def _lane_table(n: int, rate: float, sigma2: float) -> _LaneTable:
+    return _LaneTable(GaussBoundInput(n, rate, sigma2))
 
 
 class _Converse:
     """What the converse of one codebook class (n, R, sigma2, rm) holds of its own.
 
-    That is everything that depends on rm: t_end (doubled for a bounded
-    class until 1 - Gamma is negligible), the coarse norm grid (capped at
+    That is everything that depends on rm: the coarse norm grid (capped at
     rm), the splits, the tail T with its anchors (the kinks from
     ``_cap_kinks`` among them) and the fine pass at the optimum, and
-    ``detail``, the class's solved converse.  The per-lane work comes from
-    ``shared``, the lane table of (n, R, sigma2, t_end), which every class
-    with the same t_end reads.
+    ``detail``, the class's solved converse.  t_end and the per-lane work
+    come from ``shared``, the lane table of (n, R, sigma2), which every
+    class reads.
     """
 
     def __init__(self, inp: GaussBoundInput):
         self.inp = inp
         n, s2, d = inp.n, inp.sigma2, inp.dstar
-        # t where the origin ball has swallowed all but 1e-13 of the mass
-        t_end = (s2 - d) / (2.0 * d) * (n + 12.0 * math.sqrt(2.0 * n) + 60.0)
-        if inp.rm is not None:
-            for _ in range(80):
-                if _one_minus_gamma(inp, np.array([t_end]))[0] < 1e-13:
-                    break
-                t_end *= 2.0
-        self.t_end = t_end
-        self.shared = _lane_table(n, inp.rate, s2, t_end)
+        self.shared = _lane_table(n, inp.rate, s2)
+        self.t_end = t_end = self.shared.t_end
         rho_typ = math.sqrt(n * (s2 - d))
         r_cap = inp.rm if inp.rm is not None else 10.0 * rho_typ
         grid = rho_typ * _RHO_GRID
@@ -499,16 +495,17 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
     The value is sup over the split mu0 of inf over the codeword norm rho of
     Delta(mu0, rho) = A(mu0, rho) + T(mu0): A integrates f(t, rho) dmu up to
     the split, T integrates 1 - Gamma beyond it (dmu = (1 - e^-t) dt; T = 0
-    for the unbounded class, whose only split is t_end).  A's lanes (t_x
-    and the default panels per norm) do not depend on rm and are shared by
-    every class with the same t_end (``_LaneTable``); t_end, the norm grid,
-    the splits, T and the fine pass belong to the class (``_Converse``).
+    for the unbounded class, whose only split is t_end).  t_end and A's
+    lanes (t_x and the default panels per norm) do not depend on rm and are
+    shared by every class (``_LaneTable``); the norm grid, the splits, T and
+    the fine pass belong to the class (``_Converse``).
     The value does not depend on which classes ran before.  Each step, and
     the side it errs on:
 
-    * t is cut at t_end, where the origin ball holds all but about 1e-13 of
-      the mass (and 1 - Gamma < 1e-13): the dropped integrand is >= 0, so
-      the cut errs low, the valid side.
+    * t is cut at t_end, where the origin ball holds all but at most e^-30
+      (about 9.4e-14) of the mass, and 1 - Gamma <= 1 - K0 (see
+      ``_LaneTable``): the dropped integrand is >= 0, so the cut errs low,
+      the valid side.
     * Per norm lane, one ``bracket_solve`` finds t_x, past which f = 0 (see
       ``_crossing``), so A's panels cover f's whole support.
     * A and T are Gauss-Legendre sums on panels whose edges hold the kinks:

@@ -25,6 +25,9 @@ from .special import log_cone_area, log_reg_gamma_lower, log_reg_inc_beta, log_u
 
 __all__ = ["log_shell_mass_batch", "log_prob_intersect_batch", "log_vol_diff_vec"]
 
+# Gauss-Legendre nodes per panel of the cap-shell quadrature
+_NODES = 16
+
 
 # ---------------------------------------------------------------------------
 # batched radial integrals
@@ -64,7 +67,7 @@ def _log_full_shell(n, a, b, sigma2):
     return _log_diff_vec(lvb, lva)
 
 
-def _cap_half_quadrature(n, edge, far, c1, r1, sigma2, from_left, nodes):
+def _cap_half_quadrature(n, edge, far, c1, r1, sigma2, from_left):
     """Quadrature for the cap shell between edge and far, substituting
     r = edge +- u**2 so the sqrt behavior of theta at tangency is analytic.
 
@@ -86,7 +89,7 @@ def _cap_half_quadrature(n, edge, far, c1, r1, sigma2, from_left, nodes):
         [np.zeros((rows, 1)), np.sort(np.concatenate([u_splits, frac], axis=1), axis=1), u_max[:, None]],
         axis=1,
     )
-    x, w = gl_nodes(nodes)
+    x, w = gl_nodes(_NODES)
     a = edges_u[:, :-1]
     b = edges_u[:, 1:]
     half = 0.5 * (b - a)
@@ -122,7 +125,6 @@ def log_shell_mass_batch(
     c1: np.ndarray,
     r1: np.ndarray,
     sigma2: float | None,
-    nodes_per_panel: int = 16,
 ) -> np.ndarray:
     """ln of integral_lo^hi [density] r^(n-1) Omega_n(theta(r)) dr, per row.
 
@@ -153,8 +155,8 @@ def log_shell_mass_batch(
     peak = math.sqrt(sigma2 * max(n - 1, 1)) if sigma2 is not None else 0.0
     mid = np.clip(peak, cap_lo + 0.05 * width, cap_hi - 0.05 * width)
 
-    left = _cap_half_quadrature(n, cap_lo, mid, c1, r1, sigma2, np.ones_like(cap_lo, bool), nodes_per_panel)
-    right = _cap_half_quadrature(n, cap_hi, mid, c1, r1, sigma2, np.zeros_like(cap_lo, bool), nodes_per_panel)
+    left = _cap_half_quadrature(n, cap_lo, mid, c1, r1, sigma2, np.ones_like(cap_lo, bool))
+    right = _cap_half_quadrature(n, cap_hi, mid, c1, r1, sigma2, np.zeros_like(cap_lo, bool))
     log_cap = logsumexp(np.concatenate([left, right], axis=1), axis=1)
     log_cap = np.where(has_cap, log_cap, LOG_ZERO)
 

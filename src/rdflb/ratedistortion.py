@@ -1,4 +1,4 @@
-"""Asymptotic rate-distortion operating points and a Blahut-Arimoto oracle.
+"""Asymptotic rate-distortion operating points.
 
 Unit conventions: rates are in bits at every public interface; the dual
 slope lambda_hat (= -dD/dR) is stored in nats so that residues, which are
@@ -8,13 +8,10 @@ accumulated in nats, convert to distortion with a single multiply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
-from .special import binary_entropy, binary_entropy_nats, inverse_binary_entropy
-from .quadrature import find_root
+from .special import binary_entropy, inverse_binary_entropy
 
 __all__ = [
     "BinarySymmetricSource",
@@ -23,14 +20,7 @@ __all__ = [
     "SourceModel",
     "RdSolution",
     "solve",
-    "DiscreteChannel",
-    "blahut_arimoto",
-    "kkt_residual",
-    "KktReport",
 ]
-
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class BinarySymmetricSource:
@@ -94,14 +84,10 @@ def solve(source: SourceModel, rate: float) -> RdSolution:
     if not 0.0 < rate < source_entropy_bits(source):
         raise ValueError(f"rate {rate} outside (0, source entropy)")
 
-    if isinstance(source, BinarySymmetricSource):
-        q0 = inverse_binary_entropy(1.0 - rate)
-        lam = 1.0 / math.log((1.0 - q0) / q0)
-        return RdSolution(source, rate, q0, lam, marginal_one_prob=0.5)
-
-    if isinstance(source, BinaryNonSymmetricSource):
-        p = source.p
-        d = find_root(lambda t: binary_entropy(p) - binary_entropy(t) - rate, 1e-300, p, tol=1e-16)
+    if not isinstance(source, GaussianSource):
+        # the reconstruction marginal z; at p = 1/2 both differences round alike, so z is exactly 1/2
+        p = source.p if isinstance(source, BinaryNonSymmetricSource) else 0.5
+        d = inverse_binary_entropy(source_entropy_bits(source) - rate)
         z = (p - d) / (1.0 - 2.0 * d)
         lam = 1.0 / math.log((1.0 - d) / d)
         return RdSolution(source, rate, d, lam, marginal_one_prob=z)
@@ -109,128 +95,3 @@ def solve(source: SourceModel, rate: float) -> RdSolution:
     d = source.sigma2 * 2.0 ** (-2.0 * rate)
     # D(R) = sigma2 exp(-2 R_nats)  =>  -dD/dR_nats = 2 D
     return RdSolution(source, rate, d, 2.0 * d, marginal_variance=source.sigma2 - d)
-
-
-# ---------------------------------------------------------------------------
-# discrete Blahut-Arimoto solver (KKT verification oracle)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DiscreteChannel:
-    """Finite-alphabet test channel: input pmf, distortion matrix, q(y|x)."""
-
-    px: np.ndarray
-    dmat: np.ndarray
-    qyx: np.ndarray
-
-    def __post_init__(self):
-        self.px = np.asarray(self.px, dtype=float)
-        self.dmat = np.asarray(self.dmat, dtype=float)
-        self.qyx = np.asarray(self.qyx, dtype=float)
-        if self.dmat.shape != (self.px.size, self.qyx.shape[1]):
-            raise ValueError("shape mismatch between px, dmat, qyx")
-        if np.any(self.dmat < 0) or np.any(self.qyx < 0):
-            raise ValueError("distortions and probabilities must be >= 0")
-        if np.max(np.abs(self.qyx.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("rows of q(y|x) must sum to 1")
-
-    @property
-    def qy(self) -> np.ndarray:
-        return self.px @ self.qyx
-
-    def mutual_information_nats(self) -> float:
-        qy = self.qy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.log(self.qyx / qy[None, :])
-        terms = self.px[:, None] * self.qyx * np.where(self.qyx > 0, ratio, 0.0)
-        return float(terms.sum())
-
-    def distortion(self) -> float:
-        return float((self.px[:, None] * self.qyx * self.dmat).sum())
-
-
-@dataclass
-class BaResult:
-    channel: DiscreteChannel
-    rate: float          # bits
-    distortion: float
-    iterations: int
-    converged: bool
-    residual: float
-
-
-def blahut_arimoto(
-    px: np.ndarray,
-    dmat: np.ndarray,
-    slope: float,
-    max_iter: int = 200_000,
-    tol: float = 1e-12,
-) -> BaResult:
-    """Alternating minimization of D + (1/slope') I along the R-D curve.
-
-    `slope` is the exponent parameter in nats: the fixed point satisfies
-    q(y|x) proportional to q(y) exp(-slope * d(x,y)), i.e. slope equals
-    1/lambda_hat_nats of the operating point it converges to.
-    """
-    if slope <= 0:
-        raise ValueError(f"slope must be > 0, got {slope}")
-    px = np.asarray(px, dtype=float)
-    dmat = np.asarray(dmat, dtype=float)
-    if px.size > 64 or dmat.shape[1] > 64:
-        raise ValueError("alphabets larger than 64 symbols are out of scope")
-    ny = dmat.shape[1]
-    qy = np.full(ny, 1.0 / ny)
-    expd = np.exp(-slope * dmat)
-    last_d = math.inf
-    qyx = None
-    it = 0
-    for it in range(1, max_iter + 1):
-        w = qy[None, :] * expd
-        qyx = w / w.sum(axis=1, keepdims=True)
-        qy = px @ qyx
-        d = float((px[:, None] * qyx * dmat).sum())
-        if abs(d - last_d) < tol:
-            last_d = d
-            break
-        last_d = d
-    ch = DiscreteChannel(px, dmat, qyx)
-    rate_bits = ch.mutual_information_nats() / _LN2
-    residual = abs(ch.distortion() - last_d)
-    return BaResult(ch, rate_bits, ch.distortion(), it, it < max_iter, residual)
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """Worst-case optimality violations, all in nats."""
-
-    stationarity: float
-    slackness: float
-    rate_slack: float
-
-    @property
-    def max_violation(self) -> float:
-        return max(self.stationarity, self.slackness, self.rate_slack)
-
-
-def kkt_residual(ch: DiscreteChannel, lam_nats: float, rate_bits: float | None = None) -> KktReport:
-    """Optimality-condition residuals for a candidate channel at slope lam_nats.
-
-    Stationarity: on the support of q(y|x) the quantity
-    d(x,y)/lam + ln(q(y|x)/q(y)) must not depend on y; the residual is the
-    largest spread over y per input x.  Slackness weights the same defect
-    by q(y|x).  rate_slack is |I(q) - R| when a target rate is supplied.
-    """
-    qy = ch.qy
-    active = qy > 1e-300
-    with np.errstate(divide="ignore"):
-        score = ch.dmat[:, active] / lam_nats + np.log(ch.qyx[:, active] / qy[None, active])
-    support = ch.qyx[:, active] > 1e-300
-    hi = np.where(support, score, -np.inf).max(axis=1)
-    lo = np.where(support, score, np.inf).min(axis=1)
-    stationarity = float(np.max(hi - lo))
-    center = (ch.qyx[:, active] * np.where(support, score, 0.0)).sum(axis=1)
-    slackness = float(np.max(np.abs(ch.qyx[:, active] * (np.where(support, score, 0.0) - center[:, None]))))
-    rate_slack = 0.0
-    if rate_bits is not None:
-        rate_slack = abs(ch.mutual_information_nats() - rate_bits * _LN2)
-    return KktReport(stationarity, slackness, rate_slack)

@@ -40,7 +40,7 @@ Bernoulli(p), and the results do not depend on the slice size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -52,12 +52,12 @@ from .ratedistortion import (
     SourceModel,
     solve,
 )
+from .special import inverse_binary_entropy
 
 __all__ = [
     "BudgetError",
     "Codebook",
     "ExperimentConfig",
-    "quantize",
     "exact_distortion",
     "delta_residue",
     "duality_error_prob",
@@ -150,28 +150,12 @@ def _source_log_pmf(source: SourceModel, n: int) -> np.ndarray:
     raise ValueError("enumeration oracles are for binary sources")
 
 
-def quantize(x: np.ndarray, cb: Codebook) -> tuple[int, float]:
-    """Nearest codeword of x; ties go to the smallest index.
-
-    Distortion is Hamming/n for bit vectors and squared error/n for reals.
-    """
-    x = np.asarray(x)
-    if x.shape != (cb.n,):
-        raise ValueError(f"word shape {x.shape} does not match blocklength {cb.n}")
-    if np.issubdtype(cb.codewords.dtype, np.floating) or np.issubdtype(x.dtype, np.floating):
-        dist = ((cb.codewords - x[None, :].astype(float)) ** 2).sum(axis=1) / cb.n
-    else:
-        dist = (cb.codewords != x[None, :]).sum(axis=1) / cb.n
-    j = int(np.argmin(dist))
-    return j, float(dist[j])
-
-
 def _assignments(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """(assigned index, Hamming distance to assigned codeword) of every word.
 
     Words go in blocks of about _ENUM_CELLS / Q, so memory is O(_ENUM_CELLS)
     whatever n is; argmin keeps the first minimum, so ties go to the
-    smallest index as in `quantize`.
+    smallest index.
     """
     packed = _packed_codewords(cb)
     if cb.n > _ENUM_LIMIT:
@@ -202,8 +186,6 @@ def _region_sums(source: BinarySymmetricSource, cb: Codebook, rate: float | None
     n = cb.n
     if rate is None:
         rate = math.log2(cb.size) / n
-    from .special import inverse_binary_entropy
-
     q0 = inverse_binary_entropy(1.0 - rate)
     _, best_d = _assignments(cb)
     p = np.exp(_source_log_pmf(source, n))

@@ -9,8 +9,8 @@ evaluated from the exact hypergeometric forms of the same functions
 (DLMF 8.5.1 with 13.6 for P(a, x), DLMF 8.17.8 for I_x(a, b)), whose
 prefactors are kept in logs.
 
-All array-accepting helpers broadcast; scalar wrappers keep the public
-API simple.  Hyperspherical areas and volumes are returned as natural
+All array-accepting helpers broadcast and give a float for scalar
+input.  Hyperspherical areas and volumes are returned as natural
 logs, so they stay finite in any dimension.
 """
 
@@ -30,8 +30,6 @@ __all__ = [
     "reg_gamma_lower",
     "reg_gamma_upper",
     "log_reg_gamma_lower",
-    "chi2_cdf",
-    "noncentral_chi2_cdf",
     "noncentral_chi2_log_cdf",
     "exp_gap_inverse",
     "log_unit_sphere_area",
@@ -121,15 +119,6 @@ def log_reg_gamma_lower(a, x):
     return _scalar_or_array(_log_gamma_p(a, x))
 
 
-def chi2_cdf(n: int, x: float) -> float:
-    """CDF of the chi-squared distribution with n degrees of freedom."""
-    if n < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {n}")
-    if x < 0:
-        raise ValueError(f"chi-squared argument must be >= 0, got {x}")
-    return reg_gamma_lower(0.5 * n, 0.5 * x)
-
-
 # ---------------------------------------------------------------------------
 # noncentral chi-squared
 # ---------------------------------------------------------------------------
@@ -170,25 +159,15 @@ def noncentral_chi2_log_cdf(n: int, lam, x):
     return _scalar_or_array(out.reshape(lam.shape))
 
 
-def noncentral_chi2_cdf(n: int, lam, x):
-    """CDF of the noncentral chi-squared distribution (Poisson mixture)."""
-    return _scalar_or_array(np.minimum(np.exp(noncentral_chi2_log_cdf(n, lam, x)), 1.0))
-
-
 # ---------------------------------------------------------------------------
 # inverse of t -> t - 1 + exp(-t)
 # ---------------------------------------------------------------------------
 
 def exp_gap_inverse(mu: float) -> float:
-    """The unique t >= 0 with t - 1 + exp(-t) = mu."""
+    """The unique t >= 0 with t - 1 + exp(-t) = mu (Newton; the map is convex increasing)."""
     if mu < 0:
         raise ValueError(f"argument must be >= 0, got {mu}")
-    return float(exp_gap_inverse_vec(np.asarray([mu]))[0])
-
-
-def exp_gap_inverse_vec(mu: np.ndarray) -> np.ndarray:
-    """Vectorized exp_gap_inverse (Newton; the map is convex increasing)."""
-    mu = np.asarray(mu, dtype=float)
+    mu = np.asarray([mu], dtype=float)
     t = np.where(mu < 1.0, np.sqrt(2.0 * mu), mu + 1.0)
     for _ in range(80):
         # f(t) = t + expm1(-t) - mu, f'(t) = -expm1(-t)
@@ -199,7 +178,7 @@ def exp_gap_inverse_vec(mu: np.ndarray) -> np.ndarray:
         t = t - step
         if np.all(np.abs(f) <= 1e-13 * np.maximum(1.0, mu) + 1e-300):
             break
-    return np.where(mu == 0.0, 0.0, t)
+    return float(np.where(mu == 0.0, 0.0, t)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ from rdflb.gauss import GaussBoundInput
 from rdflb.geometry import log_prob_intersect_batch, log_shell_mass_batch
 from rdflb.quadrature import bracket_solve, gl_panels
 from rdflb.special import (
-    chi2_cdf,
     log_reg_gamma_lower,
-    noncentral_chi2_cdf,
     noncentral_chi2_log_cdf,
     reg_gamma_lower,
     reg_gamma_upper,
@@ -39,7 +37,7 @@ def test_k_excess_zero_norm():
 def test_k_excess_disjoint_is_full_ball():
     inp = GaussBoundInput(4, 0.5)
     t, rho = 0.01, 30.0
-    want = noncentral_chi2_cdf(4, (inp.scale * rho) ** 2, float(inp.radius_sq(t, rho)))
+    want = math.exp(noncentral_chi2_log_cdf(4, (inp.scale * rho) ** 2, float(inp.radius_sq(t, rho))))
     assert gauss.k_excess(t, rho, inp) == pytest.approx(want, rel=1e-6)
 
 
@@ -78,7 +76,7 @@ def test_gamma_cap_limits_and_pieces():
     vdiff = 4 * math.pi / 3 * r1**3 - lens
     vtot = 4 * math.pi / 3 * r0**3 + 2.0 ** (3 * 0.5) * vdiff
     r_e = min((vtot / (4 * math.pi / 3)) ** (1.0 / 3.0), c1 + r1)
-    assert gauss.gamma_cap(t, inp) == pytest.approx(chi2_cdf(3, r_e**2), rel=1e-9)
+    assert gauss.gamma_cap(t, inp) == pytest.approx(reg_gamma_lower(1.5, 0.5 * r_e**2), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +208,32 @@ def test_crossing_ends_the_support_of_f():
         below = gauss._captured_density(inp, r, np.linspace(0.05, 0.999, 8) * x)
         beyond = gauss._captured_density(inp, r, x + np.geomspace(1e-6, cv.t_end - x, 8))
         assert (below > 0.0).all() and (beyond == 0.0).all()
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 2.0])
+def test_t_end_leaves_at_most_e_minus_30_of_the_origin_ball(rate):
+    # the converse cuts t at t_end unchecked: there |x|^2 / sigma2 sits at
+    # chi2_n's point n + 12 sqrt(2n) + 60, beyond Laurent & Massart's
+    # n + 2 sqrt(30 n) + 60, whose tail is at most e^-30
+    for n in [*range(2, 65), 256, 1024, 4096]:
+        inp = GaussBoundInput(n, rate)
+        t_end = gauss._lane_table(n, rate, 1.0).t_end
+        point = n + 12.0 * math.sqrt(2.0 * n) + 60.0
+        assert float(inp.radius_sq(t_end, 0.0)) == pytest.approx(point, rel=1e-14, abs=0)
+        assert point >= n + 2.0 * math.sqrt(30.0 * n) + 60.0
+        assert gauss._one_minus_k0(inp, t_end) <= math.exp(-30.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0])
+def test_bounded_tail_is_at_most_the_origin_ball_tail(alpha):
+    # r_E = min(r_n, c1 + r1) >= r0, so 1 - Gamma <= 1 - K0 up to t_end and
+    # the shared t_end serves every codebook class
+    for n in (2, 4, 16, 64, 256):
+        for rate in (0.1, 0.5, 2.0):
+            inp = GaussBoundInput(n, rate, rm=math.sqrt(alpha * n))
+            t_end = gauss._lane_table(n, rate, 1.0).t_end
+            t = np.append(0.0, np.geomspace(1e-6 * t_end, t_end, 200))
+            assert (gauss._one_minus_gamma(inp, t) <= gauss._one_minus_k0(inp, t)).all()
 
 
 def _cold():
@@ -387,7 +411,7 @@ def test_truncated_nearest_prob_concentric():
     n, mv, rm, t = 6, 0.5, 1.4, 1.0
     cm = math.exp(float(log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv)))
     got = math.exp(float(log_prob_intersect_batch(n, rm, np.array([0.0]), np.array([t]), mv)[0])) / cm
-    assert got == pytest.approx(chi2_cdf(n, t * t / mv) / cm, rel=1e-10)
+    assert got == pytest.approx(reg_gamma_lower(0.5 * n, 0.5 * t * t / mv) / cm, rel=1e-10)
 
 
 def test_truncated_nearest_prob_monte_carlo():

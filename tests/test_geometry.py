@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdflb.geometry import _cap_angle, log_prob_intersect_batch, log_shell_mass_batch, log_vol_diff_vec
-from rdflb.special import chi2_cdf, log_unit_ball_volume, noncentral_chi2_cdf
+from rdflb.special import log_unit_ball_volume, noncentral_chi2_log_cdf, reg_gamma_lower
 
 
 def ball_volume(n, r):
@@ -57,17 +57,17 @@ def test_prob_diff_degenerate_cases():
     # C1 entirely inside C0
     assert prob_diff(6, 5.0, 1.2, 0.9)[0] == 0.0
     # nothing subtracted: full noncentral ball mass
-    assert prob_diff(6, 0.0, 1.2, 0.9)[0] == pytest.approx(noncentral_chi2_cdf(6, 1.44, 0.81), rel=1e-10)
+    assert prob_diff(6, 0.0, 1.2, 0.9)[0] == pytest.approx(math.exp(noncentral_chi2_log_cdf(6, 1.44, 0.81)), rel=1e-10)
     # disjoint difference equals the whole ball
-    assert prob_diff(6, 1.0, 5.0, 0.9)[0] == pytest.approx(noncentral_chi2_cdf(6, 25.0, 0.81), rel=1e-6)
+    assert prob_diff(6, 1.0, 5.0, 0.9)[0] == pytest.approx(math.exp(noncentral_chi2_log_cdf(6, 25.0, 0.81)), rel=1e-6)
 
 
 def test_prob_intersect_degenerate_cases():
     # concentric nested, disjoint, and C0 inside C1
     got = prob_intersect(5, 2.0, [0.0], [1.5])[0], prob_intersect(5, 1.0, [4.0], [1.0])[0]
-    assert got[0] == pytest.approx(chi2_cdf(5, 1.5**2), rel=1e-12, abs=0)
+    assert got[0] == pytest.approx(reg_gamma_lower(2.5, 0.5 * 1.5**2), rel=1e-12, abs=0)
     assert got[1] == 0.0
-    assert prob_intersect(5, 0.7, [0.1], [3.0])[0] == pytest.approx(chi2_cdf(5, 0.49), rel=1e-12, abs=0)
+    assert prob_intersect(5, 0.7, [0.1], [3.0])[0] == pytest.approx(reg_gamma_lower(2.5, 0.245), rel=1e-12, abs=0)
 
 
 def test_prob_additivity_random():
@@ -78,7 +78,7 @@ def test_prob_additivity_random():
         r0, c1, r1 = rng.uniform(0.05, 3.0, 3)
         s2 = float(rng.uniform(0.3, 2.0))
         total = prob_diff(n, r0, c1, r1, s2)[0] + prob_intersect(n, r0, [c1], [r1], s2)[0]
-        want = noncentral_chi2_cdf(n, c1**2 / s2, r1**2 / s2)
+        want = math.exp(noncentral_chi2_log_cdf(n, c1**2 / s2, r1**2 / s2))
         assert total == pytest.approx(want, abs=1e-8)
 
 

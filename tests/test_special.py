@@ -23,7 +23,7 @@ def test_binary_entropy_value():
     # cross-checked with 50-digit arithmetic
     want = float(-(mpmath.mpf("0.11") * mpmath.log(mpmath.mpf("0.11"), 2)
                    + mpmath.mpf("0.89") * mpmath.log(mpmath.mpf("0.89"), 2)))
-    assert sp.binary_entropy(0.11) == pytest.approx(want, rel=1e-14)
+    assert sp.binary_entropy(0.11) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_inverse_binary_entropy():
@@ -80,18 +80,14 @@ def test_log_reg_gamma_lower_vs_mpmath(a):
 
 
 def test_chi2_cdf_closed_forms():
-    assert sp.chi2_cdf(2, 0.0) == 0.0
-    assert sp.chi2_cdf(2, 2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
-    assert sp.chi2_cdf(4, 1e9) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        sp.chi2_cdf(0, 1.0)
-    with pytest.raises(ValueError):
-        sp.chi2_cdf(2, -1.0)
+    assert sp.reg_gamma_lower(1.0, 0.0) == 0.0
+    assert sp.reg_gamma_lower(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
+    assert sp.reg_gamma_lower(2.0, 5e8) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_chi2_cdf_monotone_grid():
     for n in (1, 2, 5, 40):
-        vals = [sp.chi2_cdf(n, x) for x in np.linspace(0.0, 8.0 * n, 60)]
+        vals = [sp.reg_gamma_lower(0.5 * n, 0.5 * x) for x in np.linspace(0.0, 8.0 * n, 60)]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[0] == 0.0
 
@@ -103,11 +99,12 @@ def test_chi2_cdf_monotone_grid():
 def test_noncentral_reduces_to_central():
     for n in (1, 3, 10, 200):
         for x in (0.1, float(n), 3.0 * n):
-            assert sp.noncentral_chi2_cdf(n, 0.0, x) == pytest.approx(sp.chi2_cdf(n, x), rel=1e-12)
+            want = sp.reg_gamma_lower(0.5 * n, 0.5 * x)
+            assert math.exp(sp.noncentral_chi2_log_cdf(n, 0.0, x)) == pytest.approx(want, rel=1e-12)
 
 
 def test_noncentral_zero_argument():
-    assert sp.noncentral_chi2_cdf(3, 5.0, 0.0) == 0.0
+    assert math.exp(sp.noncentral_chi2_log_cdf(3, 5.0, 0.0)) == 0.0
 
 
 def test_noncentral_monte_carlo():
@@ -118,7 +115,7 @@ def test_noncentral_monte_carlo():
     z[:, 0] += 1.0
     hat = ((z**2).sum(axis=1) <= 3.0).mean()
     se = math.sqrt(hat * (1 - hat) / m)
-    assert sp.noncentral_chi2_cdf(2, 1.0, 3.0) == pytest.approx(hat, abs=3 * se)
+    assert math.exp(sp.noncentral_chi2_log_cdf(2, 1.0, 3.0)) == pytest.approx(hat, abs=3 * se)
 
 
 def test_noncentral_vs_mpmath_series():
@@ -134,13 +131,13 @@ def test_noncentral_vs_mpmath_series():
 
     for (n, lam, x) in [(2, 1.0, 3.0), (5, 3.0, 2.0), (10, 30.0, 20.0), (7, 0.5, 40.0)]:
         want = oracle(n, lam, x)
-        assert sp.noncentral_chi2_cdf(n, lam, x) == pytest.approx(want, rel=1e-8)
+        assert math.exp(sp.noncentral_chi2_log_cdf(n, lam, x)) == pytest.approx(want, rel=1e-8)
 
 
 def test_noncentral_monotone_and_limits():
     for (n, lam) in [(2, 1.0), (6, 11.0)]:
         hi = n + lam + 20.0 * math.sqrt(2 * n + 4 * lam)
-        vals = [sp.noncentral_chi2_cdf(n, lam, x) for x in np.linspace(0, hi, 50)]
+        vals = [math.exp(sp.noncentral_chi2_log_cdf(n, lam, x)) for x in np.linspace(0, hi, 50)]
         assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
         assert vals[0] == 0.0
         assert vals[-1] > 1 - 1e-6
@@ -195,11 +192,11 @@ def _quantile(n, lam, p0):
 def test_quantile_roundtrips():
     assert _quantile(2, 0.0, 1.0 - math.exp(-1.0)) == pytest.approx(2.0, rel=1e-10)
     for (n, lam, x) in [(4, 2.0, 3.0), (30, 10.0, 25.0)]:
-        p = sp.noncentral_chi2_cdf(n, lam, x)
+        p = math.exp(sp.noncentral_chi2_log_cdf(n, lam, x))
         back = _quantile(n, lam, p)
         assert back == pytest.approx(x, rel=1e-8)
     q = _quantile(5, 3.0, 0.5)
-    assert sp.noncentral_chi2_cdf(5, 3.0, q) == pytest.approx(0.5, abs=1e-10)
+    assert math.exp(sp.noncentral_chi2_log_cdf(5, 3.0, q)) == pytest.approx(0.5, abs=1e-10)
     with pytest.raises(ValueError):
         _quantile(5, 3.0, 1.5)
 

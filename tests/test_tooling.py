@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -18,3 +19,19 @@ def test_traced_layers_resolve_to_rdflb_callables():
             missing.append(qual)
     assert missing == []
     assert set(tracing.COUNTERS) <= set(tracing.LAYERS)
+
+
+def test_exports_resolve_and_reexports_are_exported():
+    # every __all__ name resolves, and every name the package imports from a
+    # module is in that module's __all__: a deleted function leaves neither
+    package = Path(importlib.import_module("rdflb").__file__).parent
+    for path in sorted(package.glob("[!_]*.py")):
+        mod = importlib.import_module(f"rdflb.{path.stem}")
+        missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+        assert missing == [], path.stem
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exported = importlib.import_module(f"rdflb.{node.module}").__all__
+            stale = [a.name for a in node.names if a.name not in exported]
+            assert stale == [], node.module
