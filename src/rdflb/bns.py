@@ -106,7 +106,9 @@ def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) ->
     and is recomputed by a log-sum-exp over its anti-diagonal, but only where
     a scan against log_budget reads it: up to the first column where the
     running sum of the above-floor columns, a lower estimate of the exact
-    one, exceeds log_budget + _SLACK.  The default budget reads every column.
+    one, exceeds log_budget + _SLACK.  Only the columns up to that one come
+    back, as the exact running sum passes log_budget there too; the default
+    budget returns all n + 1.
     """
     ones, zeros = _mismatch_parts(n, w, z)
     shift = ones.max() + zeros.max()
@@ -120,7 +122,7 @@ def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) ->
         j = cols[:, None] - i
         inside = (j >= 0) & (j <= n - w)
         law[cols] = logsumexp(np.where(inside, ones[i] + zeros[np.clip(j, 0, n - w)], LOG_ZERO), axis=1)
-    return law
+    return law[: last + 1]
 
 
 def _check(n: int, rate: float, p: float) -> None:

@@ -10,7 +10,7 @@ curve, a comparison that bns has no analogue of.
 from __future__ import annotations
 
 from . import bns
-from .bns import OrderedStatsBound, hamming_ball_threshold, log_q_minus
+from .bns import OrderedStatsBound, hamming_ball_threshold
 from .special import inverse_binary_entropy
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "upper_bound_os",
     "upper_bound_rr",
     "upper_bound_legacy",
-    "log_q_minus",
     "hamming_ball_threshold",
 ]
 

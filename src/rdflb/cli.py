@@ -1,6 +1,7 @@
 """Command-line front end: bound curves as CSV, validation runs, SVG plots.
 
-Exit codes: 0 success, 2 usage or input error, 3 compute budget exceeded.
+Exit codes: 0 success, 1 a validate check failed, 2 usage, input or file
+error, 3 compute budget exceeded.  Every error is reported once, by main.
 """
 
 from __future__ import annotations
@@ -77,6 +78,15 @@ def _curve_row(task: dict) -> tuple[dict, list[str]]:
         raise ValueError(f"n={task['n']}: {exc}") from exc
 
 
+def _cell(row: dict, flags: list[str], key: str, upper: float, lower: float, degenerate: bool = False) -> None:
+    """Store one upper-bound cell, flagged if degenerate or else if the lower bound crosses it."""
+    row[key] = upper
+    if degenerate:
+        flags.append(f"{key}_degenerate")
+    elif lower > upper + 1e-9:
+        flags.append(f"cross_{key}")
+
+
 def _curve_cells(task: dict) -> tuple[dict, list[str]]:
     n = task["n"]
     fam = task["family"]
@@ -91,12 +101,7 @@ def _curve_cells(task: dict) -> tuple[dict, list[str]]:
             for eps in task["eps"]:
                 inp_e = gauss.GaussBoundInput(n, rate, task["sigma2"], rm=rm, eps=eps, delta=task["delta"])
                 ub = gauss.upper_bound_bounded(inp_e) if rm is not None else gauss.upper_bound_unbounded(inp_e)
-                key = f"upper_os_{eps:g}_{tag}"
-                row[key] = ub.value
-                if ub.degenerate:
-                    flags.append(f"{key}_degenerate")
-                elif lo > ub.value + 1e-9:
-                    flags.append(f"cross_{key}")
+                _cell(row, flags, f"upper_os_{eps:g}_{tag}", ub.value, lo, ub.degenerate)
         return row, flags
     if fam == "bss":
         lo = bss.lower_bound(n, rate)
@@ -105,22 +110,14 @@ def _curve_cells(task: dict) -> tuple[dict, list[str]]:
     row["lower"] = lo
     for eps in task["eps"]:
         r = bss.upper_bound_os(n, rate, eps) if fam == "bss" else bns.upper_bound_os(n, rate, task["p"], eps)
-        key = f"upper_os_{eps:g}"
-        row[key] = r.value
-        if r.degenerate:
-            flags.append(f"{key}_degenerate")
-        elif lo > r.value + 1e-9:
-            flags.append(f"cross_{key}")
+        _cell(row, flags, f"upper_os_{eps:g}", r.value, lo, r.degenerate)
     for r0 in task["ref_rate"]:
         if fam == "bss":
             v = bss.upper_bound_rr(n, rate, r0)
         else:
             d0 = inverse_binary_entropy(binary_entropy(task["p"]) - r0)
             v = bns.upper_bound_rr(n, rate, task["p"], d0)
-        key = f"upper_rr_{r0:g}"
-        row[key] = v
-        if lo > v + 1e-9:
-            flags.append(f"cross_{key}")
+        _cell(row, flags, f"upper_rr_{r0:g}", v, lo)
     if task["legacy_eps"] is not None:
         for r0 in task["ref_rate"]:
             row[f"upper_legacy_{r0:g}"] = bss.upper_bound_legacy(n, rate, r0, task["legacy_eps"])
@@ -128,49 +125,35 @@ def _curve_cells(task: dict) -> tuple[dict, list[str]]:
 
 
 def cmd_curve(args) -> int:
-    try:
-        ns = _parse_n_range(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ns = _parse_n_range(args.n)
     if not ns:
-        print("error: empty n range", file=sys.stderr)
-        return 2
+        raise ValueError("empty n range")
     if args.family == "bns" and args.p is None:
-        print("error: bns needs --p", file=sys.stderr)
-        return 2
+        raise ValueError("bns needs --p")
     if args.legacy_eps is not None and args.family != "bss":
-        print("error: --legacy-eps applies to the bss family only", file=sys.stderr)
-        return 2
+        raise ValueError("--legacy-eps applies to the bss family only")
     if args.family != "gauss" and (args.alpha or args.unbounded):
-        print("error: --alpha/--unbounded apply to the gauss family only", file=sys.stderr)
-        return 2
+        raise ValueError("--alpha/--unbounded apply to the gauss family only")
     if args.alpha and min(args.alpha) <= 0:
-        print(f"error: --alpha must be > 0, got {min(args.alpha):g}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--alpha must be > 0, got {min(args.alpha):g}")
 
-    try:
-        if args.family == "bss":
-            source = BinarySymmetricSource()
-        elif args.family == "bns":
-            source = BinaryNonSymmetricSource(args.p)
-        else:
-            source = GaussianSource(args.sigma2)
-        dstar = solve(source, args.rate).dstar
-        task_base = {
-            "family": args.family,
-            "rate": args.rate,
-            "p": args.p,
-            "sigma2": args.sigma2,
-            "delta": args.delta,
-            "eps": args.eps or [],
-            "ref_rate": args.ref_rate or [],
-            "legacy_eps": args.legacy_eps,
-            "dstar": dstar,
-        }
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.family == "bss":
+        source = BinarySymmetricSource()
+    elif args.family == "bns":
+        source = BinaryNonSymmetricSource(args.p)
+    else:
+        source = GaussianSource(args.sigma2)
+    task_base = {
+        "family": args.family,
+        "rate": args.rate,
+        "p": args.p,
+        "sigma2": args.sigma2,
+        "delta": args.delta,
+        "eps": args.eps or [],
+        "ref_rate": args.ref_rate or [],
+        "legacy_eps": args.legacy_eps,
+        "dstar": solve(source, args.rate).dstar,
+    }
 
     tasks = []
     for n in ns:
@@ -183,15 +166,11 @@ def cmd_curve(args) -> int:
         tasks.append(t)
 
     jobs = args.jobs or os.cpu_count() or 1
-    try:
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_curve_row, tasks))
-        else:
-            results = [_curve_row(t) for t in tasks]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_curve_row, tasks))
+    else:
+        results = [_curve_row(t) for t in tasks]
 
     cols = list(results[0][0])
     any_flags = any(flags for _, flags in results)
@@ -219,68 +198,59 @@ def cmd_curve(args) -> int:
 
 def cmd_validate(args) -> int:
     if args.family == "bns" and args.p is None:
-        print("error: bns needs --p", file=sys.stderr)
-        return 2
+        raise ValueError("bns needs --p")
     if args.codebooks < 1:
-        print("error: --codebooks must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        source = BinarySymmetricSource() if args.family == "bss" else BinaryNonSymmetricSource(args.p)
-        # only bss enumerates codebooks exactly; bns runs the Monte Carlo alone
-        if args.family == "bss" and args.n > _ENUM_LIMIT:
-            raise BudgetError(f"n={args.n} exceeds the exact-enumeration budget ({_ENUM_LIMIT})")
-        sol = solve(source, args.rate)
-        eps = 0.01
-        if args.family == "bss":
-            lower = bss.lower_bound(args.n, args.rate)
-            upper = bss.upper_bound_os(args.n, args.rate, eps).value
-        else:
-            lower = bns.lower_bound(args.n, args.rate, args.p)
-            upper = bns.upper_bound_os(args.n, args.rate, args.p, eps).value
-        cfg = ExperimentConfig(source, args.n, args.rate, args.trials, args.seed)
-        mean, se = mc_mean_distortion(cfg)
-        lines = [
-            f"source={args.family}",
-            f"n={args.n}",
-            f"rate={_fmt(args.rate)}",
-            f"trials={args.trials}",
-            f"seed={args.seed}",
-            f"eps={_fmt(eps)}",
-            f"asymptote={_fmt(sol.dstar)}",
-            f"lower={_fmt(lower)}",
-            f"mc_mean={_fmt(mean)}",
-            f"mc_stderr={_fmt(se)}",
-            f"upper_os={_fmt(upper)}",
-        ]
-        sandwich = lower <= mean + 3.0 * se and mean <= upper + 3.0 * se
-        lines.append(f"sandwich_pass={'true' if sandwich else 'false'}")
-        ok = sandwich
-        if args.family == "bss":
-            q = cfg.codebook_size
-            rng = _chunk_rng(args.seed, 2**32)
-            worst_id = 0.0
-            worst_margin = math.inf
-            for _ in range(args.codebooks):
-                cb = Codebook(args.n, (rng.random((q, args.n)) < 0.5).astype(np.uint8))
-                ed, dr, pe = _region_sums(source, cb, args.rate)
-                worst_id = max(worst_id, abs(ed - sol.dstar - sol.lambda_hat_nats / args.n * dr))
-                worst_margin = min(worst_margin, dr - pe)
-            id_ok = worst_id <= 1e-10
-            thm4_ok = worst_margin >= -1e-12
-            lines.append(f"identity_max_residual={_fmt(worst_id)}")
-            lines.append(f"thm4_margin={_fmt(worst_margin)}")
-            lines.append(f"identity_pass={'true' if id_ok else 'false'}")
-            lines.append(f"thm4_pass={'true' if thm4_ok else 'false'}")
-            ok = ok and id_ok and thm4_ok
-        lines.append(f"pass={'true' if ok else 'false'}")
-        print("\n".join(lines))
-        return 0 if ok else 1
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--codebooks must be >= 1")
+    source = BinarySymmetricSource() if args.family == "bss" else BinaryNonSymmetricSource(args.p)
+    # only bss enumerates codebooks exactly; bns runs the Monte Carlo alone
+    if args.family == "bss" and args.n > _ENUM_LIMIT:
+        raise BudgetError(f"n={args.n} exceeds the exact-enumeration budget ({_ENUM_LIMIT})")
+    sol = solve(source, args.rate)
+    eps = 0.01
+    if args.family == "bss":
+        lower = bss.lower_bound(args.n, args.rate)
+        upper = bss.upper_bound_os(args.n, args.rate, eps).value
+    else:
+        lower = bns.lower_bound(args.n, args.rate, args.p)
+        upper = bns.upper_bound_os(args.n, args.rate, args.p, eps).value
+    cfg = ExperimentConfig(source, args.n, args.rate, args.trials, args.seed)
+    mean, se = mc_mean_distortion(cfg)
+    lines = [
+        f"source={args.family}",
+        f"n={args.n}",
+        f"rate={_fmt(args.rate)}",
+        f"trials={args.trials}",
+        f"seed={args.seed}",
+        f"eps={_fmt(eps)}",
+        f"asymptote={_fmt(sol.dstar)}",
+        f"lower={_fmt(lower)}",
+        f"mc_mean={_fmt(mean)}",
+        f"mc_stderr={_fmt(se)}",
+        f"upper_os={_fmt(upper)}",
+    ]
+    sandwich = lower <= mean + 3.0 * se and mean <= upper + 3.0 * se
+    lines.append(f"sandwich_pass={'true' if sandwich else 'false'}")
+    ok = sandwich
+    if args.family == "bss":
+        q = cfg.codebook_size
+        rng = _chunk_rng(args.seed, 2**32)
+        worst_id = 0.0
+        worst_margin = math.inf
+        for _ in range(args.codebooks):
+            cb = Codebook(args.n, (rng.random((q, args.n)) < 0.5).astype(np.uint8))
+            ed, dr, pe = _region_sums(source, cb, args.rate)
+            worst_id = max(worst_id, abs(ed - sol.dstar - sol.lambda_hat_nats / args.n * dr))
+            worst_margin = min(worst_margin, dr - pe)
+        id_ok = worst_id <= 1e-10
+        thm4_ok = worst_margin >= -1e-12
+        lines.append(f"identity_max_residual={_fmt(worst_id)}")
+        lines.append(f"thm4_margin={_fmt(worst_margin)}")
+        lines.append(f"identity_pass={'true' if id_ok else 'false'}")
+        lines.append(f"thm4_pass={'true' if thm4_ok else 'false'}")
+        ok = ok and id_ok and thm4_ok
+    lines.append(f"pass={'true' if ok else 'false'}")
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +260,15 @@ def cmd_validate(args) -> int:
 def cmd_plot(args) -> int:
     from . import svg
 
-    try:
-        with open(args.csv, encoding="utf-8") as fh:
-            rows = [line.rstrip("\n") for line in fh if not line.startswith("#")]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = [r for r in rows if r.strip()]
+    with open(args.csv, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n") for line in fh if not line.startswith("#") and line.strip()]
     if len(rows) < 2:
-        print("error: CSV has no data rows", file=sys.stderr)
-        return 2
+        raise ValueError("CSV has no data rows")
     header = rows[0].split(",")
     if header[0] != "n":
-        print("error: first column must be n", file=sys.stderr)
-        return 2
-    data_cols = [c for c in header[1:] if c != "flags"]
+        raise ValueError("first column must be n")
     xs: list[float] = []
-    series: dict[str, list[float]] = {c: [] for c in data_cols}
+    series: dict[str, list[float]] = {c: [] for c in header[1:] if c != "flags"}
     try:
         for r in rows[1:]:
             parts = r.split(",")
@@ -317,10 +279,10 @@ def cmd_plot(args) -> int:
                 if c != "flags":
                     series[c].append(float(v))
     except ValueError as exc:
-        print(f"error: malformed CSV: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"malformed CSV: {exc}") from exc
+    svg_text = svg.render(xs, series)  # before open, so a refused plot leaves no file
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg.render(xs, series))
+        fh.write(svg_text)
     return 0
 
 
@@ -393,28 +355,23 @@ def main(argv: list[str] | None = None) -> int:
         elif a.startswith("--config="):
             cfg_path = a.split("=", 1)[1]
     parser, curve_parser = _build_parser()
-    if cfg_path is not None:
-        try:
+    try:
+        if cfg_path is not None:
             defaults = {}
             for key, raw in _read_config(cfg_path).items():
                 if key not in _CONFIG_CONVERT:
                     raise ValueError(f"unknown config key: {key}")
                 defaults[key] = _CONFIG_CONVERT[key](raw)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        curve_parser.set_defaults(**defaults)
-    args = parser.parse_args(argv)
-    if args.command == "curve":
-        missing = [k for k in ("rate", "n", "out") if getattr(args, k) is None]
-        if missing:
-            print(f"error: missing required option(s): {', '.join('--' + m for m in missing)}", file=sys.stderr)
-            return 2
-    try:
+            curve_parser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
+        if args.command == "curve":
+            missing = [k for k in ("rate", "n", "out") if getattr(args, k) is None]
+            if missing:
+                raise ValueError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
         return args.func(args)
-    except BudgetError as exc:
+    except (BudgetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, BudgetError) else 2
 
 
 if __name__ == "__main__":

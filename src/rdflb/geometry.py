@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .logdomain import LOG_ZERO, logsumexp
-from .quadrature import gl_nodes
+from .quadrature import gl_rule
 from .special import log_cone_area, log_reg_gamma_lower, log_reg_inc_beta, log_unit_ball_volume
 
 __all__ = ["log_shell_mass_batch", "log_prob_intersect_batch", "log_vol_diff_vec"]
@@ -89,12 +89,8 @@ def _cap_half_quadrature(n, edge, far, c1, r1, sigma2, from_left):
         [np.zeros((rows, 1)), np.sort(np.concatenate([u_splits, frac], axis=1), axis=1), u_max[:, None]],
         axis=1,
     )
-    x, w = gl_nodes(_NODES)
-    a = edges_u[:, :-1]
-    b = edges_u[:, 1:]
-    half = 0.5 * (b - a)
-    u = (a[:, :, None] + half[:, :, None] * (x[None, None, :] + 1.0)).reshape(rows, -1)
-    wgt = (half[:, :, None] * w[None, None, :]).reshape(rows, -1)
+    u, wgt = gl_rule(edges_u[:, :-1].ravel(), edges_u[:, 1:].ravel(), _NODES)
+    u, wgt = u.reshape(rows, -1), wgt.reshape(rows, -1)
     sgn = np.where(from_left, 1.0, -1.0)[:, None]
     rho = edge[:, None] + sgn * u**2
     jac = 2.0 * u

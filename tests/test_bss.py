@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 from math import comb
 
-import numpy as np
 import pytest
 
 from rdflb import bss

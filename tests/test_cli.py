@@ -82,6 +82,54 @@ def test_curve_gauss_input_errors_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_curve_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(BNS_CURVE + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def _write_config(tmp_path, text):
+    cfg = tmp_path / "curve.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    return str(cfg)
+
+
+def test_config_file_gives_the_same_csv_as_flags(tmp_path):
+    flags, from_file = tmp_path / "flags.csv", tmp_path / "file.csv"
+    assert main(BNS_CURVE + ["--out", str(flags)]) == 0
+    cfg = _write_config(tmp_path, (
+        f"# the flags of BNS_CURVE\nrate = {RATE}\nn = 40:80:40\neps = {EPS}\n"
+        f"ref-rate = {REF_RATE}  # dashes read as underscores\nout = {from_file}\n"
+    ))
+    assert main(["curve", "bns", "--config", cfg, "--p", str(P), "--jobs", "1"]) == 0
+    assert from_file.read_bytes() == flags.read_bytes()
+
+
+def test_flag_beats_the_config_file(tmp_path):
+    flags, ignored, out = tmp_path / "flags.csv", tmp_path / "ignored.csv", tmp_path / "out.csv"
+    assert main(BNS_CURVE + ["--out", str(flags)]) == 0
+    cfg = _write_config(tmp_path, f"rate = 0.2\nn = 1:2:1\nout = {ignored}\n")
+    assert main(BNS_CURVE + [f"--config={cfg}", "--out", str(out)]) == 0
+    assert out.read_bytes() == flags.read_bytes()
+    assert not ignored.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "rate = 0.3\nbogus = 1\n",
+    "rate 0.3\n",
+    None,
+], ids=["unknown_key", "line_without_equals", "missing_file"])
+def test_config_errors_exit_2(tmp_path, capsys, text):
+    cfg = _write_config(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
+    out = tmp_path / "x.csv"
+    assert main(BNS_CURVE + ["--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 GAUSS_CURVE = ["curve", "gauss", "--rate", "0.5", "--eps", "0.005", "--alpha", "2", "--unbounded", "--n", "16:32:16"]
 
 
@@ -193,10 +241,12 @@ def test_render_refuses_empty_input():
     "lower,n\n0.1,100\n",
     "n,lower\n100,0.1,0.2\n",
     "n,lower\n100,abc\n",
-], ids=["empty", "comment_only", "header_only", "n_not_first", "extra_field", "not_a_number"])
+    "n\n100\n200\n",
+], ids=["empty", "comment_only", "header_only", "n_not_first", "extra_field", "not_a_number", "only_n"])
 def test_plot_bad_csv_exits_2(tmp_path, capsys, text):
     csv_path, out = tmp_path / "curve.csv", tmp_path / "x.svg"
     csv_path.write_text(text, encoding="utf-8")
     assert main(["plot", str(csv_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()

@@ -2,7 +2,6 @@ import math
 from math import comb
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 

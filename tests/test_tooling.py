@@ -35,3 +35,25 @@ def test_exports_resolve_and_reexports_are_exported():
             exported = importlib.import_module(f"rdflb.{node.module}").__all__
             stale = [a.name for a in node.names if a.name not in exported]
             assert stale == [], node.module
+
+
+def _unused_imports(path: Path) -> list[str]:
+    imported, read = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_import_is_read():
+    # a name imported and never read is left over from a move or a delete;
+    # the package's __init__ only re-exports, so it is not scanned
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "rdflb"
+    files = sorted(package.rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    unused = [u for path in files if path != package / "__init__.py" for u in _unused_imports(path)]
+    assert unused == []
