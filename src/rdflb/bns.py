@@ -10,10 +10,16 @@ The lower bound serves the source words in decreasing probability order
 sums P(distance > t) over t in one vectorized pass over the weight classes.
 
 The upper bounds decompose over the Hamming weight w of the source word,
-whose distance law is a convolution of two binomials.  At p = 1/2 the
-codeword marginals z and z0 are exactly 1/2, so every class has the
-Binomial(n, 1/2) distance law, ln p(x) = -n ln 2 and the cap u_w = 1/2:
-the class w = 0 alone is their average, exactly.
+whose distance law is a convolution of two binomials.  The weight classes
+go through in blocks of max(1, _CELLS // (n + 1)) classes.  One ln j!
+table serves every binomial row; the mismatch laws, their exponentials,
+the logs of the convolutions and the running-sum scans are 2-D array
+operations over the block, and only the convolution runs once per class.
+Each bound reads its thresholds (and RR its leftover budgets) from that
+one exact scan.  At p = 1/2 the codeword marginals z and z0 are exactly
+1/2, so every class has the Binomial(n, 1/2) distance law,
+ln p(x) = -n ln 2 and the cap u_w = 1/2: the class w = 0 alone is their
+average, exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, log_binomial_row, log_diff, logsumexp
+from .logdomain import LOG_ZERO, _log_factorials, log_binomial_row, log_diff, logsumexp
 from .ratedistortion import BinaryNonSymmetricSource, solve
 from .special import binary_entropy_nats
 
@@ -44,6 +50,9 @@ _FLOOR = -650.0
 # Margin on the running sum that bounds the columns a scan reads, far above
 # the roundoff of the convolution
 _SLACK = 1e-9
+# Cells in one 2-D temporary of the block pipeline: a block holds
+# max(1, _CELLS // (n + 1)) weight classes
+_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -88,41 +97,106 @@ def hamming_ball_threshold(log_masses: np.ndarray, log_budget: float) -> tuple[i
     return d, log_diff(log_budget, cum[d - 1]) if d else log_budget
 
 
-def _mismatch_parts(n: int, w: int, z: float):
-    """Log pmfs of the mismatch counts among the w ones and n-w zeros of x."""
+def _mismatch_parts(n: int, w: np.ndarray, z: float, g: np.ndarray):
+    """Log pmfs of the mismatch counts among the w ones and n - w zeros of x,
+    one row per weight in w, padded with -inf; g[j] = ln j! for j = 0..n.
+
+    The in-place sums keep the float operations of ``log_binomial_row``
+    plus the two log-probability terms, so every entry is the same double.
+    """
     lz, l1z = math.log(z), math.log1p(-z)
-    i = np.arange(w + 1)
-    ones = log_binomial_row(w) + (w - i) * lz + i * l1z
-    j = np.arange(n - w + 1)
-    zeros = log_binomial_row(n - w) + j * lz + (n - w - j) * l1z
+    wc, m = w[:, None], n - w[:, None]
+    # g[k - i] wraps around where i > k; those cells are masked
+    i = np.arange(w.max() + 1)
+    ones = g[wc] - g[: i.size]
+    ones -= g[wc - i]
+    ones += (wc - i) * lz
+    ones += i * l1z
+    ones[i > wc] = LOG_ZERO
+    j = np.arange(n - w.min() + 1)
+    zeros = g[m] - g[: j.size]
+    zeros -= g[m - j]
+    zeros += j * lz
+    zeros += (m - j) * l1z
+    zeros[j > m] = LOG_ZERO
     return ones, zeros
 
 
-def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) -> np.ndarray:
-    """ln P(n d(x,y) = d), d = 0..n, for weight-w x and codeword bits i.i.d. Bernoulli(z).
+def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: float):
+    """Distance laws of a block of weight classes, scanned against log_budget.
 
-    One max-shifted linear convolution of the two mismatch laws gives every
-    column above _FLOOR.  A column below it may have lost terms to underflow
-    and is recomputed by a log-sum-exp over its anti-diagonal, but only where
-    a scan against log_budget reads it: up to the first column where the
-    running sum of the above-floor columns, a lower estimate of the exact
-    one, exceeds log_budget + _SLACK.  Only the columns up to that one come
-    back, as the exact running sum passes log_budget there too; the default
-    budget returns all n + 1.
+    Row k of ``law`` is ln P(n d(x,y) = d), d = 0..n, for x of weight w[k]
+    and codeword bits i.i.d. Bernoulli(z).  One max-shifted linear
+    convolution of the two mismatch laws per class gives every column above
+    _FLOOR.  A column below it may have lost terms to underflow; it counts
+    as zero in the block's scan, and is recomputed by a log-sum-exp over its
+    anti-diagonal only where a scan against log_budget reads it: up to
+    column ``last[k]``, the first whose running sum of the above-floor
+    columns, a lower estimate of the exact one, exceeds log_budget + _SLACK
+    (n + 1 if none does).  The exact running sum of ``law[k, : last[k] + 1]``
+    then gives the threshold d[k] and the log of the budget left over after
+    the first d[k] columns, ``left[k]``, as ``hamming_ball_threshold`` gives
+    them on the exact law.  Returns (law, d, left, last).
     """
-    ones, zeros = _mismatch_parts(n, w, z)
-    shift = ones.max() + zeros.max()
+    ones, zeros = _mismatch_parts(n, w, z, g)
+    top1, top0 = ones.max(axis=1), zeros.max(axis=1)
+    shift = top1 + top0
     with np.errstate(divide="ignore", under="ignore"):
-        law = np.log(np.convolve(np.exp(ones - ones.max()), np.exp(zeros - zeros.max()))) + shift
-    low = law < shift + _FLOOR
-    last, _ = hamming_ball_threshold(np.where(low, LOG_ZERO, law), log_budget + _SLACK)
-    cols = np.flatnonzero(low[: last + 1])
-    if cols.size:
-        i = np.arange(max(0, cols[0] - (n - w)), min(w, cols[-1]) + 1)
+        e1, e0 = ones - top1[:, None], zeros - top0[:, None]
+        np.exp(e1, out=e1)
+        np.exp(e0, out=e0)
+        rows = [np.convolve(e1[k, : wk + 1], e0[k, : n - wk + 1]) for k, wk in enumerate(w.tolist())]
+        # a block of one class (large n) keeps its convolution, uncopied
+        law = rows[0][None] if len(rows) == 1 else np.array(rows)
+        del e1, e0, rows
+        np.log(law, out=law)
+    law += shift[:, None]
+    low = law < (shift + _FLOOR)[:, None]
+    floored = np.where(low, LOG_ZERO, law)
+    # the running sum passes log_budget + _SLACK no later than the first
+    # column that passes it alone, so the scan stops there
+    over = floored > log_budget + _SLACK
+    width = int(np.where(over.any(axis=1), over.argmax(axis=1), n).max()) + 1
+    cum = np.logaddexp.accumulate(floored[:, :width], axis=1)
+    del floored, over  # a large class's recompute below needs the room
+    last = (cum <= log_budget + _SLACK).sum(axis=1)
+    for k in np.flatnonzero(low.any(axis=1) & (low.argmax(axis=1) <= last)):
+        wk, lk = int(w[k]), int(last[k])
+        cols = np.flatnonzero(low[k, : lk + 1])
+        i = np.arange(max(0, cols[0] - (n - wk)), min(wk, cols[-1]) + 1)
         j = cols[:, None] - i
-        inside = (j >= 0) & (j <= n - w)
-        law[cols] = logsumexp(np.where(inside, ones[i] + zeros[np.clip(j, 0, n - w)], LOG_ZERO), axis=1)
-    return law[: last + 1]
+        inside = (j >= 0) & (j <= n - wk)
+        terms = np.where(inside, ones[k, i] + zeros[k, np.clip(j, 0, n - wk)], LOG_ZERO)
+        # a one-term anti-diagonal (w = 0 or n) is its own log-sum-exp, exactly
+        law[k, cols] = terms[:, 0] if i.size == 1 else logsumexp(terms, axis=1)
+        np.logaddexp.accumulate(law[k, : lk + 1], out=cum[k, : lk + 1])
+    d = (cum <= log_budget).sum(axis=1)
+    left = [log_diff(log_budget, cum[k, dk - 1]) if dk else log_budget for k, dk in enumerate(d.tolist())]
+    return law, d, np.array(left), last
+
+
+def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) -> np.ndarray:
+    """ln P(n d(x,y) = d) for weight-w x and codeword bits i.i.d. Bernoulli(z).
+
+    The one-class view of ``_block_laws``: only the columns up to the first
+    whose running sum passes log_budget come back, every one of them exact;
+    the default budget returns all n + 1.
+    """
+    law, _, _, last = _block_laws(n, np.array([w]), z, _log_factorials(n), log_budget)
+    return law[0, : last[0] + 1]
+
+
+def _class_scans(n: int, weights: np.ndarray, z: float, log_budget: float):
+    """The weight classes ``weights`` scanned against log_budget, block by block.
+
+    Yields (w, law, d, left) per block: the block's weights and what
+    ``_block_laws`` gives for them; ``law[k, : d[k]]`` is exact.
+    """
+    g = _log_factorials(n)
+    step = max(1, _CELLS // (n + 1))
+    for s in range(0, weights.size, step):
+        w = weights[s : s + step]
+        yield w, *_block_laws(n, w, z, g, log_budget)[:3]
 
 
 def _check(n: int, rate: float, p: float) -> None:
@@ -175,7 +249,7 @@ def lower_bound(n: int, rate: float, p: float) -> float:
 
 def _weight_window(n: int, p: float):
     """Weights with non-negligible probability, their log weights, and the
-    log of the discarded tail mass.
+    log of the discarded tail mass, summed over the weights left out.
 
     At p = 1/2 the class w = 0 stands for all of them, exactly (see the
     module docstring).
@@ -186,9 +260,7 @@ def _weight_window(n: int, p: float):
     w = np.arange(n + 1)
     logw = lb + w * math.log(p) + (n - w) * math.log1p(-p)
     keep = logw >= logw.max() - 92.0
-    kept = float(logsumexp(logw[keep]))
-    tail = log_diff(0.0, min(kept, 0.0))
-    return w[keep], logw[keep], tail
+    return w[keep], logw[keep], logsumexp(logw[~keep])
 
 
 def upper_bound_os(n: int, rate: float, p: float, eps: float) -> OrderedStatsBound:
@@ -205,17 +277,14 @@ def upper_bound_os(n: int, rate: float, p: float, eps: float) -> OrderedStatsBou
     if log_budget > 0.0:
         return OrderedStatsBound((1.0 - eps) + eps / 2.0, n, degenerate=True)
     weights, logw, log_tail = _weight_window(n, p)
+    # the first distance whose running mass exceeds the budget; "reaches"
+    # differs only when the running mass equals it exactly
+    t = np.minimum(np.concatenate([d for _, _, d, _ in _class_scans(n, weights, z, log_budget)]), n)
     total = 0.0
-    t_max = 0
-    for w, lw in zip(weights, logw):
-        # the first distance whose running mass exceeds the budget; "reaches"
-        # differs only when the running mass equals it exactly
-        t, _ = hamming_ball_threshold(_log_distance_law(n, int(w), z, log_budget), log_budget)
-        t = min(t, n)
-        t_max = max(t_max, t)
-        total += math.exp(lw) * ((1.0 - eps) * t / n + eps / 2.0)
+    for tk, lw in zip(t.tolist(), logw.tolist()):
+        total += math.exp(lw) * ((1.0 - eps) * tk / n + eps / 2.0)
     total += math.exp(log_tail) * ((1.0 - eps) + eps / 2.0)
-    return OrderedStatsBound(total, t_max)
+    return OrderedStatsBound(total, int(t.max()))
 
 
 def upper_bound_rr(n: int, rate: float, p: float, d0: float) -> float:
@@ -234,17 +303,29 @@ def upper_bound_rr(n: int, rate: float, p: float, d0: float) -> float:
     ld0, l1d0 = math.log(d0), math.log1p(-d0)
     lp, l1p = math.log(p), math.log1p(-p)
     weights, logw, log_tail = _weight_window(n, p)
+    lse = []
+    for w, law, dx, left in _class_scans(n, weights, z0, log_budget):
+        # the block's laws up to its largest dx become its terms in place: the
+        # whole columns below dx, the leftover budget at dx (if dx <= n),
+        # times the likelihood ratios
+        j = np.arange(min(int(dx.max()) + 1, n + 1))
+        terms = law[:, : j.size]
+        terms[j >= dx[:, None]] = LOG_ZERO
+        at = np.flatnonzero(dx <= n)
+        terms[at, dx[at]] = left[at]
+        terms += j * ld0
+        terms += (n - j) * l1d0
+        terms -= (w * lp + (n - w) * l1p)[:, None]
+        top = terms.max(axis=1)  # finite: column 0 is law[0] or the budget
+        terms -= top[:, None]
+        np.exp(terms, out=terms)
+        # row by row over each class's own entries: padding would change the
+        # order of numpy's pairwise summation, and so the last bits
+        with np.errstate(divide="ignore"):
+            lse.extend((np.log([terms[k, : dk + 1].sum() for k, dk in enumerate(dx.tolist())]) + top).tolist())
     total = 0.0
-    for w, lw in zip(weights, logw):
-        w = int(w)
-        law = _log_distance_law(n, w, z0, log_budget)
-        dx, log_left = hamming_ball_threshold(law, log_budget)
-        # whole columns below dx, the leftover budget at dx (if dx <= n)
-        mass = np.append(law[:dx], log_left)[: n + 1]
-        j = np.arange(mass.size)
-        terms = mass + j * ld0 + (n - j) * l1d0 - (w * lp + (n - w) * l1p)
+    for w, lw, lk in zip(weights.tolist(), logw.tolist(), lse):
         u_w = z0 * (1.0 - w / n) + (1.0 - z0) * w / n
-        h_w = u_w * math.exp(logsumexp(terms))
-        total += math.exp(lw) * h_w
+        total += math.exp(lw) * (u_w * math.exp(lk))
     total += math.exp(log_tail) * (1.0 - z0)
     return d0 + total

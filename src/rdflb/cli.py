@@ -132,6 +132,8 @@ def cmd_curve(args) -> int:
         raise ValueError("bns needs --p")
     if args.legacy_eps is not None and args.family != "bss":
         raise ValueError("--legacy-eps applies to the bss family only")
+    if args.legacy_eps is not None and not args.ref_rate:
+        raise ValueError("--legacy-eps needs --ref-rate")
     if args.family != "gauss" and (args.alpha or args.unbounded):
         raise ValueError("--alpha/--unbounded apply to the gauss family only")
     if args.alpha and min(args.alpha) <= 0:
@@ -290,6 +292,13 @@ def cmd_plot(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _boolean(s: str) -> bool:
+    words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    if s.lower() not in words:
+        raise ValueError(f"expected one of 1/true/yes/0/false/no, got {s!r}")
+    return words[s.lower()]
+
+
 # config keys accepted by `curve` and their parsers; lists are whitespace
 # separated inside the value
 _CONFIG_CONVERT = {
@@ -304,7 +313,7 @@ _CONFIG_CONVERT = {
     "eps": lambda s: [float(v) for v in s.split()],
     "ref_rate": lambda s: [float(v) for v in s.split()],
     "alpha": lambda s: [float(v) for v in s.split()],
-    "unbounded": lambda s: s.lower() in ("1", "true", "yes"),
+    "unbounded": _boolean,
 }
 
 
@@ -361,7 +370,10 @@ def main(argv: list[str] | None = None) -> int:
             for key, raw in _read_config(cfg_path).items():
                 if key not in _CONFIG_CONVERT:
                     raise ValueError(f"unknown config key: {key}")
-                defaults[key] = _CONFIG_CONVERT[key](raw)
+                try:
+                    defaults[key] = _CONFIG_CONVERT[key](raw)
+                except ValueError as exc:
+                    raise ValueError(f"config key {key}: {exc}") from exc
             curve_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
         if args.command == "curve":

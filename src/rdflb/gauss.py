@@ -203,7 +203,7 @@ def _cap_kinks(inp: GaussBoundInput, probe: np.ndarray) -> np.ndarray:
     if not i.size:
         return np.empty(0)
     sign = np.where(np.arange(i.size) < up.size, 1.0, -1.0)
-    return bracket_solve(lambda t, k: sign[k] * gap(t), probe[i], probe[i + 1])
+    return bracket_solve(lambda t, k: sign[k] * gap(t), probe[i], probe[i + 1], sign * g[i], sign * g[i + 1])
 
 
 def _one_minus_gamma(inp: GaussBoundInput, t: np.ndarray) -> np.ndarray:
@@ -319,9 +319,10 @@ def _crossing(inp: GaussBoundInput, rho: np.ndarray, t_end: float) -> np.ndarray
     m = lanes.size
     ends = gap(np.repeat([0.0, t_end], m), np.tile(np.arange(m), 2))
     tx[lanes[ends[:m] >= 0.0]] = 0.0
-    lanes = lanes[(ends[:m] < 0.0) & (ends[m:] >= 0.0)]
+    run = (ends[:m] < 0.0) & (ends[m:] >= 0.0)
+    lanes = lanes[run]
     if lanes.size:
-        tx[lanes] = bracket_solve(gap, np.zeros(lanes.size), np.full(lanes.size, t_end))
+        tx[lanes] = bracket_solve(gap, np.zeros(lanes.size), np.full(lanes.size, t_end), ends[:m][run], ends[m:][run])
     return tx
 
 
@@ -583,7 +584,7 @@ def _os_bound(inp: GaussBoundInput, log_cover, radius_bracket, eps_term: float) 
     edges = np.array([lo, 0.5 * (lo + hi), hi])
     gap_lo, gap_hi = kink_gap(np.array([lo, hi]), None)
     if gap_lo < 0.0 <= gap_hi:
-        kink = float(bracket_solve(kink_gap, lo, hi)[0])
+        kink = float(bracket_solve(kink_gap, lo, hi, gap_lo, gap_hi)[0])
         edges = np.unique([lo, kink, 0.5 * (kink + hi), hi])
     nodes, wgt = gl_panels(edges, 32)
     radius = bracket_solve(lambda t, k: log_cover(nodes[k], t) - log_p0, *radius_bracket(nodes))

@@ -65,7 +65,12 @@ def log_binomial(n: int, k: int) -> float:
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
+def _log_factorials(m: int) -> np.ndarray:
+    """ln j! for j = 0..m."""
+    return gammaln(np.arange(1, m + 2))
+
+
 def log_binomial_row(m: int) -> np.ndarray:
     """ln C(m, j) for j = 0..m; each entry equals ``log_binomial(m, j)``."""
-    g = gammaln(np.arange(1, m + 2))  # g[j] = ln j!
+    g = _log_factorials(m)
     return g[m] - g - g[::-1]

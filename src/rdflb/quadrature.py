@@ -98,13 +98,14 @@ _RTOL = 1e-12
 _MAX_ITER = 60
 
 
-def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
+def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, f_lo=None, f_hi=None) -> np.ndarray:
     """Roots of increasing functions over independent lanes, each on its f >= 0 side.
 
     ``f(x, lanes)`` evaluates lane ``lanes[k]`` at ``x[k]`` and returns an
     array of the same length; ``lanes`` indexes ``lo`` and ``hi``.  Every
     lane needs f(lo) < 0 <= f(hi), or ValueError is raised; f(lo) may be
-    -inf.
+    -inf.  A caller that has already evaluated f at both ends passes the
+    values as ``f_lo`` and ``f_hi``, and f is not called there again.
 
     Each round takes one Illinois (modified regula falsi) step per running
     lane, aimed at f = _FTOL/2, the middle of the accepted window.  A lane
@@ -113,7 +114,8 @@ def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi) -> 
     once a step lands with f in [0, _FTOL), once hi - lo <= _RTOL max(|lo|, |hi|),
     or after _MAX_ITER rounds, and every lane returns its hi: a point where
     f was evaluated and found >= 0.  Deterministic; f is called once for
-    the two bracket ends and once per round, with only the running lanes.
+    the two bracket ends (unless given) and once per round, with only the
+    running lanes.
     """
     lo = np.array(lo, dtype=float).ravel()
     hi = np.array(hi, dtype=float).ravel()
@@ -129,8 +131,12 @@ def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi) -> 
             raise ValueError(f"f is nan on lanes {idx[np.isnan(fx)]}")
         return fx
 
-    ends = call(np.concatenate([lo, hi]), np.concatenate([lanes, lanes]))
-    f_lo, f_hi = ends[: lo.size], ends[lo.size :]
+    if f_lo is None or f_hi is None:
+        ends = call(np.concatenate([lo, hi]), np.concatenate([lanes, lanes]))
+        f_lo, f_hi = ends[: lo.size], ends[lo.size :]
+    else:
+        f_lo = np.array(f_lo, dtype=float).ravel()
+        f_hi = np.array(f_hi, dtype=float).ravel()
     bad = ~((f_lo < 0.0) & (f_hi >= 0.0))
     if bad.any():
         k = int(np.argmax(bad))

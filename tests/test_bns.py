@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdflb import bns
-from rdflb.logdomain import LOG_ZERO
+from rdflb.logdomain import LOG_ZERO, log_binomial_row, logsumexp
 from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
 from rdflb.simulate import Codebook, exact_distortion
 from rdflb.special import binary_entropy, inverse_binary_entropy
@@ -67,6 +67,145 @@ def test_budget_limits_exact_columns_to_those_read():
         t, _ = bns.hamming_ball_threshold(law, log_budget)
         assert t == bns.hamming_ball_threshold(full, log_budget)[0]
         assert np.array_equal(law[: t + 1], full[: t + 1])
+
+
+# ---------------------------------------------------------------------------
+# block pipeline against the per-class path it replaced
+# ---------------------------------------------------------------------------
+
+def _per_class_law(n, w, z, log_budget):
+    """One class at a time, as bns did before the block pipeline: two binomial
+    rows, one convolution, a floored scan that bounds the recomputed columns.
+
+    Returns the law up to that scan's end and whether a column was recomputed.
+    """
+    lz, l1z = math.log(z), math.log1p(-z)
+    i = np.arange(w + 1)
+    ones = log_binomial_row(w) + (w - i) * lz + i * l1z
+    j = np.arange(n - w + 1)
+    zeros = log_binomial_row(n - w) + j * lz + (n - w - j) * l1z
+    shift = ones.max() + zeros.max()
+    with np.errstate(divide="ignore", under="ignore"):
+        law = np.log(np.convolve(np.exp(ones - ones.max()), np.exp(zeros - zeros.max()))) + shift
+    low = law < shift + bns._FLOOR
+    last, _ = bns.hamming_ball_threshold(np.where(low, LOG_ZERO, law), log_budget + bns._SLACK)
+    cols = np.flatnonzero(low[: last + 1])
+    if cols.size:
+        i = np.arange(max(0, cols[0] - (n - w)), min(w, cols[-1]) + 1)
+        j = cols[:, None] - i
+        inside = (j >= 0) & (j <= n - w)
+        law[cols] = logsumexp(np.where(inside, ones[i] + zeros[np.clip(j, 0, n - w)], LOG_ZERO), axis=1)
+    return law[: last + 1], bool(cols.size)
+
+
+def _assert_scans_match(n, p, z, log_budget):
+    """Every class of the window: the block pipeline's threshold, leftover
+    budget and read columns equal the per-class path's, exactly.
+
+    Returns the number of classes whose read columns were recomputed.
+    """
+    weights = bns._weight_window(n, p)[0]
+    recomputed = 0
+    for w, law, d, left in bns._class_scans(n, weights, z, log_budget):
+        for k, wk in enumerate(w.tolist()):
+            old, fixed = _per_class_law(n, wk, z, log_budget)
+            recomputed += fixed
+            assert (int(d[k]), float(left[k])) == bns.hamming_ball_threshold(old, log_budget)
+            assert np.array_equal(law[k, : d[k]], old[: d[k]])
+    return recomputed
+
+
+def _budgets(n, rate):
+    """The OS budget at eps = 0.01 and the RR budget."""
+    os_budget = math.log(math.log(100.0)) - bns.log_q_minus(n, rate)
+    return os_budget, -n * rate * math.log(2.0) + bns._log_one_minus_inv_q_pow(n, rate)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.25, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 7, 200])
+def test_block_scans_match_the_per_class_path(n, p):
+    rate = 0.2
+    sol = solve(BinaryNonSymmetricSource(p), rate)
+    d0 = sol.dstar + 0.3 * (p - sol.dstar)
+    for z in (sol.marginal_one_prob, (p - d0) / (1.0 - 2.0 * d0)):
+        for log_budget in (*_budgets(n, rate), -3.0, math.inf):
+            _assert_scans_match(n, p, z, log_budget)
+
+
+def test_block_scans_match_with_recomputed_columns():
+    # n = 1000, p = 1/4: the low-d columns of the rarest classes fall below
+    # the convolution floor inside the prefix the OS scan reads
+    n, rate, p, d0 = 1000, 0.3, 0.25, 0.1314047333665419
+    z = solve(BinaryNonSymmetricSource(p), rate).marginal_one_prob
+    os_budget, rr_budget = _budgets(n, rate)
+    assert _assert_scans_match(n, p, z, os_budget) > 0
+    _assert_scans_match(n, p, (p - d0) / (1.0 - 2.0 * d0), rr_budget)
+
+
+def test_block_scan_of_the_single_half_class():
+    n, rate = 60000, 0.5
+    for log_budget in _budgets(n, rate):
+        _assert_scans_match(n, 0.5, 0.5, log_budget)
+
+
+def _per_class_bounds(n, rate, p, d0):
+    """OS at eps = 0.01 and RR, summed one class at a time over the per-class
+    laws, in the float operations of the loop the block pipeline replaced."""
+    eps = 0.01
+    z = solve(BinaryNonSymmetricSource(p), rate).marginal_one_prob
+    z0 = (p - d0) / (1.0 - 2.0 * d0)
+    os_budget, rr_budget = _budgets(n, rate)
+    weights, logw, log_tail = bns._weight_window(n, p)
+    os_total = rr_total = 0.0
+    for w, lw in zip(weights.tolist(), logw.tolist()):
+        t, _ = bns.hamming_ball_threshold(_per_class_law(n, w, z, os_budget)[0], os_budget)
+        os_total += math.exp(lw) * ((1.0 - eps) * min(t, n) / n + eps / 2.0)
+        law = _per_class_law(n, w, z0, rr_budget)[0]
+        dx, log_left = bns.hamming_ball_threshold(law, rr_budget)
+        mass = np.append(law[:dx], log_left)[: n + 1]
+        j = np.arange(mass.size)
+        terms = mass + j * math.log(d0) + (n - j) * math.log1p(-d0) - (w * math.log(p) + (n - w) * math.log1p(-p))
+        u_w = z0 * (1.0 - w / n) + (1.0 - z0) * w / n
+        rr_total += math.exp(lw) * (u_w * math.exp(logsumexp(terms)))
+    os_total += math.exp(log_tail) * ((1.0 - eps) + eps / 2.0)
+    return os_total, d0 + rr_total + math.exp(log_tail) * (1.0 - z0)
+
+
+@pytest.mark.parametrize("n,rate,p,d0", [(60, 0.2, 0.05, 0.03), (200, 0.2, 0.1, 0.0568),
+                                         (200, 0.3, 0.25, 0.1314047333665419),
+                                         (600, 0.3, 0.25, 0.1314047333665419), (200, 0.5, 0.5, 0.13)])
+def test_bounds_equal_the_per_class_loop(n, rate, p, d0):
+    # (200, 0.2, 0.1) tells a sum over each class's own columns from one over
+    # the padded block row: the two round apart there
+    os_value, rr_value = _per_class_bounds(n, rate, p, d0)
+    assert bns.upper_bound_os(n, rate, p, 0.01).value == os_value
+    assert bns.upper_bound_rr(n, rate, p, d0) == rr_value
+
+
+def test_a_block_holds_at_most_the_cell_budget():
+    n, p = 600, 0.25
+    weights = bns._weight_window(n, p)[0]
+    blocks = [w.size for w, *_ in bns._class_scans(n, weights, 0.2, -5.0)]
+    assert sum(blocks) == weights.size
+    assert max(blocks) * (n + 1) <= bns._CELLS
+
+
+@pytest.mark.parametrize("n", [600, 920, 1300])
+def test_discarded_weight_mass_is_the_sum_outside_the_window(n):
+    # 1 - (sum kept) gave 6.2e-13 at n = 920, rounding noise over a true ~1e-41
+    p = Fraction(1, 4)
+    weights, _, log_tail = bns._weight_window(n, float(p))
+    kept = set(weights.tolist())
+    exact = sum(comb(n, w) * p**w * (1 - p) ** (n - w) for w in range(n + 1) if w not in kept)
+    assert log_tail == pytest.approx(math.log(exact), rel=1e-12, abs=0)
+    assert bns._weight_window(n, 0.5)[2] == LOG_ZERO
+
+
+def test_rr_at_n920_carries_no_window_noise():
+    # the whole correction over d0 = 0.2 lies below half an ulp of 0.2; the
+    # rounding noise of 1 - (sum kept) made it 0.2 + 5.7e-13
+    assert bns._weight_window(920, 0.25)[2] == pytest.approx(-94.45918688525677, rel=1e-12, abs=0)
+    assert bns.upper_bound_rr(920, 0.3, 0.25, 0.2) == 0.2
 
 
 def test_threshold_exact_tie_is_admitted():
@@ -266,13 +405,14 @@ def test_upper_os_degenerate():
 
 
 def test_upper_bounds_pinned_values():
-    # recorded before the distance law was vectorized; the OS bound must not
-    # move at all, the RR bound only by the roundoff of the new summation
+    # recorded once the discarded weight mass became a sum over the weights
+    # outside the window (it was 1 - sum kept, about 2e-13 of rounding noise
+    # here); the OS bound must not move at all, the RR bound only by roundoff
     p, rate, d0 = 0.25, 0.3, 0.1314047333665419
     assert inverse_binary_entropy(binary_entropy(p) - 0.25) == pytest.approx(d0, rel=1e-12, abs=0)
     for n, os_value, threshold, rr_value in [
-        (200, 0.1293690736976784, 77, 0.22252740091517392),
-        (600, 0.12192659255944786, 157, 0.16486032977294388),
+        (200, 0.12936907369759928, 77, 0.22252740091510714),
+        (600, 0.12192659255924593, 157, 0.16486032977277357),
     ]:
         r = bns.upper_bound_os(n, rate, p, 0.01)
         assert (r.value, r.threshold) == (os_value, threshold)

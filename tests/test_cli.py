@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from rdflb import bns, bss, gauss, svg
-from rdflb.cli import _fmt, main
+from rdflb.cli import _CONFIG_CONVERT, _fmt, main
 from rdflb.ratedistortion import BinaryNonSymmetricSource, GaussianSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
 
@@ -45,6 +45,21 @@ def test_curve_bns_is_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_curve_bns_text_at_the_benchmark_configuration(tmp_path):
+    out = tmp_path / "bns.csv"
+    argv = ["curve", "bns", "--p", "0.25", "--rate", "0.3", "--eps", "0.01", "--ref-rate", "0.25",
+            "--n", "200:600:200", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text(encoding="utf-8") == (
+        "# params: family=bns rate=0.3 n=200:600:200 p=0.25 sigma2=1.0 eps=[0.01] ref_rate=[0.25] "
+        "alpha=None unbounded=False legacy_eps=None delta=0.5\n"
+        "n,asymptote,lower,upper_os_0.01,upper_rr_0.25\n"
+        "200,0.113801878,0.1145638338,0.1293690737,0.2225274009\n"
+        "400,0.113801878,0.1141747394,0.1238564763,0.1850302641\n"
+        "600,0.113801878,0.114037479,0.1219265926,0.1648603298\n"
+    )
+
+
 def test_curve_bns_at_n_one(tmp_path):
     # the rearrangement walk at n = 1 subtracts two log multiplicities that
     # differ in their last bit; log_diff must not raise on that
@@ -60,7 +75,8 @@ def test_curve_bns_at_n_one(tmp_path):
     ["curve", "bns", "--rate", "0.3", "--eps", "0.01", "--n", "40:80:40"],
     ["curve", "bns", "--p", "0.25", "--rate", "0.3", "--eps", "0.01", "--n", "80:40:40"],
     ["curve", "bns", "--p", "1.5", "--rate", "0.3", "--eps", "0.01", "--n", "40:40:40"],
-], ids=["bns_without_p", "empty_n_range", "bns_p_out_of_range"])
+    ["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--n", "4:8:4", "--legacy-eps", "0.1"],
+], ids=["bns_without_p", "empty_n_range", "bns_p_out_of_range", "legacy_eps_without_ref_rate"])
 def test_curve_usage_errors_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert main(argv + ["--jobs", "1", "--out", str(out)]) == 2
@@ -116,18 +132,30 @@ def test_flag_beats_the_config_file(tmp_path):
     assert not ignored.exists()
 
 
-@pytest.mark.parametrize("text", [
-    "rate = 0.3\nbogus = 1\n",
-    "rate 0.3\n",
-    None,
-], ids=["unknown_key", "line_without_equals", "missing_file"])
-def test_config_errors_exit_2(tmp_path, capsys, text):
+@pytest.mark.parametrize("text,message", [
+    ("rate = 0.3\nbogus = 1\n", "error: unknown config key: bogus"),
+    ("rate 0.3\n", "error: bad config line"),
+    (None, "error:"),
+    ("unbounded = ture\n", "error: config key unbounded: "),
+], ids=["unknown_key", "line_without_equals", "missing_file", "unbounded_typo"])
+def test_config_errors_exit_2(tmp_path, capsys, text, message):
     cfg = _write_config(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
     out = tmp_path / "x.csv"
     assert main(BNS_CURVE + ["--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.err.startswith(message) and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_config_unbounded_reads_every_spelled_boolean(tmp_path):
+    words = ["1", "TRUE", "yes", "0", "False", "NO"]
+    assert [_CONFIG_CONVERT["unbounded"](w) for w in words] == [True] * 3 + [False] * 3
+    cfg = _write_config(tmp_path, "unbounded = Yes\n")
+    out = tmp_path / "g.csv"
+    argv = ["curve", "gauss", "--config", cfg, "--rate", "0.5", "--eps", "0.005", "--alpha", "2",
+            "--n", "8:8:8", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert "lower_unbounded" in out.read_text(encoding="utf-8").splitlines()[1]
 
 
 GAUSS_CURVE = ["curve", "gauss", "--rate", "0.5", "--eps", "0.005", "--alpha", "2", "--unbounded", "--n", "16:32:16"]

@@ -329,8 +329,8 @@ def _node_residuals(inp, monkeypatch):
         nodes.append(out[0])
         return out
 
-    def solve(f, lo, hi):
-        out = bracket_solve(f, lo, hi)
+    def solve(f, lo, hi, *ends):
+        out = bracket_solve(f, lo, hi, *ends)
         radii.append(out)
         return out
 

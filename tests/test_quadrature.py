@@ -159,3 +159,16 @@ def test_bracket_solve_needs_a_bracket():
         bracket_solve(f, [0.0, 2.0], [2.0, 3.0])
     with pytest.raises(ValueError):
         bracket_solve(f, [0.0, 0.0], [2.0, 2.0, 2.0])
+
+
+def test_bracket_solve_with_known_ends_skips_their_evaluation():
+    lo, hi = [0.0, 0.0, 1.0 - 1e-14], [2.0, 16.0, 1.0 + 1e-14]
+    cold = _Counted([3.0, 2.0, 1.0], [2.0, 5.0, 1.0])
+    x = bracket_solve(cold, lo, hi)
+    f = _Counted([3.0, 2.0, 1.0], [2.0, 5.0, 1.0])
+    ends = f(np.array(lo + hi), np.tile(np.arange(3), 2))
+    calls = f.calls
+    assert np.array_equal(bracket_solve(f, lo, hi, ends[:3], ends[3:]), x)
+    assert f.calls - calls == cold.calls - 1
+    with pytest.raises(ValueError):
+        bracket_solve(f, lo, hi, ends[3:], ends[:3])
