@@ -44,7 +44,6 @@ from .geometry import log_prob_intersect_batch, log_shell_mass_batch, log_vol_di
 from .logdomain import LOG_ZERO
 from .quadrature import bracket_solve, gl_nodes, gl_panels, gl_partial, gl_rule
 from .special import (
-    exp_gap_inverse,
     log_reg_gamma_lower,
     log_unit_ball_volume,
     noncentral_chi2_log_cdf,
@@ -55,10 +54,6 @@ from .special import (
 __all__ = [
     "GaussBoundInput",
     "GaussUpperBound",
-    "k0",
-    "k_excess",
-    "gamma_cap",
-    "delta_hat",
     "lower_bound",
     "lower_bound_detail",
     "upper_bound_unbounded",
@@ -128,13 +123,6 @@ class GaussUpperBound:
 # pointwise pieces of the lower bound
 # ---------------------------------------------------------------------------
 
-def k0(t: float, inp: GaussBoundInput) -> float:
-    """Gaussian mass of the origin ball C0(t)."""
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    return reg_gamma_lower(0.5 * inp.n, 0.5 * float(inp.radius_sq(t, 0.0)) / inp.sigma2)
-
-
 def _log_k_excess(inp: GaussBoundInput, rho, t) -> np.ndarray:
     """ln P(C_j(t) \\ C0(t)) elementwise over codeword norms rho and t; -inf at rho = 0."""
     t, rho = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(rho, dtype=float))
@@ -147,13 +135,6 @@ def _log_k_excess(inp: GaussBoundInput, rho, t) -> np.ndarray:
         c1 = inp.scale * rp
         out[pos] = log_shell_mass_batch(inp.n, r0, c1 + r1, c1, r1, inp.sigma2)
     return out
-
-
-def k_excess(t: float, rho: float, inp: GaussBoundInput) -> float:
-    """P(C_j(t) \\ C0(t)) for a codeword of norm rho."""
-    if t < 0 or rho < 0:
-        raise ValueError("need t >= 0 and rho >= 0")
-    return min(1.0, math.exp(float(_log_k_excess(inp, rho, np.array([float(t)]))[0])))
 
 
 def _one_minus_k0(inp: GaussBoundInput, t) -> np.ndarray:
@@ -210,16 +191,6 @@ def _one_minus_gamma(inp: GaussBoundInput, t: np.ndarray) -> np.ndarray:
     return reg_gamma_upper(0.5 * inp.n, 0.5 * np.exp(2.0 * _log_gamma_radius(inp, t)) / inp.sigma2)
 
 
-def gamma_cap(t: float, inp: GaussBoundInput) -> float:
-    """Volume-based cap Gamma_n(t) on the captured mass; 1 when unbounded."""
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    if inp.rm is None:
-        return 1.0
-    log_re = float(_log_gamma_radius(inp, np.array([float(t)]))[0])
-    return reg_gamma_lower(0.5 * inp.n, 0.5 * math.exp(2.0 * log_re) / inp.sigma2)
-
-
 # ---------------------------------------------------------------------------
 # the converse: kink-anchored Gauss-Legendre panels, batched over norm lanes
 # ---------------------------------------------------------------------------
@@ -261,14 +232,18 @@ class _Panels:
         seg = self.half * (vals @ gl_nodes(vals.shape[1])[1])
         below = np.cumsum(seg) - seg
         self.below = below - np.repeat(below[self.first], counts)
+        # the lanes' edges, padded with +inf to one row each
+        self.pad = np.full((counts.size, counts.max() + 1), np.inf)
+        self.pad[np.arange(counts.max() + 1) <= counts[:, None]] = np.concatenate(edges)
+        self.panels = counts[:, None]
+        self.last = self.pad[np.arange(counts.size), counts][:, None]
 
     def at(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        p = self.first[:, None] + np.array(
-            [np.clip(np.searchsorted(e, s, side="right") - 1, 0, e.size - 2) for e in self.edges]
-        )
-        ends = np.array([[e[0], e[-1]] for e in self.edges])
-        sc = np.clip(s, ends[:, :1], ends[:, 1:])
+        # a count of the edges <= s is searchsorted's right side
+        count = (self.pad[:, None, :] <= s[:, None]).sum(axis=-1)
+        p = self.first[:, None] + np.clip(count - 1, 0, self.panels - 1)
+        sc = np.clip(s, self.pad[:, :1], self.last)
         half = self.half[p]
         with np.errstate(divide="ignore", invalid="ignore"):
             y = np.where(half > 0.0, (sc - self.lo[p]) / half - 1.0, 1.0)
@@ -469,20 +444,6 @@ def _class_table(n: int, rate: float, sigma2: float, rm: float | None) -> _Conve
     return _Converse(GaussBoundInput(n, rate, sigma2, rm))
 
 
-def delta_hat(mu0: float, r: float, inp: GaussBoundInput) -> float:
-    """The split objective: captured-mass integral up to mu0 for norm-r
-    codewords plus the volume-cap tail beyond mu0, in nats."""
-    if mu0 < 0 or r < 0:
-        raise ValueError("need mu0 >= 0 and r >= 0")
-    if inp.rm is not None and r > inp.rm:
-        raise ValueError(f"r exceeds the codeword bound: {r} > {inp.rm}")
-    cv = _table(inp)
-    rho = np.array([float(r)])
-    t0 = min(exp_gap_inverse(mu0), cv.t_end)
-    lanes = _lane_panels(inp, rho, cv.shared.crossing(rho), cuts=[t0])
-    return float(cv.objective(lanes, np.array([t0]))[0, 0])
-
-
 def _zoom(points: np.ndarray, best: int, m: int) -> np.ndarray:
     """m points spread evenly between the neighbours of points[best]."""
     srt = np.unique(points)
@@ -562,7 +523,10 @@ def _os_bound(inp: GaussBoundInput, log_cover, radius_bracket, eps_term: float) 
     One ``bracket_solve`` returns every node's radius on its gap >= 0 side,
     so it is at least the covering radius and the bound errs high, the
     valid side.  So does the mass outside the source window, bounded by
-    its |x|^2/n moment.
+    its |x|^2/n moment.  A bracket's low end at t = 0 is a ball that is a
+    point, null under either law, so its gap is -inf by definition: it is
+    passed to the solver as known, and only the high ends and any positive
+    low ends are evaluated.
 
     The integrand kinks where r(x) = |x|.  The balls B(|x| u, |x|) all
     touch the origin and are nested in |x|, so under either (rotation
@@ -587,7 +551,16 @@ def _os_bound(inp: GaussBoundInput, log_cover, radius_bracket, eps_term: float) 
         kink = float(bracket_solve(kink_gap, lo, hi, gap_lo, gap_hi)[0])
         edges = np.unique([lo, kink, 0.5 * (kink + hi), hi])
     nodes, wgt = gl_panels(edges, 32)
-    radius = bracket_solve(lambda t, k: log_cover(nodes[k], t) - log_p0, *radius_bracket(nodes))
+
+    def gap(t, k):
+        return log_cover(nodes[k], t) - log_p0
+
+    t_lo, t_hi = radius_bracket(nodes)
+    at = np.flatnonzero(t_lo > 0.0)
+    ends = gap(np.concatenate([t_lo[at], t_hi]), np.concatenate([at, np.arange(nodes.size)]))
+    gap_lo = np.full(nodes.size, LOG_ZERO)
+    gap_lo[at] = ends[: at.size]
+    radius = bracket_solve(gap, t_lo, t_hi, gap_lo, ends[at.size :])
     a = 0.5 * n  # |x|^2 / sigma2 is chi-squared with n degrees
     log_pdf = (a - 1.0) * np.log(nodes) - 0.5 * nodes / s2 - a * math.log(2.0 * s2) - gammaln(a)
     integrand = np.exp(log_pdf) * np.minimum(nodes, radius**2) / n

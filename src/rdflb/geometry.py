@@ -8,9 +8,13 @@ of the radius-r sphere inside C1 is a cap, so every Gaussian mass reduces to
 
 with theta(r) from the triangle (r, c1, r1).  Integrands underflow doubles
 for n beyond a few hundred, so everything is assembled in the log domain
-and re-exponentiated around the maximum.  Volumes use the exact
-radical-plane cap decomposition instead.  Every function is vectorized
-over rows of radii.
+and re-exponentiated around the maximum.  Both halves of a row's cap
+shell go through one pass, and the cap area (an incomplete beta function)
+is evaluated only at the nodes whose elementary upper bound reaches within
+46 nats of the row's largest lower bound; every node left out is below
+e^-46 of the row's largest term (``_log_cap_shell``).  Volumes use the
+exact radical-plane cap decomposition instead.  Every function is
+vectorized over rows of radii.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ import numpy as np
 
 from .logdomain import LOG_ZERO, logsumexp
 from .quadrature import gl_rule
-from .special import log_cone_area, log_reg_gamma_lower, log_reg_inc_beta, log_unit_ball_volume
+from .special import (
+    log_cone_area,
+    log_reg_gamma_lower,
+    log_reg_inc_beta,
+    log_unit_ball_volume,
+    log_unit_sphere_area,
+)
 
 __all__ = ["log_shell_mass_batch", "log_prob_intersect_batch", "log_vol_diff_vec"]
 
@@ -33,15 +43,15 @@ _NODES = 16
 # batched radial integrals
 # ---------------------------------------------------------------------------
 
-def _cap_angle(c1, r1, rho):
-    """Cap semiangle theta(rho) of the radius-rho sphere inside C1.
+def _cap_cos(c1, r1, rho):
+    """cos(theta(rho)), theta the cap semiangle of the radius-rho sphere inside C1.
 
-    cos(theta) is clamped to the geometric range; outside values mean the
-    sphere is fully inside (theta = pi) or fully outside (theta = 0) the cap."""
+    It is clamped to the geometric range; outside values mean the sphere is
+    fully inside (theta = pi) or fully outside (theta = 0) the cap."""
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = (c1**2 + rho**2 - r1**2) / (2.0 * c1 * rho)
     arg = np.where(np.isnan(arg), 1.0, arg)
-    return np.arccos(np.clip(arg, -1.0, 1.0))
+    return np.clip(arg, -1.0, 1.0)
 
 
 def _log_diff_vec(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
@@ -67,14 +77,40 @@ def _log_full_shell(n, a, b, sigma2):
     return _log_diff_vec(lvb, lva)
 
 
-def _cap_half_quadrature(n, edge, far, c1, r1, sigma2, from_left):
-    """Quadrature for the cap shell between edge and far, substituting
-    r = edge +- u**2 so the sqrt behavior of theta at tangency is analytic.
+def _log_cap_area_bounds(n: int, cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementary (lower, upper) bounds on ln Omega_n(theta), from cos(theta)
+    alone, no beta function.
 
-    Returns log-terms (rows x nodes_total) to be logsumexp-reduced.
+    Omega_n(theta) = A_{n-1} integral_0^theta sin^(n-2)(phi) dphi.  On
+    [0, theta] with theta <= pi/2, cos(theta) <= cos(phi) <= 1, so
+    integrating sin^(n-2)(phi) cos(phi) gives
+
+        (A_{n-1}/(n-1)) sin^(n-1)(theta) <= Omega_n(theta) <= (A_{n-1}/(n-1)) sin^(n-1)(theta) / cos(theta),
+
+    and Omega_n(theta) <= A_n/2 as the cap is at most a hemisphere.  For
+    theta > pi/2 (cos(theta) < 0), A_n/2 <= Omega_n(theta) <= A_n.
+    sin^2(theta) is taken as (1 - cos)(1 + cos).
+    """
+    log_half = log_unit_sphere_area(n) - math.log(2.0)
+    acute = cos >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = log_unit_sphere_area(n - 1) - math.log(n - 1) + 0.5 * (n - 1) * np.log((1.0 - cos) * (1.0 + cos))
+        upper = np.minimum(lower - np.log(cos), log_half)
+    return np.where(acute, lower, log_half), np.where(acute, upper, log_half + math.log(2.0))
+
+
+def _cap_half_rows(n, edge, far, sigma2, sgn):
+    """Nodes and log-weights of the cap shell between edge and far, one half-row
+    per entry, substituting r = edge + sgn u**2 (sgn = +1 from the left, -1
+    from the right) so the sqrt behavior of theta at tangency is analytic.
+
+    Returns (rho, base, keep), each half-rows x nodes: the radii, ln of
+    density * r^(n-1) * weight * jacobian, and the nodes within 46 nats of
+    their half-row's largest base.  The cap area is at most the full
+    sphere, so the nodes left out cannot matter.
     """
     rows = edge.shape[0]
-    span = np.maximum((far - edge) * np.where(from_left, 1.0, -1.0), 0.0)
+    span = np.maximum((far - edge) * sgn, 0.0)
     u_max = np.sqrt(span)
     # refine in u on the edge decay length of the log-integrand
     edge_safe = np.maximum(edge, 1e-300)
@@ -91,27 +127,55 @@ def _cap_half_quadrature(n, edge, far, c1, r1, sigma2, from_left):
     )
     u, wgt = gl_rule(edges_u[:, :-1].ravel(), edges_u[:, 1:].ravel(), _NODES)
     u, wgt = u.reshape(rows, -1), wgt.reshape(rows, -1)
-    sgn = np.where(from_left, 1.0, -1.0)[:, None]
-    rho = edge[:, None] + sgn * u**2
-    jac = 2.0 * u
+    rho = edge[:, None] + sgn[:, None] * u**2
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # u >= 0 and wgt >= 0, so a zero weight or jacobian 2u gives a -inf base
+    with np.errstate(divide="ignore"):
         base = (n - 1) * np.log(np.maximum(rho, 1e-300))
         if sigma2 is not None:
             base = base - rho**2 / (2.0 * sigma2) - 0.5 * n * math.log(2.0 * math.pi * sigma2)
-        ok = (wgt > 0) & (jac > 0)
-        base = np.where(ok, base + np.log(np.where(ok, wgt * jac, 1.0)), LOG_ZERO)
-    # the cap area is at most the full sphere: lanes more than ~46 nats
-    # below the row peak cannot matter, skip their beta evaluation
+        base += np.log(wgt * (2.0 * u))
     row_max = np.max(base, axis=1, keepdims=True)
-    keep = ok & (base >= row_max - 46.0)
-    log_omega = np.full(base.shape, LOG_ZERO)
-    if np.any(keep):
-        ri, _ = np.nonzero(keep)
-        theta = _cap_angle(c1[ri], r1[ri], rho[keep])
-        log_omega[keep] = log_cone_area(n, theta)
-    log_terms = base + log_omega
-    return np.where(np.isnan(log_terms), LOG_ZERO, log_terms)
+    return rho, base, (base >= row_max - 46.0) & (base > LOG_ZERO)
+
+
+def _log_cap_shell(n, cap_lo, cap_hi, mid, c1, r1, sigma2):
+    """ln of the cap-shell integral from cap_lo to cap_hi, per row, in one
+    pass over both halves: [cap_lo, mid] from the left, [mid, cap_hi] from
+    the right, laid out as half-rows 2i and 2i + 1.
+
+    The cap area is evaluated only where it can matter.  With L <= ln Omega
+    <= U the bounds of ``_log_cap_area_bounds`` and M the largest base + L
+    over the row's kept nodes (both halves), a node with base + U < M - 46
+    is dropped: its term e^base Omega is at most e^(base + U) < e^(M - 46),
+    and e^M is at most the term of the node that sets M.  So, up to the
+    rounding of the bounds, every dropped term is below e^-46 (1.1e-20) of
+    the row's largest, and the at most 2 x 96 of them lower the row's sum
+    by less than 2.1e-18 relative.
+    """
+    rows = cap_lo.size
+    rho, base, keep = _cap_half_rows(
+        n, np.stack([cap_lo, cap_hi], axis=1).ravel(), np.repeat(mid, 2), sigma2, np.tile([1.0, -1.0], rows)
+    )
+    row = np.nonzero(keep)[0] // 2
+    cos = _cap_cos(c1[row], r1[row], rho[keep])
+    lower, upper = _log_cap_area_bounds(n, cos)
+    b = base[keep]
+    best = np.full(base.shape, LOG_ZERO)
+    best[keep] = b + lower
+    floor = best.reshape(rows, -1).max(axis=1) - 46.0
+    need = b + upper >= floor[row]
+    terms = np.full(b.shape, LOG_ZERO)
+    terms[need] = b[need] + log_cone_area(n, np.arccos(cos[need]))
+    log_terms = np.full(base.shape, LOG_ZERO)
+    log_terms[keep] = np.where(np.isnan(terms), LOG_ZERO, terms)
+    return logsumexp(log_terms.reshape(rows, -1), axis=1)
+
+
+# shell rows per cap-shell pass: 2 x 64 half-rows keep every temporary at
+# half the size of one half of a 256-row call; rows are independent, so the
+# chunks do not move a value
+_ROWS = 64
 
 
 def log_shell_mass_batch(
@@ -128,7 +192,8 @@ def log_shell_mass_batch(
     hi <= lo return exact log-zero.  The region below |c1 - r1| (full
     spheres) is handled in closed form; the cap region is integrated in
     two halves with a square-root substitution at each end, which removes
-    the tangency cusps of theta(r).
+    the tangency cusps of theta(r), and the cap area is evaluated only at
+    the nodes that can matter (``_log_cap_shell``).
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -143,7 +208,6 @@ def log_shell_mass_batch(
 
     cap_lo = np.maximum(lo, kink)
     cap_hi = np.minimum(hi, c1 + r1)
-    has_cap = cap_hi > cap_lo
     width = np.maximum(cap_hi - cap_lo, 0.0)
     # anchor the halves so the integrand peak faces a substitution edge:
     # the radial density peak in probability mode, the upper limit (where
@@ -151,10 +215,11 @@ def log_shell_mass_batch(
     peak = math.sqrt(sigma2 * max(n - 1, 1)) if sigma2 is not None else 0.0
     mid = np.clip(peak, cap_lo + 0.05 * width, cap_hi - 0.05 * width)
 
-    left = _cap_half_quadrature(n, cap_lo, mid, c1, r1, sigma2, np.ones_like(cap_lo, bool))
-    right = _cap_half_quadrature(n, cap_hi, mid, c1, r1, sigma2, np.zeros_like(cap_lo, bool))
-    log_cap = logsumexp(np.concatenate([left, right], axis=1), axis=1)
-    log_cap = np.where(has_cap, log_cap, LOG_ZERO)
+    log_cap = np.full(lo.shape, LOG_ZERO)
+    cap_rows = np.flatnonzero(cap_hi > cap_lo)
+    for i in range(0, cap_rows.size, _ROWS):
+        k = cap_rows[i : i + _ROWS]
+        log_cap[k] = _log_cap_shell(n, cap_lo[k], cap_hi[k], mid[k], c1[k], r1[k], sigma2)
 
     out = np.logaddexp(log_full, log_cap)
     return np.where(hi > lo, out, LOG_ZERO)

@@ -5,9 +5,9 @@
 panels, and the callers put their kinks on panel edges.  `gl_partial` reads
 the integral up to any point inside a panel from the same node values.
 `find_root` bisects one scalar bracket; `bracket_solve` solves many
-independent brackets at once, with one call of the (vectorized) function
-per round over the lanes still running, and returns every root on its
-f >= 0 side.
+independent brackets at once by Pegasus regula falsi steps, with one call
+of the (vectorized) function per round over the lanes still running, and
+returns every root on its f >= 0 side.
 """
 
 from __future__ import annotations
@@ -98,6 +98,14 @@ _RTOL = 1e-12
 _MAX_ITER = 60
 
 
+def _pegasus(g_old: np.ndarray, g_new: np.ndarray) -> np.ndarray:
+    """The Pegasus factor g_old / (g_old + g_new), in (0, 1) for two values of
+    one sign; 1/2, the Illinois factor, where it is not (an infinite end)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = g_old / (g_old + g_new)
+    return np.where((m > 0.0) & (m < 1.0), m, 0.5)
+
+
 def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, f_lo=None, f_hi=None) -> np.ndarray:
     """Roots of increasing functions over independent lanes, each on its f >= 0 side.
 
@@ -107,13 +115,16 @@ def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, f_l
     -inf.  A caller that has already evaluated f at both ends passes the
     values as ``f_lo`` and ``f_hi``, and f is not called there again.
 
-    Each round takes one Illinois (modified regula falsi) step per running
-    lane, aimed at f = _FTOL/2, the middle of the accepted window.  A lane
-    bisects instead while f(lo) is -inf or when the step would leave its
-    bracket.  The bracket keeps f(lo) < 0 <= f(hi) throughout.  A lane stops
-    once a step lands with f in [0, _FTOL), once hi - lo <= _RTOL max(|lo|, |hi|),
-    or after _MAX_ITER rounds, and every lane returns its hi: a point where
-    f was evaluated and found >= 0.  Deterministic; f is called once for
+    Each round takes one Pegasus step (modified regula falsi; Dowell and
+    Jarratt, BIT 12, 1972) per running lane, aimed at f = _FTOL/2, the
+    middle of the accepted window: when the same end is kept twice in a
+    row, its value is scaled by g_old / (g_old + g_new) of the end that
+    moved, where Illinois would halve it.  A lane bisects instead while
+    f(lo) is -inf or when the step would leave its bracket.  The bracket
+    keeps f(lo) < 0 <= f(hi) throughout.  A lane stops once a step lands
+    with f in [0, _FTOL), once hi - lo <= _RTOL max(|lo|, |hi|), or after
+    _MAX_ITER rounds, and every lane returns its hi: a point where f was
+    evaluated and found >= 0.  Deterministic; f is called once for
     the two bracket ends (unless given) and once per round, with only the
     running lanes.
     """
@@ -158,11 +169,15 @@ def bracket_solve(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, f_l
         fx = call(x, act)
         up = fx >= 0.0
         moved_hi, moved_lo = act[up], act[~up]
-        hi[moved_hi], g_hi[moved_hi] = x[up], fx[up] - aim
-        lo[moved_lo], g_lo[moved_lo] = x[~up], fx[~up] - aim
-        # Illinois: an end kept twice in a row has its value halved
-        g_lo[moved_hi[side[moved_hi] == 1]] *= 0.5
-        g_hi[moved_lo[side[moved_lo] == -1]] *= 0.5
+        g_new = fx - aim
+        # Pegasus: an end kept twice in a row has its value scaled by
+        # g_old / (g_old + g_new) of the end that moved
+        again = side[act] == np.where(up, 1, -1)
+        kept_lo, kept_hi = act[again & up], act[again & ~up]
+        g_lo[kept_lo] *= _pegasus(g_hi[kept_lo], g_new[again & up])
+        g_hi[kept_hi] *= _pegasus(g_lo[kept_hi], g_new[again & ~up])
+        hi[moved_hi], g_hi[moved_hi] = x[up], g_new[up]
+        lo[moved_lo], g_lo[moved_lo] = x[~up], g_new[~up]
         side[moved_hi], side[moved_lo] = 1, -1
         run[moved_hi[fx[up] < _FTOL]] = False
         run[act] &= hi[act] - lo[act] > _RTOL * np.maximum(np.abs(lo[act]), np.abs(hi[act]))

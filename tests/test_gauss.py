@@ -4,11 +4,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from rdflb import gauss
+from rdflb import gauss, geometry
 from rdflb.gauss import GaussBoundInput
 from rdflb.geometry import log_prob_intersect_batch, log_shell_mass_batch
-from rdflb.quadrature import bracket_solve, gl_panels
+from rdflb.quadrature import bracket_solve, gl_panels, gl_partial
 from rdflb.special import (
+    exp_gap_inverse,
+    log_cone_area,
     log_reg_gamma_lower,
     noncentral_chi2_log_cdf,
     reg_gamma_lower,
@@ -20,25 +22,67 @@ INP2 = GaussBoundInput(2, 0.5)
 
 
 # ---------------------------------------------------------------------------
+# pointwise readings of the converse's pieces, for the tests below
+# ---------------------------------------------------------------------------
+
+def _k0(t: float, inp: GaussBoundInput) -> float:
+    """Gaussian mass of the origin ball C0(t)."""
+    if t < 0:
+        raise ValueError(f"need t >= 0, got {t}")
+    return reg_gamma_lower(0.5 * inp.n, 0.5 * float(inp.radius_sq(t, 0.0)) / inp.sigma2)
+
+
+def _k_excess(t: float, rho: float, inp: GaussBoundInput) -> float:
+    """P(C_j(t) \\ C0(t)) for a codeword of norm rho."""
+    if t < 0 or rho < 0:
+        raise ValueError("need t >= 0 and rho >= 0")
+    return min(1.0, math.exp(float(gauss._log_k_excess(inp, rho, np.array([float(t)]))[0])))
+
+
+def _gamma_cap(t: float, inp: GaussBoundInput) -> float:
+    """Volume-based cap Gamma_n(t) on the captured mass; 1 when unbounded."""
+    if t < 0:
+        raise ValueError(f"need t >= 0, got {t}")
+    if inp.rm is None:
+        return 1.0
+    log_re = float(gauss._log_gamma_radius(inp, np.array([float(t)]))[0])
+    return reg_gamma_lower(0.5 * inp.n, 0.5 * math.exp(2.0 * log_re) / inp.sigma2)
+
+
+def _delta_hat(mu0: float, r: float, inp: GaussBoundInput) -> float:
+    """The split objective: captured-mass integral up to mu0 for norm-r
+    codewords plus the volume-cap tail beyond mu0, in nats."""
+    if mu0 < 0 or r < 0:
+        raise ValueError("need mu0 >= 0 and r >= 0")
+    if inp.rm is not None and r > inp.rm:
+        raise ValueError(f"r exceeds the codeword bound: {r} > {inp.rm}")
+    cv = gauss._table(inp)
+    rho = np.array([float(r)])
+    t0 = min(exp_gap_inverse(mu0), cv.t_end)
+    lanes = gauss._lane_panels(inp, rho, cv.shared.crossing(rho), cuts=[t0])
+    return float(cv.objective(lanes, np.array([t0]))[0, 0])
+
+
+# ---------------------------------------------------------------------------
 # pointwise pieces
 # ---------------------------------------------------------------------------
 
 def test_k0_closed_form():
     # sigma2=1, R=1/2: D=1/2, R(t,0) = 2t, so K0(1) = CDF_chi2(2) at 2
-    assert gauss.k0(0.0, INP2) == 0.0
-    assert gauss.k0(1.0, INP2) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12, abs=0)
-    assert gauss.k0(1e6, INP2) == pytest.approx(1.0, abs=1e-14)
+    assert _k0(0.0, INP2) == 0.0
+    assert _k0(1.0, INP2) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12, abs=0)
+    assert _k0(1e6, INP2) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_k_excess_zero_norm():
-    assert gauss.k_excess(1.0, 0.0, INP2) == 0.0
+    assert _k_excess(1.0, 0.0, INP2) == 0.0
 
 
 def test_k_excess_disjoint_is_full_ball():
     inp = GaussBoundInput(4, 0.5)
     t, rho = 0.01, 30.0
     want = math.exp(noncentral_chi2_log_cdf(4, (inp.scale * rho) ** 2, float(inp.radius_sq(t, rho))))
-    assert gauss.k_excess(t, rho, inp) == pytest.approx(want, rel=1e-6)
+    assert _k_excess(t, rho, inp) == pytest.approx(want, rel=1e-6)
 
 
 def test_k_excess_monte_carlo():
@@ -54,16 +98,16 @@ def test_k_excess_monte_carlo():
     in_0 = (x**2).sum(axis=1) <= r0 * r0
     hat = float((in_j & ~in_0).mean())
     se = math.sqrt(hat * (1 - hat) / m)
-    assert gauss.k_excess(t, rho, inp) == pytest.approx(hat, abs=3.5 * se)
+    assert _k_excess(t, rho, inp) == pytest.approx(hat, abs=3.5 * se)
 
 
 def test_gamma_cap_unbounded_is_one():
-    assert gauss.gamma_cap(0.7, GaussBoundInput(4, 0.5)) == 1.0
+    assert _gamma_cap(0.7, GaussBoundInput(4, 0.5)) == 1.0
 
 
 def test_gamma_cap_limits_and_pieces():
     inp = GaussBoundInput(3, 0.5, rm=math.sqrt(1.5))
-    assert gauss.gamma_cap(1e9, inp) == pytest.approx(1.0, abs=1e-12)
+    assert _gamma_cap(1e9, inp) == pytest.approx(1.0, abs=1e-12)
     # cross-check the volume route against the closed-form 3-D lens volume
     t = 1.0
     r0 = math.sqrt(float(inp.radius_sq(t, 0.0)))
@@ -76,7 +120,7 @@ def test_gamma_cap_limits_and_pieces():
     vdiff = 4 * math.pi / 3 * r1**3 - lens
     vtot = 4 * math.pi / 3 * r0**3 + 2.0 ** (3 * 0.5) * vdiff
     r_e = min((vtot / (4 * math.pi / 3)) ** (1.0 / 3.0), c1 + r1)
-    assert gauss.gamma_cap(t, inp) == pytest.approx(reg_gamma_lower(1.5, 0.5 * r_e**2), rel=1e-9)
+    assert _gamma_cap(t, inp) == pytest.approx(reg_gamma_lower(1.5, 0.5 * r_e**2), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +128,15 @@ def test_gamma_cap_limits_and_pieces():
 # ---------------------------------------------------------------------------
 
 def test_delta_hat_zero_split_unbounded():
-    assert gauss.delta_hat(0.0, 1.0, GaussBoundInput(4, 0.5)) == 0.0
+    assert _delta_hat(0.0, 1.0, GaussBoundInput(4, 0.5)) == 0.0
 
 
 def test_delta_hat_zero_split_bounded_nonnegative():
     inp = GaussBoundInput(4, 0.5, rm=math.sqrt(2.0))
-    v = gauss.delta_hat(0.0, 1.0, inp)
+    v = _delta_hat(0.0, 1.0, inp)
     assert v >= 0.0
     # independent of the codeword norm at mu0 = 0
-    assert gauss.delta_hat(0.0, 0.3, inp) == pytest.approx(v, rel=1e-12, abs=0)
+    assert _delta_hat(0.0, 0.3, inp) == pytest.approx(v, rel=1e-12, abs=0)
 
 
 def _direct_delta_hat(inp, mu0, r):
@@ -100,18 +144,16 @@ def _direct_delta_hat(inp, mu0, r):
     # adaptive integrator
     from scipy.integrate import quad
 
-    from rdflb.special import exp_gap_inverse
-
     q = 2.0 ** (inp.n * inp.rate)
 
     def first(mu):
         t = exp_gap_inverse(mu)
-        qk = min(1.0, q * gauss.k_excess(t, r, inp))
-        return max(0.0, 1.0 - gauss.k0(t, inp) - qk)
+        qk = min(1.0, q * _k_excess(t, r, inp))
+        return max(0.0, 1.0 - _k0(t, inp) - qk)
 
     def second(mu):
         t = exp_gap_inverse(mu)
-        return 1.0 - gauss.gamma_cap(t, inp)
+        return 1.0 - _gamma_cap(t, inp)
 
     want = quad(first, 0.0, mu0, epsabs=1e-12, epsrel=1e-9, limit=200)[0]
     return want + quad(second, mu0, 400.0, epsabs=1e-12, epsrel=1e-9, limit=200)[0]
@@ -119,21 +161,21 @@ def _direct_delta_hat(inp, mu0, r):
 
 def test_delta_hat_against_direct_quadrature():
     inp = GaussBoundInput(4, 0.5, rm=math.sqrt(2.0))
-    assert gauss.delta_hat(0.5, 1.0, inp) == pytest.approx(_direct_delta_hat(inp, 0.5, 1.0), rel=1e-7)
+    assert _delta_hat(0.5, 1.0, inp) == pytest.approx(_direct_delta_hat(inp, 0.5, 1.0), rel=1e-7)
 
 
 def test_delta_hat_against_direct_quadrature_across_a_cap_kink():
     # here r_n crosses c1 + r1 at t = 1.66, inside the tail: a kink of Gamma
     inp = GaussBoundInput(8, 2.0, rm=2.0)
-    assert gauss.delta_hat(0.25, 2.0, inp) == pytest.approx(_direct_delta_hat(inp, 0.25, 2.0), rel=1e-7)
+    assert _delta_hat(0.25, 2.0, inp) == pytest.approx(_direct_delta_hat(inp, 0.25, 2.0), rel=1e-7)
 
 
 def test_delta_hat_domain():
     inp = GaussBoundInput(4, 0.5, rm=1.0)
     with pytest.raises(ValueError):
-        gauss.delta_hat(0.5, 2.0, inp)  # r beyond the codeword bound
+        _delta_hat(0.5, 2.0, inp)  # r beyond the codeword bound
     with pytest.raises(ValueError):
-        gauss.delta_hat(-1.0, 0.5, inp)
+        _delta_hat(-1.0, 0.5, inp)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +209,7 @@ def test_lower_bound_inner_inf_property():
     rng = np.random.default_rng(3)
     r_cap = 10.0 * math.sqrt(24 * 0.5)
     for r in rng.uniform(0.0, r_cap, 60):
-        assert val <= gauss.delta_hat(mu0, float(r), inp) + 1e-9
+        assert val <= _delta_hat(mu0, float(r), inp) + 1e-9
 
 
 # The converse from an independent kink-anchored dense quadrature at R = 1/2,
@@ -446,3 +488,77 @@ def test_input_validation():
         GaussBoundInput(4, 0.5, eps=1.5)
     with pytest.raises(ValueError):
         gauss.upper_bound_bounded(GaussBoundInput(8, 0.5))  # rm missing
+
+
+@pytest.mark.parametrize("rm_of_n", [None, lambda n: math.sqrt(2.0 * n), lambda n: 200.0], ids=["unbounded", "a2", "rm200"])
+def test_os_bound_never_evaluates_the_cover_at_radius_zero(rm_of_n, monkeypatch):
+    # a radius-0 ball is a point: the radius brackets' known -inf low ends
+    # are passed to the solver, never evaluated
+    radii = []
+    os_bound = gauss._os_bound
+
+    def spy(inp, log_cover, radius_bracket, eps_term):
+        def watched(x, t):
+            radii.append(np.array(t, dtype=float))
+            return log_cover(x, t)
+
+        return os_bound(inp, watched, radius_bracket, eps_term)
+
+    monkeypatch.setattr(gauss, "_os_bound", spy)
+    n = 64
+    inp = GaussBoundInput(n, 0.5, rm=None if rm_of_n is None else rm_of_n(n))
+    (gauss.upper_bound_unbounded if inp.rm is None else gauss.upper_bound_bounded)(inp)
+    t = np.concatenate([np.ravel(r) for r in radii])
+    assert t.size > 96 and (t > 0.0).all()
+
+
+def test_panels_read_like_a_per_lane_search():
+    # _Panels.at counts the edges <= s over all lanes at once; it must pick
+    # the same panel and clamp the same way as a per-lane searchsorted
+    rng = np.random.default_rng(5)
+    edges = [np.array([0.0, 0.0]), np.array([0.0, 0.5, 2.0]), np.cumsum(np.append(0.0, rng.uniform(0.1, 1.0, 9))),
+             np.array([0.0, 3.0])]
+    vals = rng.normal(size=(sum(e.size - 1 for e in edges), 8))
+    s = np.concatenate([[-1.0, 0.0, 0.5, 2.0, 3.0, 100.0], rng.uniform(-0.5, 6.0, 20), edges[2]])
+    panels = gauss._Panels(edges, vals)
+    p = panels.first[:, None] + np.array([np.clip(np.searchsorted(e, s, side="right") - 1, 0, e.size - 2) for e in edges])
+    ends = np.array([[e[0], e[-1]] for e in edges])
+    sc = np.clip(s, ends[:, :1], ends[:, 1:])
+    half = panels.half[p]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(half > 0.0, (sc - panels.lo[p]) / half - 1.0, 1.0)
+    w = gl_partial(y.ravel(), 8).reshape(*y.shape, -1)
+    want = panels.below[p] + half * (w * vals[p]).sum(axis=-1)
+    assert np.array_equal(panels.at(s), want)
+
+
+# the gauss-curve benchmark's gauss work (n = 64, R = 1/2, eps = 0.005; the
+# alpha = 2 and unbounded classes, then rm = 200), counted from cold tables
+WORK = {"shell_calls": 140, "shell_rows": 4254, "cone_lanes": 300755}
+
+
+def test_gauss_curve_work_stays_down(monkeypatch):
+    # each count may rise by at most 5%: a change that brings back unpruned
+    # cap areas or the slower Illinois root steps fails here (the radius-0
+    # ends are watched by test_os_bound_never_evaluates_the_cover_at_radius_zero)
+    work = dict.fromkeys(WORK, 0)
+
+    def shell(n, lo, *args):
+        work["shell_calls"] += 1
+        work["shell_rows"] += np.size(lo)
+        return log_shell_mass_batch(n, lo, *args)
+
+    def cone(n, theta):
+        work["cone_lanes"] += np.size(theta)
+        return log_cone_area(n, theta)
+
+    monkeypatch.setattr(gauss, "log_shell_mass_batch", shell)
+    monkeypatch.setattr(geometry, "log_shell_mass_batch", shell)
+    monkeypatch.setattr(geometry, "log_cone_area", cone)
+    _cold()
+    for rm in (math.sqrt(2.0 * 64), None):
+        inp = GaussBoundInput(64, 0.5, rm=rm, eps=0.005)
+        gauss.lower_bound(inp)
+        (gauss.upper_bound_unbounded if rm is None else gauss.upper_bound_bounded)(inp)
+    gauss.upper_bound_bounded(GaussBoundInput(64, 0.5, rm=200.0, eps=0.005))
+    assert all(work[k] <= 1.05 * WORK[k] for k in WORK), work

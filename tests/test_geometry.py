@@ -3,8 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from rdflb.geometry import _cap_angle, log_prob_intersect_batch, log_shell_mass_batch, log_vol_diff_vec
-from rdflb.special import log_unit_ball_volume, noncentral_chi2_log_cdf, reg_gamma_lower
+from rdflb.geometry import (
+    _cap_cos,
+    _log_cap_area_bounds,
+    _log_full_shell,
+    log_prob_intersect_batch,
+    log_shell_mass_batch,
+    log_vol_diff_vec,
+)
+from rdflb.logdomain import logsumexp
+from rdflb.quadrature import gl_rule
+from rdflb.special import (
+    log_cone_area,
+    log_unit_ball_volume,
+    log_unit_sphere_area,
+    noncentral_chi2_log_cdf,
+    reg_gamma_lower,
+)
 
 
 def ball_volume(n, r):
@@ -37,15 +52,15 @@ def vol_diff(n, r0, c1, r1):
 
 def test_semiangle_tangencies():
     # outer tangency r = c1 + r1: empty cap; r = r1 - c1 (origin inside C1): full sphere
-    theta = _cap_angle(np.array([2.0, 0.4]), np.array([1.0, 1.0]), np.array([3.0, 0.6]))
+    theta = np.arccos(_cap_cos(np.array([2.0, 0.4]), np.array([1.0, 1.0]), np.array([3.0, 0.6])))
     assert theta == pytest.approx([0.0, math.pi], abs=1e-7)
     # outside the shell the cosine is clamped: the sphere misses C1 or lies inside it
-    theta = _cap_angle(np.array([2.0, 0.4]), np.array([1.0, 1.0]), np.array([10.0, 0.1]))
+    theta = np.arccos(_cap_cos(np.array([2.0, 0.4]), np.array([1.0, 1.0]), np.array([10.0, 0.1])))
     assert theta.tolist() == [0.0, math.pi]
 
 
 def test_semiangle_value():
-    theta = _cap_angle(np.array([2.0]), np.array([1.0]), np.array([2.0]))
+    theta = np.arccos(_cap_cos(np.array([2.0]), np.array([1.0]), np.array([2.0])))
     assert theta[0] == pytest.approx(math.acos(7.0 / 8.0), rel=1e-14, abs=0)
 
 
@@ -163,3 +178,111 @@ def test_vol_vs_monte_carlo_3d():
     want = frac * ball_volume(n, r1)
     se = ball_volume(n, r1) * math.sqrt(frac * (1 - frac) / m)
     assert vol_diff(n, r0, c1, r1)[0] == pytest.approx(want, abs=3.5 * se)
+
+
+# ---------------------------------------------------------------------------
+# cap-area pruning
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 512, 4096])
+def test_cap_area_bounds_bracket_the_cap_area(n):
+    half = 0.5 * math.pi
+    theta = np.concatenate([
+        np.geomspace(1e-12, 1e-2, 11),
+        np.linspace(0.02, math.pi - 0.02, 157),
+        half + np.array([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]),
+        math.pi - np.geomspace(1e-12, 1e-2, 11),
+        [0.0, math.pi],
+    ])
+    # the shell quadrature reads the bounds at cos(theta) and the cap area at arccos of it
+    cos = np.cos(theta)
+    got = log_cone_area(n, np.arccos(cos))
+    lower, upper = _log_cap_area_bounds(n, cos)
+    # the bounds are exact inequalities; allow the rounding of the logs only
+    slack = 1e-14 * np.maximum(np.abs(np.where(np.isfinite(got), got, 0.0)), 1.0)
+    assert np.all((lower <= got + slack) | np.isneginf(lower))
+    assert np.all((got <= upper + slack) | np.isneginf(got))
+    assert np.array_equal(np.isneginf(got), np.isneginf(upper))
+    assert np.all(upper <= log_unit_sphere_area(n) + 1e-15)
+
+
+def _reference_half(n, edge, far, c1, r1, sigma2, from_left):
+    """One half of the cap shell, every kept node's cap area evaluated."""
+    rows = edge.shape[0]
+    span = np.maximum((far - edge) * np.where(from_left, 1.0, -1.0), 0.0)
+    u_max = np.sqrt(span)
+    edge_safe = np.maximum(edge, 1e-300)
+    if sigma2 is not None:
+        slope = np.abs(-edge_safe / sigma2 + (n - 1) / edge_safe)
+    else:
+        slope = (n - 1) / edge_safe
+    delta = 1.0 / np.maximum(slope, 1e-300)
+    u_splits = np.sqrt(np.minimum(delta[:, None] * np.array([[3.0, 15.0, 60.0]]), span[:, None]))
+    frac = u_max[:, None] * np.array([[0.35, 0.8]])
+    edges_u = np.concatenate(
+        [np.zeros((rows, 1)), np.sort(np.concatenate([u_splits, frac], axis=1), axis=1), u_max[:, None]],
+        axis=1,
+    )
+    u, wgt = gl_rule(edges_u[:, :-1].ravel(), edges_u[:, 1:].ravel(), 16)
+    u, wgt = u.reshape(rows, -1), wgt.reshape(rows, -1)
+    rho = edge[:, None] + np.where(from_left, 1.0, -1.0)[:, None] * u**2
+    jac = 2.0 * u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = (n - 1) * np.log(np.maximum(rho, 1e-300))
+        if sigma2 is not None:
+            base = base - rho**2 / (2.0 * sigma2) - 0.5 * n * math.log(2.0 * math.pi * sigma2)
+        ok = (wgt > 0) & (jac > 0)
+        base = np.where(ok, base + np.log(np.where(ok, wgt * jac, 1.0)), -np.inf)
+    keep = ok & (base >= np.max(base, axis=1, keepdims=True) - 46.0)
+    log_omega = np.full(base.shape, -np.inf)
+    if np.any(keep):
+        ri, _ = np.nonzero(keep)
+        log_omega[keep] = log_cone_area(n, np.arccos(_cap_cos(c1[ri], r1[ri], rho[keep])))
+    log_terms = base + log_omega
+    return np.where(np.isnan(log_terms), -np.inf, log_terms)
+
+
+def _reference_shell_mass(n, lo, hi, c1, r1, sigma2):
+    """``log_shell_mass_batch`` as two unpruned halves, each its own pass."""
+    kink = np.abs(c1 - r1)
+    a_hi = np.minimum(hi, kink)
+    full_rows = (r1 > c1) & (a_hi > lo)
+    log_full = np.where(
+        full_rows, _log_full_shell(n, np.where(full_rows, lo, 0.0), np.where(full_rows, a_hi, 1.0), sigma2), -np.inf
+    )
+    cap_lo = np.maximum(lo, kink)
+    cap_hi = np.minimum(hi, c1 + r1)
+    width = np.maximum(cap_hi - cap_lo, 0.0)
+    peak = math.sqrt(sigma2 * max(n - 1, 1)) if sigma2 is not None else 0.0
+    mid = np.clip(peak, cap_lo + 0.05 * width, cap_hi - 0.05 * width)
+    left = _reference_half(n, cap_lo, mid, c1, r1, sigma2, np.ones_like(cap_lo, bool))
+    right = _reference_half(n, cap_hi, mid, c1, r1, sigma2, np.zeros_like(cap_lo, bool))
+    log_cap = np.where(cap_hi > cap_lo, logsumexp(np.concatenate([left, right], axis=1), axis=1), -np.inf)
+    return np.where(hi > lo, np.logaddexp(log_full, log_cap), -np.inf)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 512])
+@pytest.mark.parametrize("sigma2", [1.0, None], ids=["probability", "volume"])
+def test_pruned_one_pass_shell_mass_matches_the_two_half_path(n, sigma2):
+    rng = np.random.default_rng(n)
+    m = 300
+    scale = math.sqrt(n)
+    c1 = rng.uniform(0.05, 2.0, m) * scale
+    r1 = rng.uniform(0.05, 2.0, m) * scale
+    lo = rng.uniform(0.0, 2.5, m) * scale
+    hi = lo + rng.uniform(-0.5, 2.5, m) * scale
+    # rows with hi <= lo, disjoint balls, C1 holding the origin, and whole balls
+    hi[:20] = lo[:20] - rng.uniform(0.0, 1.0, 20)
+    hi[20:25] = lo[20:25]
+    c1[25:45] = 3.0 * scale + r1[25:45]
+    lo[25:35], hi[25:35] = 0.0, c1[25:35] + r1[25:35]
+    r1[45:85] = c1[45:85] + rng.uniform(0.05, 1.0, 40) * scale
+    lo[45:65] = 0.0
+    lo[85:100], hi[85:100] = 0.0, c1[85:100] + r1[85:100]
+    got = log_shell_mass_batch(n, lo, hi, c1, r1, sigma2)
+    want = _reference_shell_mass(n, lo, hi, c1, r1, sigma2)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    assert np.isneginf(got[:25]).all() and np.isfinite(got[25:]).any()
+    live = np.isfinite(want)
+    # ln(got) - ln(want) is the relative error of the mass
+    assert np.all(np.abs(got[live] - want[live]) <= 1e-15)

@@ -5,6 +5,7 @@ import pytest
 
 from rdflb import quadrature
 from rdflb.quadrature import bracket_solve, find_root, gl_nodes, gl_panels, gl_partial, gl_rule
+from rdflb.special import log_reg_gamma_lower
 
 
 def _gl_integral(f, edges, k=32):
@@ -96,11 +97,15 @@ class _Counted:
         return x ** self.k[lanes] - self.c[lanes]
 
 
+# x**k - c lanes with roots from 1.26 to 10
+_K = [1.0, 2.0, 3.0, 5.0, 0.5, 4.0]
+_C = [1.3, 2.0, 2.0, 7.0, 2.5, 1e4]
+
+
 def test_bracket_solve_lanes_with_different_roots():
     # k c >= 1 puts slope x root >= 1, so the residual stop at 1e-12 is
     # also a 1e-12 relative stop in x
-    k = [1.0, 2.0, 3.0, 5.0, 0.5, 4.0]
-    c = [1.3, 2.0, 2.0, 7.0, 2.5, 1e4]
+    k, c = _K, _C
     f = _Counted(k, c)
     x = bracket_solve(f, np.zeros(6), np.full(6, 16.0))
     want = np.asarray(c) ** (1.0 / np.asarray(k))
@@ -172,3 +177,46 @@ def test_bracket_solve_with_known_ends_skips_their_evaluation():
     assert f.calls - calls == cold.calls - 1
     with pytest.raises(ValueError):
         bracket_solve(f, lo, hi, ends[3:], ends[:3])
+
+
+class _LogCdf:
+    """ln P(32, t^2/2) - ln p0, counting calls: the chi-squared(64) log-CDF at
+    t^2 against the covering budget of n = 64, R = 1/2, eps = 0.005; -inf at 0."""
+
+    log_p0 = math.log(math.log(200.0)) - math.log(2.0**32 - 2.0)
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t, lanes):
+        self.calls += 1
+        with np.errstate(divide="ignore"):
+            return log_reg_gamma_lower(32.0, 0.5 * t**2) - self.log_p0
+
+
+def _solve_alone():
+    """Calls of f per solve, ends included: each x^k - c lane of
+    ``test_bracket_solve_lanes_with_different_roots`` alone on [0, 16], then
+    the log-CDF lane on [0, 16].  Every root is checked on its f >= 0 side."""
+    calls = []
+    for f in [_Counted([k], [c]) for k, c in zip(_K, _C)] + [_LogCdf()]:
+        x = bracket_solve(f, 0.0, 16.0)
+        calls.append(f.calls)
+        assert f(x, np.zeros(1, dtype=int))[0] >= 0.0
+    return calls
+
+
+# _solve_alone's calls with Pegasus steps; the Illinois step took
+# [2, 11, 17, 24, 9, 12, 10]
+PEGASUS_CALLS = [2, 11, 16, 22, 8, 10, 8]
+
+
+def test_bracket_solve_pegasus_counts(monkeypatch):
+    # the Pegasus step's calls are pinned, and none exceeds the Illinois
+    # step's, the same solver with the factor 1/2 in place of Pegasus's
+    pegasus = _solve_alone()
+    monkeypatch.setattr(quadrature, "_pegasus", lambda g_old, g_new: 0.5)
+    illinois = _solve_alone()
+    assert pegasus == PEGASUS_CALLS
+    assert all(p <= i for p, i in zip(pegasus, illinois))
+    assert sum(pegasus) < sum(illinois)
