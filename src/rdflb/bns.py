@@ -15,11 +15,13 @@ go through in blocks of max(1, _CELLS // (n + 1)) classes.  One ln j!
 table serves every binomial row; the mismatch laws, their exponentials,
 the logs of the convolutions and the running-sum scans are 2-D array
 operations over the block, and only the convolution runs once per class.
-Each bound reads its thresholds (and RR its leftover budgets) from that
-one exact scan.  At p = 1/2 the codeword marginals z and z0 are exactly
-1/2, so every class has the Binomial(n, 1/2) distance law,
-ln p(x) = -n ln 2 and the cap u_w = 1/2: the class w = 0 alone is their
-average, exactly.
+A one-part class (w = 0 or w = n) has one mismatch part, and that part
+is its law, exactly: it skips the convolution and the floor.  Each bound
+reads its thresholds (and RR its leftover budgets) from that one exact
+scan.  At p = 1/2 the codeword marginals z and z0 are exactly 1/2, so
+every class has the Binomial(n, 1/2) distance law, ln p(x) = -n ln 2 and
+the cap u_w = 1/2: the one-part class w = 0 alone is their average,
+exactly.
 """
 
 from __future__ import annotations
@@ -126,39 +128,52 @@ def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: floa
     """Distance laws of a block of weight classes, scanned against log_budget.
 
     Row k of ``law`` is ln P(n d(x,y) = d), d = 0..n, for x of weight w[k]
-    and codeword bits i.i.d. Bernoulli(z).  One max-shifted linear
-    convolution of the two mismatch laws per class gives every column above
-    _FLOOR.  A column below it may have lost terms to underflow; it counts
-    as zero in the block's scan, and is recomputed by a log-sum-exp over its
-    anti-diagonal only where a scan against log_budget reads it: up to
-    column ``last[k]``, the first whose running sum of the above-floor
-    columns, a lower estimate of the exact one, exceeds log_budget + _SLACK
-    (n + 1 if none does).  The exact running sum of ``law[k, : last[k] + 1]``
-    then gives the threshold d[k] and the log of the budget left over after
-    the first d[k] columns, ``left[k]``, as ``hamming_ball_threshold`` gives
-    them on the exact law.  Returns (law, d, left, last).
+    (w ascending) and codeword bits i.i.d. Bernoulli(z).  A one-part class
+    (w = 0 or w = n) has one mismatch part, and its law is that part,
+    exactly: it skips the convolution and the floor, and the scan reads it
+    as it is.  For every other class one max-shifted linear convolution of
+    the two mismatch laws gives every column above _FLOOR.  A column below
+    it may have lost terms to underflow; it counts as zero in the block's
+    scan, and is recomputed by a log-sum-exp over its anti-diagonal only
+    where a scan against log_budget reads it: up to column ``last[k]``, the
+    first whose running sum of the above-floor columns, a lower estimate of
+    the exact one, exceeds log_budget + _SLACK (n + 1 if none does).  The
+    exact running sum of ``law[k, : last[k] + 1]`` then gives the threshold
+    d[k] and the log of the budget left over after the first d[k] columns,
+    ``left[k]``, as ``hamming_ball_threshold`` gives them on the exact law.
+    Returns (law, d, left, last).
     """
     ones, zeros = _mismatch_parts(n, w, z, g)
-    top1, top0 = ones.max(axis=1), zeros.max(axis=1)
-    shift = top1 + top0
-    with np.errstate(divide="ignore", under="ignore"):
-        e1, e0 = ones - top1[:, None], zeros - top0[:, None]
-        np.exp(e1, out=e1)
-        np.exp(e0, out=e0)
-        rows = [np.convolve(e1[k, : wk + 1], e0[k, : n - wk + 1]) for k, wk in enumerate(w.tolist())]
-        # a block of one class (large n) keeps its convolution, uncopied
-        law = rows[0][None] if len(rows) == 1 else np.array(rows)
-        del e1, e0, rows
-        np.log(law, out=law)
-    law += shift[:, None]
-    low = law < (shift + _FLOOR)[:, None]
+    law = np.empty((w.size, n + 1))
+    low = np.zeros(law.shape, dtype=bool)
+    # w ascending: a one-part class can only be the first (w = 0) or the
+    # last (w = n) row, and the other part is its single entry ln 1 = 0
+    a, b = int(w[0] == 0), w.size - int(w[-1] == n)
+    if a:
+        law[0] = zeros[0]
+    if b < w.size:
+        law[-1] = ones[-1]
+    if a < b:
+        mid = law[a:b]
+        top1, top0 = ones[a:b].max(axis=1), zeros[a:b].max(axis=1)
+        shift = top1 + top0
+        with np.errstate(divide="ignore", under="ignore"):
+            e1, e0 = ones[a:b] - top1[:, None], zeros[a:b] - top0[:, None]
+            np.exp(e1, out=e1)
+            np.exp(e0, out=e0)
+            for k, wk in enumerate(w[a:b].tolist()):
+                mid[k] = np.convolve(e1[k, : wk + 1], e0[k, : n - wk + 1])
+            del e1, e0  # a large class's recompute below needs the room
+            np.log(mid, out=mid)
+        mid += shift[:, None]
+        np.less(mid, (shift + _FLOOR)[:, None], out=low[a:b])
     floored = np.where(low, LOG_ZERO, law)
     # the running sum passes log_budget + _SLACK no later than the first
     # column that passes it alone, so the scan stops there
     over = floored > log_budget + _SLACK
     width = int(np.where(over.any(axis=1), over.argmax(axis=1), n).max()) + 1
     cum = np.logaddexp.accumulate(floored[:, :width], axis=1)
-    del floored, over  # a large class's recompute below needs the room
+    del floored, over
     last = (cum <= log_budget + _SLACK).sum(axis=1)
     for k in np.flatnonzero(low.any(axis=1) & (low.argmax(axis=1) <= last)):
         wk, lk = int(w[k]), int(last[k])
@@ -167,8 +182,7 @@ def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: floa
         j = cols[:, None] - i
         inside = (j >= 0) & (j <= n - wk)
         terms = np.where(inside, ones[k, i] + zeros[k, np.clip(j, 0, n - wk)], LOG_ZERO)
-        # a one-term anti-diagonal (w = 0 or n) is its own log-sum-exp, exactly
-        law[k, cols] = terms[:, 0] if i.size == 1 else logsumexp(terms, axis=1)
+        law[k, cols] = logsumexp(terms, axis=1)
         np.logaddexp.accumulate(law[k, : lk + 1], out=cum[k, : lk + 1])
     d = (cum <= log_budget).sum(axis=1)
     left = [log_diff(log_budget, cum[k, dk - 1]) if dk else log_budget for k, dk in enumerate(d.tolist())]

@@ -204,7 +204,9 @@ def log_shell_mass_batch(
     # full-sphere segment exists only when the origin is inside C1
     a_hi = np.minimum(hi, kink)
     full_rows = (r1 > c1) & (a_hi > lo)
-    log_full = np.where(full_rows, _log_full_shell(n, np.where(full_rows, lo, 0.0), np.where(full_rows, a_hi, 1.0), sigma2), LOG_ZERO)
+    log_full = np.full(lo.shape, LOG_ZERO)
+    if full_rows.any():
+        log_full[full_rows] = _log_full_shell(n, lo[full_rows], a_hi[full_rows], sigma2)
 
     cap_lo = np.maximum(lo, kink)
     cap_hi = np.minimum(hi, c1 + r1)

@@ -4,12 +4,15 @@ Everything that can overflow or underflow a double (codebook sizes
 2**(n*R), binomial masses, product pmfs) is carried as its natural
 logarithm, in plain floats and arrays.  Exact zero is encoded as -inf.
 This module holds the reductions over such logs (``logsumexp``,
-``log_diff``) and the log binomial coefficients.
+``log_diff``) and the log binomial coefficients.  Every binomial row of
+one blocklength reads one ln j! table, cached per process and read-only:
+the bounds share it, and a caller that writes into it fails at once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -65,9 +68,16 @@ def log_binomial(n: int, k: int) -> float:
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
+@lru_cache(maxsize=1)
 def _log_factorials(m: int) -> np.ndarray:
-    """ln j! for j = 0..m."""
-    return gammaln(np.arange(1, m + 2))
+    """ln j! for j = 0..m (shared and read-only).
+
+    A curve asks for one blocklength at a time, and every bound at that n
+    reads the same table, so a cache of one table builds it once per n.
+    """
+    g = gammaln(np.arange(1, m + 2))
+    g.flags.writeable = False
+    return g
 
 
 def log_binomial_row(m: int) -> np.ndarray:

@@ -22,8 +22,10 @@ __all__ = ["gl_nodes", "gl_rule", "gl_partial", "gl_panels", "find_root", "brack
 
 @lru_cache(maxsize=8)
 def gl_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k-point Gauss-Legendre nodes and weights on [-1, 1] (shared, do not mutate)."""
-    return np.polynomial.legendre.leggauss(k)
+    """The k-point Gauss-Legendre nodes and weights on [-1, 1] (shared and read-only)."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gl_rule(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,9 +53,12 @@ def gl_partial(y, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _interpolant_coef(k: int) -> np.ndarray:
-    """(2m+1)/2 w_i P_m(x_i), rows m, columns i: node values to Legendre coefficients."""
+    """(2m+1)/2 w_i P_m(x_i), rows m, columns i: node values to Legendre
+    coefficients (shared and read-only)."""
     x, w = gl_nodes(k)
-    return (np.polynomial.legendre.legvander(x, k - 1) * w[:, None] * (np.arange(k) + 0.5)).T
+    coef = (np.polynomial.legendre.legvander(x, k - 1) * w[:, None] * (np.arange(k) + 0.5)).T
+    coef.flags.writeable = False
+    return coef
 
 
 def gl_panels(edges: np.ndarray, k: int = 32) -> tuple[np.ndarray, np.ndarray]:

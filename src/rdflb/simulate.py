@@ -150,31 +150,26 @@ def _source_log_pmf(source: SourceModel, n: int) -> np.ndarray:
     raise ValueError("enumeration oracles are for binary sources")
 
 
-def _assignments(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """(assigned index, Hamming distance to assigned codeword) of every word.
+def _nearest_distances(cb: Codebook) -> np.ndarray:
+    """Hamming distance from every word to its nearest codeword.
 
     Words go in blocks of about _ENUM_CELLS / Q, so memory is O(_ENUM_CELLS)
-    whatever n is; argmin keeps the first minimum, so ties go to the
-    smallest index.
+    whatever n is.
     """
     packed = _packed_codewords(cb)
     if cb.n > _ENUM_LIMIT:
         raise BudgetError(f"2**{cb.n} enumeration exceeds the n <= {_ENUM_LIMIT} budget")
     words = _words(cb.n)
-    best_j = np.empty(words.size, dtype=np.int32)
     best_d = np.empty(words.size, dtype=np.int32)
     block = max(1, _ENUM_CELLS // cb.size)
     for s in range(0, words.size, block):
-        d = np.bitwise_count(words[s : s + block, None] ^ packed[None, :])
-        j = d.argmin(axis=1)
-        best_j[s : s + block] = j
-        best_d[s : s + block] = np.take_along_axis(d, j[:, None], axis=1)[:, 0]
-    return best_j, best_d
+        best_d[s : s + block] = np.bitwise_count(words[s : s + block, None] ^ packed[None, :]).min(axis=1)
+    return best_d
 
 
 def exact_distortion(source: SourceModel, cb: Codebook) -> float:
     """Expected nearest-codeword distortion by full enumeration (binary)."""
-    _, best_d = _assignments(cb)
+    best_d = _nearest_distances(cb)
     p = np.exp(_source_log_pmf(source, cb.n))
     return float((p * best_d).sum() / cb.n)
 
@@ -187,7 +182,7 @@ def _region_sums(source: BinarySymmetricSource, cb: Codebook, rate: float | None
     if rate is None:
         rate = math.log2(cb.size) / n
     q0 = inverse_binary_entropy(1.0 - rate)
-    _, best_d = _assignments(cb)
+    best_d = _nearest_distances(cb)
     p = np.exp(_source_log_pmf(source, n))
     match, miss = best_d * math.log(q0), (n - best_d) * math.log1p(-q0)
     distortion = float((p * best_d).sum() / n)

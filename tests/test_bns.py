@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from rdflb import bns
+from rdflb import bns, bss
 from rdflb.logdomain import LOG_ZERO, log_binomial_row, logsumexp
 from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
 from rdflb.simulate import Codebook, exact_distortion
@@ -76,6 +76,7 @@ def test_budget_limits_exact_columns_to_those_read():
 def _per_class_law(n, w, z, log_budget):
     """One class at a time, as bns did before the block pipeline: two binomial
     rows, one convolution, a floored scan that bounds the recomputed columns.
+    A one-part class (w = 0 or n) is its part, with nothing floored.
 
     Returns the law up to that scan's end and whether a column was recomputed.
     """
@@ -84,6 +85,10 @@ def _per_class_law(n, w, z, log_budget):
     ones = log_binomial_row(w) + (w - i) * lz + i * l1z
     j = np.arange(n - w + 1)
     zeros = log_binomial_row(n - w) + j * lz + (n - w - j) * l1z
+    if w in (0, n):
+        law = zeros if w == 0 else ones
+        last, _ = bns.hamming_ball_threshold(law, log_budget + bns._SLACK)
+        return law[: last + 1], False
     shift = ones.max() + zeros.max()
     with np.errstate(divide="ignore", under="ignore"):
         law = np.log(np.convolve(np.exp(ones - ones.max()), np.exp(zeros - zeros.max()))) + shift
@@ -142,10 +147,41 @@ def test_block_scans_match_with_recomputed_columns():
     _assert_scans_match(n, p, (p - d0) / (1.0 - 2.0 * d0), rr_budget)
 
 
+@pytest.mark.parametrize("n,z", [(1, 0.3), (7, 0.37), (200, 0.2), (1000, 0.5), (60000, 0.5)])
+def test_one_part_classes_are_their_binomial_rows(n, z):
+    # w = 0: every mismatch is a codeword one; w = n: every mismatch a codeword zero
+    j = np.arange(n + 1)
+    lz, l1z = math.log(z), math.log1p(-z)
+    assert np.array_equal(bns._log_distance_law(n, 0, z), log_binomial_row(n) + j * lz + (n - j) * l1z)
+    assert np.array_equal(bns._log_distance_law(n, n, z), log_binomial_row(n) + (n - j) * lz + j * l1z)
+
+
+@pytest.mark.parametrize("n", [1, 37, 1000])
+def test_one_part_class_vs_exact_binomials(n):
+    z = 0.3
+    want = [math.log(comb(n, j)) + j * math.log(z) + (n - j) * math.log1p(-z) for j in range(n + 1)]
+    assert bns._log_distance_law(n, 0, z) == pytest.approx(want, rel=0, abs=1e-11)
+    assert bns._log_distance_law(n, n, z) == pytest.approx(want[::-1], rel=0, abs=1e-11)
+
+
 def test_block_scan_of_the_single_half_class():
     n, rate = 60000, 0.5
     for log_budget in _budgets(n, rate):
         _assert_scans_match(n, 0.5, 0.5, log_budget)
+
+
+@pytest.mark.parametrize("n,os_value,threshold,rr_value,lower", [
+    (20000, 0.114098, 2204, 0.12730480597590965, 0.11013803124860069),
+    (40000, 0.11402375, 4405, 0.12730480597588312, 0.11008932190553801),
+    (60000, 0.1139825, 6605, 0.12730480597588312, 0.11006866807827488),
+])
+def test_bss_bounds_pinned_at_large_n(n, os_value, threshold, rr_value, lower):
+    # the values of the class w = 0 taken through the convolution and the
+    # floor: its one part, read directly, must give the same
+    r = bss.upper_bound_os(n, 0.5, 0.01)
+    assert (r.value, r.threshold) == (os_value, threshold)
+    assert bss.upper_bound_rr(n, 0.5, 0.45) == pytest.approx(rr_value, rel=1e-15, abs=0)
+    assert bss.lower_bound(n, 0.5) == lower
 
 
 def _per_class_bounds(n, rate, p, d0):

@@ -60,6 +60,21 @@ def test_curve_bns_text_at_the_benchmark_configuration(tmp_path):
     )
 
 
+def test_curve_bss_text_at_the_benchmark_configuration(tmp_path):
+    out = tmp_path / "bss.csv"
+    argv = ["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--ref-rate", "0.45", "--legacy-eps", "0.0485",
+            "--n", "20000:60000:20000", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text(encoding="utf-8") == (
+        "# params: family=bss rate=0.5 n=20000:60000:20000 p=None sigma2=1.0 eps=[0.01] ref_rate=[0.45] "
+        "alpha=None unbounded=False legacy_eps=0.0485 delta=0.5\n"
+        "n,asymptote,lower,upper_os_0.01,upper_rr_0.45,upper_legacy_0.45\n"
+        "20000,0.1100278644,0.1101380312,0.114098,0.127304806,0.1273048069\n"
+        "40000,0.1100278644,0.1100893219,0.11402375,0.127304806,0.127304806\n"
+        "60000,0.1100278644,0.1100686681,0.1139825,0.127304806,0.127304806\n"
+    )
+
+
 def test_curve_bns_at_n_one(tmp_path):
     # the rearrangement walk at n = 1 subtracts two log multiplicities that
     # differ in their last bit; log_diff must not raise on that

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rdflb import geometry
 from rdflb.geometry import (
     _cap_cos,
     _log_cap_area_bounds,
@@ -286,3 +287,37 @@ def test_pruned_one_pass_shell_mass_matches_the_two_half_path(n, sigma2):
     live = np.isfinite(want)
     # ln(got) - ln(want) is the relative error of the mass
     assert np.all(np.abs(got[live] - want[live]) <= 1e-15)
+
+
+def test_shell_mass_without_full_rows_makes_no_gamma_call(monkeypatch):
+    calls = []
+    real = geometry.log_reg_gamma_lower
+    monkeypatch.setattr(geometry, "log_reg_gamma_lower", lambda a, x: calls.append(a) or real(a, x))
+    n = 16
+    # C1 misses the origin in every row: no full-sphere segment
+    c1, r1 = np.array([3.0, 4.0, 5.0]), np.array([1.0, 2.0, 4.5])
+    log_shell_mass_batch(n, np.zeros(3), c1 + r1, c1, r1, 1.0)
+    assert calls == []
+    # one row holds the origin: one pair of calls, on that row alone
+    log_shell_mass_batch(n, np.zeros(4), np.append(c1 + r1, 2.0), np.append(c1, 1.0), np.append(r1, 4.0), 1.0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("sigma2", [1.0, None], ids=["probability", "volume"])
+def test_full_rows_among_cap_rows_keep_the_masked_values(sigma2):
+    n = 12
+    c1 = np.array([1.0, 3.0, 0.5, 4.0, 2.0, 0.2])
+    r1 = np.array([4.0, 1.0, 3.0, 2.0, 5.0, 1.5])
+    lo = np.array([0.0, 2.5, 0.5, 2.2, 1.0, 0.1])
+    hi = np.array([2.5, 3.5, 2.0, 5.5, 2.8, 1.2])
+    full_rows = (r1 > c1) & (hi <= r1 - c1)
+    assert full_rows.sum() == 4 and (c1 > r1).sum() == 2
+    got = log_shell_mass_batch(n, lo, hi, c1, r1, sigma2)
+    # the full-sphere rows equal the closed form taken over every row and
+    # masked, bit for bit; the cap rows equal a call on them alone
+    a_hi = np.minimum(hi, np.abs(c1 - r1))
+    every_row = _log_full_shell(n, np.where(full_rows, lo, 0.0), np.where(full_rows, a_hi, 1.0), sigma2)
+    masked = np.where(full_rows, every_row, -np.inf)
+    assert np.array_equal(got[full_rows], masked[full_rows])
+    cap = ~full_rows
+    assert np.array_equal(got[cap], log_shell_mass_batch(n, lo[cap], hi[cap], c1[cap], r1[cap], sigma2))

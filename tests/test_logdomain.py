@@ -2,10 +2,11 @@ import math
 from math import comb
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rdflb.logdomain import LOG_ZERO, log_binomial, log_binomial_row, log_diff, logsumexp
+from rdflb.logdomain import LOG_ZERO, _log_factorials, log_binomial, log_binomial_row, log_diff, logsumexp
 
 
 def test_log_sum_basic():
@@ -74,6 +75,24 @@ def test_log_binomial_small_exact():
     # log_binomial is the reference for the row helper the bounds read
     row = log_binomial_row(10)
     assert row.tolist() == pytest.approx([log_binomial(10, j) for j in range(11)], rel=1e-14, abs=1e-14)
+
+
+def test_log_factorial_table_is_shared_and_read_only():
+    g = _log_factorials(1000)
+    assert _log_factorials(1000) is g
+    assert not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[3] = 0.0
+    with pytest.raises(ValueError):
+        g += 1.0
+    assert g[10] == pytest.approx(math.lgamma(11.0), rel=1e-15, abs=0)
+
+
+def test_binomial_row_is_a_fresh_writable_array():
+    row = log_binomial_row(50)
+    row[0] = 1.0
+    assert log_binomial_row(50)[0] == 0.0
+    assert not np.shares_memory(_log_factorials(50), log_binomial_row(50))
 
 
 @pytest.mark.parametrize("n,k", [(100, 37), (1000, 500), (10**6, 123456)])

@@ -220,3 +220,11 @@ def test_bracket_solve_pegasus_counts(monkeypatch):
     assert pegasus == PEGASUS_CALLS
     assert all(p <= i for p, i in zip(pegasus, illinois))
     assert sum(pegasus) < sum(illinois)
+
+
+def test_cached_rules_are_read_only():
+    x, w = gl_nodes(8)
+    assert gl_nodes(8)[0] is x
+    for table in (x, w, quadrature._interpolant_coef(8)):
+        with pytest.raises(ValueError):
+            table[0] = 0.0

@@ -295,14 +295,16 @@ def test_oracles_match_brute_force(n, q, seed):
     assert exact_distortion(BNS, cb) == pytest.approx(_brute_force(BNS, cb, rate)[0], rel=1e-12)
 
 
-def test_assignments_send_ties_to_the_smaller_index():
+def test_nearest_distances_match_the_quantize_loop():
     cb = _codebook_with_duplicate(10, 32, 2)
-    best_j, best_d = simulate._assignments(cb)
-    assert not np.any(best_j == 16)  # codeword 16 duplicates codeword 1
-    for i in range(0, 1 << 10, 7):
+    best_d = simulate._nearest_distances(cb)
+    # the word equal to codeword 1, which codeword 16 duplicates
+    dup = int(sum(int(b) << k for k, b in enumerate(cb.codewords[1])))
+    assert best_d[dup] == 0
+    for i in [*range(0, 1 << 10, 7), dup]:
         x = np.array([(i >> k) & 1 for k in range(10)], dtype=np.uint8)
-        j, dist = quantize(x, cb)
-        assert (best_j[i], best_d[i]) == (j, round(dist * 10))
+        _, dist = quantize(x, cb)
+        assert best_d[i] == round(dist * 10)
 
 
 def test_oracles_are_pinned_at_n16():
