@@ -5,9 +5,21 @@ distortion by brute force for small n, the residue identity that converts
 distortion gaps into information units, and reproducible random-codebook
 sampling (counter-based Philox streams keyed by (seed, chunk)).
 
-The enumeration packs source word i as the integer i (bit k is
-(i >> k) & 1) and each codeword the same way, so a Hamming distance is one
-popcount of an XOR.
+Codebook size: the analytic bounds take Q = 2**(nR) as a real number, and a
+lower bound at that Q holds for every codebook of at most 2**(nR) words. The
+experiments draw `ExperimentConfig.codebook_size` = floor(2**(nR)) codewords;
+an nR within 1e-9 (relative) of an integer counts as that integer, so that
+100 * 0.58 = 57.99999999999999 still gives 2**58 words.
+
+Binary words are machine words: a source word or codeword of length n is one
+uint8, uint16 or uint32 for n <= 8, 16 or 32, and ceil(n/64) uint64 words
+beyond that, held along a last axis of length 1 unless n > 64. Bit k is
+coordinate k (bit k % 64 of word k // 64), and the bits at positions n and
+above are 0, so a Hamming distance is one popcount of an XOR, summed over the
+words only when n > 64. The enumeration packs source word i as the integer i
+the same way and gets every nearest-codeword distance from a distance
+transform on the hypercube: d = 0 on the codewords, then one pass
+d = min(d, d[x ^ e_k] + 1) per coordinate k, O(n 2**n) whatever Q is.
 
 Stream contract of `mc_mean_distortion`: trials go in chunks of
 min(_CHUNK, _MC_BUDGET // (Q n)) rows, and chunk c draws from its own
@@ -19,22 +31,20 @@ slice size. The Gaussian law with a codeword bound rm redraws rejected
 codewords after the whole chunk's first draw, so it takes the chunk as one
 slice.
 
-Binary words are packed: a source word or codeword is ceil(n/8) bytes, bit
-k of byte b is coordinate 8b + k, and the bits at positions n and above
-are 0. Each output byte is 8 Bernoulli(p) lanes, drawn by comparing every
-lane's uniform U with the binary expansion of p one digit at a time: round
-k reads one raw byte r of the Philox stream (bit i of r is digit k of lane
-i's U) and either settles lanes with U < p (digit 1 of p) or lanes with
-U > p (digit 0). The rounds stop where p's expansion ends, at most after
-8, so p = 1/2 costs one raw byte per output byte. The rounds of one output
-byte are consecutive raw bytes, output bytes go in C order, and each
-source word, or each codebook, reads whole 64-bit raw words, so a slice
-starts on a word boundary. A lane whose first 8 digits all tie with p's
-(probability 2**-8, and only when p has digits past the 8th) is settled by
-doubles from a second generator `_chunk_rng(seed, c + _TIE_KEY)`, one per
-53 digits of frac(p 2**8), compared digit group by digit group; tied lanes
-draw in C order of (output byte, bit). Every lane is therefore exactly
-Bernoulli(p), and the results do not depend on the slice size.
+A binary draw reads the raw 64-bit Philox words as little-endian bytes, and
+each row (a source word, or one trial's codebook) reads whole raw words, so
+a slice starts on a word boundary. A Bernoulli(p) lane, p not in {0, 1/2},
+reads one raw byte r, the first 8 binary digits of the lane's uniform U, most
+significant digit first; lanes go in C order of (row, codeword, coordinate),
+n bytes per word. With c = floor(256 p) the lane is 1 if r < c and 0 if
+r > c. A lane with r = c (probability 2**-8) is a tie, settled by doubles
+from a second generator `_chunk_rng(seed, c + _TIE_KEY)`, one per 53 digits
+of frac(256 p), compared with those digits group by group, so that the lane
+is 1 exactly when U < p; tied lanes draw in C order. If 256 p is an integer,
+a tie is 0. At p = 1/2 a word reads ceil(n/8) raw bytes, zero-padded into
+its machine word, and lane k is the complement of bit k % 8 of byte k // 8;
+p = 0 reads nothing. Every lane is therefore exactly Bernoulli(p), and the
+results do not depend on the slice size.
 """
 
 from __future__ import annotations
@@ -67,7 +77,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 _CHUNK = 4096
 _ENUM_LIMIT = 24
-_ENUM_CELLS = 1 << 18  # (source word, codeword) distances held at once by the enumeration
 _SLICE = 128  # codebooks drawn and compared at once by the Monte Carlo
 _MC_BUDGET = 2_000_000_000  # Q * trials * n element operations
 _TIE_KEY = 2**33  # tie-stream key offset: above every chunk index and the 2**32 key of `rdflb validate`
@@ -117,23 +126,35 @@ class ExperimentConfig:
 
     @property
     def codebook_size(self) -> int:
-        return int(round(2.0 ** (self.n * self.rate)))
+        """floor(2**(nR)); nR within 1e-9 (relative) of an integer counts as that integer."""
+        e = self.n * self.rate
+        k = round(e)
+        if k >= 0 and abs(e - k) <= 1e-9 * max(1, k):
+            return 1 << k
+        return math.floor(2.0**e)
+
+
+def _word_layout(n: int) -> tuple[int, np.dtype]:
+    """(bytes per binary word, dtype of its machine words) at blocklength n."""
+    width = 1 if n <= 8 else 2 if n <= 16 else 4 if n <= 32 else 8 * -(-n // 64)
+    return width, np.dtype(f"<u{min(width, 8)}")
 
 
 def _pack_bits(cb: Codebook) -> np.ndarray:
-    """Codeword j as ceil(n/8) bytes; bit k of byte b is cw[j, 8b + k]."""
+    """Codeword j as machine words (Q, words); bit k is cw[j, k]."""
     cw = cb.codewords
     if not np.isin(cw, (0, 1)).all():
         raise ValueError("binary oracles need 0/1 codewords")
-    return np.packbits(cw.astype(bool), axis=1, bitorder="little")
+    width, dt = _word_layout(cb.n)
+    packed = np.packbits(cw.astype(bool), axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, width - packed.shape[1]))).view(dt)
 
 
 def _packed_codewords(cb: Codebook) -> np.ndarray:
-    """Codeword j as the uint32 sum_k cw[j, k] << k, the packing of the source words."""
+    """Codeword j as the integer sum_k cw[j, k] << k, the packing of the source words."""
     if cb.n > 31:
         raise ValueError(f"packed enumeration holds at most 31 bits, got n={cb.n}")
-    packed = _pack_bits(cb)
-    return np.pad(packed, ((0, 0), (0, 4 - packed.shape[1]))).view("<u4")[:, 0]
+    return _pack_bits(cb)[:, 0]
 
 
 def _words(n: int) -> np.ndarray:
@@ -151,20 +172,25 @@ def _source_log_pmf(source: SourceModel, n: int) -> np.ndarray:
 
 
 def _nearest_distances(cb: Codebook) -> np.ndarray:
-    """Hamming distance from every word to its nearest codeword.
+    """Hamming distance from every word to its nearest codeword, as int8.
 
-    Words go in blocks of about _ENUM_CELLS / Q, so memory is O(_ENUM_CELLS)
-    whatever n is.
+    A distance transform on the hypercube: 0 on the codewords and n
+    elsewhere, then pass k lowers d[x] to d[x ^ e_k] + 1. After pass k,
+    d[x] is the distance to the nearest codeword that differs from x in
+    coordinates 0..k only (n if there is none), so after the last pass it
+    is the nearest distance.
     """
     packed = _packed_codewords(cb)
     if cb.n > _ENUM_LIMIT:
         raise BudgetError(f"2**{cb.n} enumeration exceeds the n <= {_ENUM_LIMIT} budget")
-    words = _words(cb.n)
-    best_d = np.empty(words.size, dtype=np.int32)
-    block = max(1, _ENUM_CELLS // cb.size)
-    for s in range(0, words.size, block):
-        best_d[s : s + block] = np.bitwise_count(words[s : s + block, None] ^ packed[None, :]).min(axis=1)
-    return best_d
+    d = np.full(1 << cb.n, cb.n, dtype=np.int8)
+    d[packed] = 0
+    for k in range(cb.n):
+        pairs = d.reshape(-1, 2, 1 << k)  # pairs[:, 0] and pairs[:, 1] differ in bit k only
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        np.minimum(lo, hi + 1, out=lo)
+        np.minimum(hi, lo + 1, out=hi)  # lo already holds min(lo, hi + 1), and hi + 2 > hi
+    return d
 
 
 def exact_distortion(source: SourceModel, cb: Codebook) -> float:
@@ -231,14 +257,14 @@ def _draw_gaussian_codebooks(rng, m, q, n, std, rm):
 
 @dataclass(frozen=True)
 class _BitLaw:
-    """Bernoulli(p) as a comparison of a uniform U with p's binary expansion.
+    """Bernoulli(p) as U < p for a uniform U.
 
-    rounds holds p's digits 1..8, stopping where the expansion ends; tail
-    holds frac(p 2**8) as 53-digit groups (floats holding integers below
-    2**53), empty when p has no digit past the 8th.
+    cut is floor(256 p), which U's first 8 digits are compared with; tail
+    holds frac(256 p) as 53-digit groups (floats holding integers below
+    2**53), empty when 256 p is an integer.
     """
 
-    rounds: tuple[int, ...]
+    cut: int
     tail: np.ndarray
 
 
@@ -246,61 +272,67 @@ def _bit_law(p: float) -> _BitLaw:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"need 0 <= p < 1, got {p}")
     num, den = float(p).as_integer_ratio()
-    e = den.bit_length() - 1  # p = num / 2**e exactly
-    rounds = tuple((num >> (e - k)) & 1 for k in range(1, min(e, 8) + 1))
-    left = e - 8
+    left = den.bit_length() - 9  # p = num / 2**(left + 8) exactly
     if left <= 0:
-        return _BitLaw(rounds, np.empty(0))
+        return _BitLaw(num << -left, np.empty(0))
     groups = -(-left // 53)
     t = (num & ((1 << left) - 1)) << (53 * groups - left)
     tail = [(t >> (53 * (groups - 1 - i))) & ((1 << 53) - 1) for i in range(groups)]
-    return _BitLaw(rounds, np.array(tail, dtype=np.float64))
+    return _BitLaw(num >> left, np.array(tail, dtype=np.float64))
+
+
+def _raw_bytes(rng, shape: tuple[int, ...], per_word: int) -> np.ndarray:
+    """per_word raw bytes per word, shape (*shape, per_word); each index of
+    shape[0] reads whole 64-bit raw words."""
+    per_row = math.prod(shape[1:]) * per_word
+    words = -(-per_row // 8)
+    raw = rng.bit_generator.random_raw(shape[0] * words).astype("<u8", copy=False).view(np.uint8)
+    raw = raw.reshape(shape[0], 8 * words)
+    return raw[:, :per_row].reshape(*shape, per_word)
+
+
+def _flat_true(mask: np.ndarray) -> np.ndarray:
+    """C-order flat indices of the True entries of a contiguous bool array.
+
+    A sparse mask is scanned 8 entries per uint64 word, and only the nonzero
+    words are split into entries.
+    """
+    flat = mask.reshape(-1)
+    head = flat.size - flat.size % 8
+    words = flat[:head].view(np.uint64)
+    hit = np.flatnonzero(words != 0)
+    lanes = np.flatnonzero(words[hit].view(bool))
+    return np.concatenate([hit[lanes >> 3] * 8 + (lanes & 7), head + np.flatnonzero(flat[head:])])
 
 
 def _draw_bits(rng, tie_rng, law: _BitLaw, shape: tuple[int, ...], n: int) -> np.ndarray:
-    """Packed Bernoulli words of length n, an array of shape (*shape, ceil(n/8)).
+    """Bernoulli words of length n, machine words of shape (*shape, words).
 
-    Each index of shape[0] reads whole 64-bit raw words of rng; lanes tied
-    after 8 rounds are settled from tie_rng (see the module docstring).
+    Lanes tied on their raw byte are settled from tie_rng (see the module
+    docstring).
     """
-    nb = (n + 7) // 8
-    k = len(law.rounds)
-    res = np.zeros((*shape, nb), dtype=np.uint8)
-    if k == 0:
-        return res
-    per_row = math.prod(shape[1:]) * nb * k
-    words = -(-per_row // 8)
-    raw = rng.bit_generator.random_raw(shape[0] * words).view(np.uint8).reshape(shape[0], 8 * words)
-    # rounds first, so that each round is one contiguous pass over the output bytes
-    raw = np.ascontiguousarray(raw[:, :per_row].reshape(-1, k).T).reshape(k, *shape, nb)
-    # round 0 starts with every lane undecided; und is a view of raw when p's digit 1 is 1
-    und = raw[0]
-    if law.rounds[0]:
-        np.invert(und, out=res)
-    else:
-        und = ~und
-    for i in range(1, k):
-        r = raw[i]
-        if law.rounds[i]:
-            res |= und & ~r
-            und &= r
-        else:
-            und &= ~r
-    if n % 8:
-        res[..., -1] &= (1 << n % 8) - 1
-        und[..., -1] &= (1 << n % 8) - 1
+    width, dt = _word_layout(n)
+    if law.tail.size == 0 and law.cut in (0, 128):
+        res = np.zeros((*shape, width), dtype=np.uint8)
+        if law.cut:  # p = 1/2: the complement of the raw bits
+            nb = (n + 7) // 8
+            np.invert(_raw_bytes(rng, shape, nb), out=res[..., :nb])
+            if n % 8:
+                res[..., nb - 1] &= (1 << n % 8) - 1
+        return res.view(dt)
+    raw = _raw_bytes(rng, shape, n)
+    # 8 * width lanes per word, of which n hold coordinates and the rest stay False
+    lanes = np.zeros((*shape, 8 * width), dtype=bool)
+    np.less(raw, law.cut, out=lanes[..., :n])
     if law.tail.size:
-        tied = np.flatnonzero(und != 0)
-        lanes = np.unpackbits(und.ravel()[tied], bitorder="little")
-        hit = lanes.astype(bool)
-        u = tie_rng.random((np.count_nonzero(hit), law.tail.size)) * 2.0**53
+        tied = _flat_true(raw == law.cut)
+        u = tie_rng.random((tied.size, law.tail.size)) * 2.0**53
         # the first digit group that differs from p's decides; if none does, U >= p
-        below = np.zeros(u.shape[0], dtype=bool)
+        below = np.zeros(tied.size, dtype=bool)
         for j in reversed(range(law.tail.size)):
             below = np.where(u[:, j] != law.tail[j], u[:, j] < law.tail[j], below)
-        lanes[hit] = below
-        res.ravel()[tied] |= np.packbits(lanes, bitorder="little")
-    return res
+        lanes.reshape(-1)[tied // n * (8 * width) + tied % n] = below
+    return np.packbits(lanes.reshape(-1), bitorder="little").view(dt).reshape(*shape, -1)
 
 
 def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
@@ -358,10 +390,7 @@ def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
                 dist = ((xs - y) ** 2).sum(axis=2)
             else:
                 ones = np.bitwise_count(xs ^ y)
-                # a loop over the bytes beats a reduction along the short last axis
-                dist = np.zeros(ones.shape[:2], dtype=np.min_scalar_type(n))
-                for b in range(ones.shape[2]):
-                    dist += ones[..., b]
+                dist = ones[..., 0] if ones.shape[2] == 1 else ones.sum(axis=2)
             d[s : s + r] = dist.min(axis=1) / n
         total += float(d.sum())
         total_sq += float((d**2).sum())

@@ -236,6 +236,12 @@ def test_validate_bns_beyond_the_enumeration_limit_runs_the_monte_carlo(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "pass=true"
 
 
+def test_validate_bns_with_multiword_codewords(capsys):
+    # n = 70 draws and compares codewords of two uint64 words each
+    assert main(["validate", "bns", "--p", "0.25", "--n", "70", "--rate", "0.1", "--trials", "200"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "pass=true"
+
+
 def test_validate_accepts_negative_seed(capsys):
     assert main(VALIDATE_BSS + ["--seed", "-1"]) == 0
     assert "seed=-1" in capsys.readouterr().out.splitlines()

@@ -31,9 +31,9 @@ MC_CASES = {
     "bss": (dict(source=BSS, n=8, rate=0.5),
             (0.1978021978021978, 0.0012717101058016412)),
     "bns": (dict(source=BNS, n=10, rate=0.3),
-            (0.1802394034536892, 0.0015204130276010724)),
+            (0.1813186813186813, 0.0014881713125365055)),
     "bns_uniform": (dict(source=BNS, n=10, rate=0.3, codebook_law="uniform"),
-                    (0.2778846153846154, 0.0013155825813035054)),
+                    (0.2779042386185243, 0.0013099263633794002)),
     "gauss": (dict(source=GaussianSource(1.0), n=8, rate=0.5),
               (0.6836575706789005, 0.005140075069834119)),
     "gauss_rm": (dict(source=GaussianSource(1.0), n=8, rate=0.5, rm=2.2),
@@ -54,6 +54,14 @@ def test_mc_result_does_not_depend_on_slice_size(monkeypatch, case):
     kwargs, want = MC_CASES[case]
     monkeypatch.setattr(simulate, "_SLICE", 7)
     assert mc_mean_distortion(ExperimentConfig(trials=TRIALS, seed=7, **kwargs)) == want
+
+
+def test_mc_result_does_not_depend_on_slice_size_at_n20(monkeypatch):
+    # 20 lanes in a 32-bit word, Q = 64: the configuration of `rdflb validate bns`
+    cfg = ExperimentConfig(source=BNS, n=20, rate=0.3, trials=TRIALS, seed=7)
+    want = mc_mean_distortion(cfg)
+    monkeypatch.setattr(simulate, "_SLICE", 7)
+    assert mc_mean_distortion(cfg) == want
 
 
 def test_mc_masks_negative_seed():
@@ -119,6 +127,27 @@ def test_mc_matches_random_coding_closed_form(case, seed):
     assert abs(mean - _random_coding_distortion(cfg.n, cfg.codebook_size, p, z)) <= 4 * se
 
 
+@pytest.mark.parametrize("source,p", [(BSS, 0.5), (BNS, 0.25)], ids=["bss", "bns"])
+def test_multiword_mc_matches_random_coding_closed_form(source, p):
+    # n = 70 spans two uint64 words
+    cfg = ExperimentConfig(source=source, n=70, rate=0.1, trials=2000, seed=1)
+    z = solve(source, cfg.rate).marginal_one_prob if source is BNS else 0.5
+    mean, se = mc_mean_distortion(cfg)
+    assert abs(mean - _random_coding_distortion(70, 128, p, z)) <= 4 * se
+
+
+def test_codebook_size_is_the_floor_of_two_to_the_nr():
+    def size(n, rate):
+        return ExperimentConfig(source=BSS, n=n, rate=rate, trials=1, seed=0).codebook_size
+
+    assert size(5, 0.5) == 5  # 2**2.5 = 5.66; rounding drew 6
+    assert size(3, 0.5) == 2
+    assert 100 * 0.58 < 58 and size(100, 0.58) == 2**58
+    assert size(20, 0.3) == 64 and size(16, 0.5) == 256
+    with pytest.raises(ValueError, match="codebook size"):
+        ExperimentConfig(source=BSS, n=4, rate=-0.5, trials=1, seed=0)
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_mc_fixed_codebook_matches_enumeration(seed):
     cfg = ExperimentConfig(trials=5000, seed=seed, **MC_CASES["fixed"][0])
@@ -127,51 +156,71 @@ def test_mc_fixed_codebook_matches_enumeration(seed):
 
 
 # ---------------------------------------------------------------------------
-# packed Bernoulli bits
+# Bernoulli machine words
 # ---------------------------------------------------------------------------
+
+TWO_TAIL_GROUPS = 2**-10 + 2**-62  # frac(256 p) = 1/4 + 2**-54 needs two 53-digit groups
+
 
 def _streams(seed=3):
     return simulate._chunk_rng(seed, 0), simulate._chunk_rng(seed, simulate._TIE_KEY)
 
 
 def _reference_bits(p, shape, n, seed=3):
-    """The packed draw lane by lane: U's digits against p's, the tie stream past digit 8.
+    """The draw lane by lane, from exact fractions rather than `_bit_law`.
 
-    Returns the words and the number of tied lanes."""
-    law = simulate._bit_law(p)
+    A lane reads one raw byte and is 1 below floor(256 p), 0 above it; a tie
+    reads one tie-stream double per 53 digits of frac(256 p) and is 1 when
+    those digits, as a fraction, are below frac(256 p). At p = 1/2 a word
+    reads ceil(n/8) raw bytes and lane k is the complement of its bit k.
+    Every row reads whole raw words. Returns the words and the tied-lane count.
+    """
+    width, dtype = simulate._word_layout(n)
+    half = p == 0.5
+    cut = math.floor(256 * Fraction(p))
+    frac = 256 * Fraction(p) - cut
+    groups = -(-(frac.denominator.bit_length() - 1) // 53) if frac else 0
+    per_word = (n + 7) // 8 if half else n
+    per_row = math.prod(shape[1:])
     rng, tie = _streams(seed)
-    k = len(law.rounds)
-    nb = (n + 7) // 8
-    row_bytes = math.prod(shape[1:]) * nb * k
-    out = np.zeros((shape[0], row_bytes // max(k, 1)), dtype=np.uint8)
-    ties = 0
-    for row in range(shape[0]):
-        raw = rng.bit_generator.random_raw(-(-row_bytes // 8)).view(np.uint8)
-        for e in range(out.shape[1]):
-            for lane in range(8 if (e + 1) % nb else n - 8 * (nb - 1)):
-                digits = [(raw[e * k + i] >> lane) & 1 for i in range(k)]
-                differ = [i for i in range(k) if digits[i] != law.rounds[i]]
-                if differ:
-                    bit = law.rounds[differ[0]]
-                elif law.tail.size:
+    values, ties = [], 0
+    for _ in range(shape[0]):
+        raw = rng.bit_generator.random_raw(-(-per_row * per_word // 8)).view(np.uint8).tolist()
+        for w in range(per_row):
+            value = 0
+            for k in range(n):
+                if half:
+                    bit = 1 - ((raw[w * per_word + k // 8] >> (k % 8)) & 1)
+                elif raw[w * n + k] != cut:
+                    bit = int(raw[w * n + k] < cut)
+                elif groups:
                     ties += 1
-                    u = tie.random(law.tail.size) * 2.0**53
-                    differ = np.flatnonzero(u != law.tail)
-                    bit = int(differ.size > 0 and u[differ[0]] < law.tail[differ[0]])
+                    digits = 0
+                    for u in tie.random(groups):
+                        digits = (digits << 53) | int(u * 2.0**53)
+                    bit = int(Fraction(digits, 2 ** (53 * groups)) < frac)
                 else:
                     bit = 0
-                out[row, e] |= bit << lane
-    return out.reshape(*shape, nb), ties
+                value |= bit << k
+            values.append(np.frombuffer(value.to_bytes(width, "little"), dtype=dtype))
+    return np.array(values).reshape(*shape, -1), ties
 
 
-@pytest.mark.parametrize("p", [0.5, 0.25, 1 / 3, 0.1763319320101495, 1e-5])
+@pytest.mark.parametrize("p", [0.5, 0.25, 1 / 3, 0.1763319320101495, 1e-5, TWO_TAIL_GROUPS])
 def test_packed_bits_match_lane_by_lane_reference(p):
-    rng, tie = _streams()
     law = simulate._bit_law(p)
-    got = simulate._draw_bits(rng, tie, law, (20, 16), 13)
-    want, ties = _reference_bits(p, (20, 16), 13)
-    assert np.array_equal(got, want)
-    assert (ties > 0) == (law.tail.size > 0)
+    # 7 words per row, so no row of 13, 20 or 70 raw bytes per word fills whole raw words
+    for n in (13, 20, 70):
+        rng, tie = _streams()
+        got = simulate._draw_bits(rng, tie, law, (40, 7), n)
+        want, ties = _reference_bits(p, (40, 7), n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (ties > 0) == (law.tail.size > 0)
+
+
+def test_tail_groups_count_the_digits_of_p_past_the_eighth():
+    ps = (0.5, 0.25, 3 / 256, 1 / 3, 1e-5, TWO_TAIL_GROUPS)
+    assert [simulate._bit_law(p).tail.size for p in ps] == [0, 0, 0, 1, 2, 2]
 
 
 @pytest.mark.parametrize("p", [0.5, 1 / 3, 0.25, "marginal"])
@@ -180,30 +229,46 @@ def test_packed_bit_frequency(p):
         p = solve(BNS, 0.3).marginal_one_prob
     n, rows, q = 13, 2000, 64
     rng, tie = _streams()
-    bits = np.unpackbits(simulate._draw_bits(rng, tie, simulate._bit_law(p), (rows, q), n),
-                         axis=-1, count=n, bitorder="little")
+    words = simulate._draw_bits(rng, tie, simulate._bit_law(p), (rows, q), n)
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
     assert bits.size >= 10**6
     assert abs(bits.mean() - p) <= 5 * math.sqrt(p * (1 - p) / bits.size)
 
 
+WORD_LAYOUTS = [(5, np.uint8, 1), (8, np.uint8, 1), (11, np.uint16, 1), (16, np.uint16, 1), (20, np.uint32, 1),
+                (32, np.uint32, 1), (40, np.uint64, 1), (64, np.uint64, 1), (70, np.uint64, 2), (130, np.uint64, 3)]
+
+
 @pytest.mark.parametrize("p", [0.5, 0.25, 1 / 3])
 def test_packed_padding_bits_are_zero(p):
+    for n, dtype, words in WORD_LAYOUTS:
+        rng, tie = _streams()
+        got = simulate._draw_bits(rng, tie, simulate._bit_law(p), (300, 16), n)
+        assert got.dtype == dtype and got.shape == (300, 16, words)
+        bits = np.unpackbits(got.view(np.uint8), axis=-1, bitorder="little")
+        assert not bits[..., n:].any()
+        assert bits[..., n - 1].any()
+
+
+def test_half_keeps_the_byte_stream_at_n20():
+    # three raw bytes in a four-byte word, pinned to the byte-packed draw
     rng, tie = _streams()
-    words = simulate._draw_bits(rng, tie, simulate._bit_law(p), (500, 16), 11)
-    assert words.shape == (500, 16, 2)
-    assert not np.any(words[..., 1] >> 3)
+    got = simulate._draw_bits(rng, tie, simulate._bit_law(0.5), (4, 3), 20)
+    assert got.dtype == np.uint32 and got.shape == (4, 3, 1)
+    assert got[..., 0].tolist() == [[9012, 310563, 135378], [32216, 794751, 368126],
+                                     [933250, 833696, 802285], [1001924, 676373, 391447]]
 
 
-@pytest.mark.parametrize("p", [0.5, 0.25, 1 / 3, 0.1763319320101495, 1e-5, 0.0])
+@pytest.mark.parametrize("p", [0.5, 0.25, 1 / 3, 0.1763319320101495, 1e-5, 0.0, TWO_TAIL_GROUPS])
 def test_bit_law_is_the_exact_expansion_of_p(p):
     law = simulate._bit_law(p)
-    value = sum(Fraction(d, 2 ** (k + 1)) for k, d in enumerate(law.rounds))
+    assert 0 <= law.cut < 256
+    value = Fraction(law.cut, 256)
     for j, group in enumerate(law.tail):
         assert group == int(group) and 0 <= group < 2**53
         value += Fraction(int(group), 2 ** (8 + 53 * (j + 1)))
     assert value == Fraction(p)
-    assert len(law.rounds) <= 8 and (law.tail.size == 0 or len(law.rounds) == 8)
-    assert not law.rounds or law.rounds[-1] == 1 or law.tail.size
+    assert law.tail.size == 0 or law.tail[-1] != 0
 
 
 def _next_raw(rng):
@@ -220,12 +285,28 @@ def test_tie_stream_settles_lanes_past_the_eighth_digit():
     assert np.array_equal(_next_raw(tie), fresh)
 
 
-def test_half_reads_one_raw_byte_per_output_byte():
+def _assert_reads(law, shape, n, raw_words):
     rng, tie = _streams()
-    simulate._draw_bits(rng, tie, simulate._bit_law(0.5), (10, 64), 16)
+    simulate._draw_bits(rng, tie, law, shape, n)
     ref, _ = _streams()
-    ref.bit_generator.random_raw(10 * 64 * 2 // 8)
+    ref.bit_generator.random_raw(raw_words)
     assert np.array_equal(_next_raw(rng), _next_raw(ref))
+
+
+def test_half_reads_one_raw_byte_per_output_byte():
+    _assert_reads(simulate._bit_law(0.5), (10, 64), 16, 10 * 64 * 2 // 8)
+
+
+def test_other_p_reads_one_raw_byte_per_lane_in_whole_raw_words_per_row():
+    # 3 words of 13 lanes are 39 raw bytes, so each row reads 5 raw words
+    _assert_reads(simulate._bit_law(0.25), (10, 3), 13, 10 * 5)
+    _assert_reads(simulate._bit_law(1 / 3), (10, 3), 13, 10 * 5)
+
+
+def test_zero_p_reads_nothing():
+    rng, tie = _streams()
+    assert not simulate._draw_bits(rng, tie, simulate._bit_law(0.0), (10, 3), 70).any()
+    _assert_reads(simulate._bit_law(0.0), (10, 3), 70, 0)
 
 
 def test_bit_law_refuses_p_outside_the_unit_interval():
@@ -305,6 +386,15 @@ def test_nearest_distances_match_the_quantize_loop():
         x = np.array([(i >> k) & 1 for k in range(10)], dtype=np.uint8)
         _, dist = quantize(x, cb)
         assert best_d[i] == round(dist * 10)
+
+
+@pytest.mark.parametrize("n,q", [(1, 1), (12, 1), (9, 512), (16, 256)])
+def test_nearest_distances_match_the_popcount_minimum(n, q):
+    cw = (np.random.default_rng(n).random((q, n)) < 0.5).astype(np.uint8)
+    packed = (cw.astype(np.uint32) << np.arange(n, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
+    want = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)[:, None] ^ packed[None, :]).min(axis=1)
+    got = simulate._nearest_distances(Codebook(n, cw))
+    assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 def test_oracles_are_pinned_at_n16():
