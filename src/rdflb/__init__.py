@@ -5,6 +5,11 @@ quantizers for i.i.d. binary symmetric, binary non-symmetric, and
 Gaussian sources, plus the enumeration / Monte-Carlo oracles that
 validate them.  See the bss, bns, gauss, and simulate modules for the
 per-family bounds and experiments.
+
+Codebook size: every bound takes Q = 2**(nR) as a real number.  A lower
+bound holds for every codebook of at most that many words; the upper
+bounds use the same real Q.  The experiments in simulate draw
+floor(2**(nR)) words.
 """
 
 from . import bns, bss, gauss, geometry, logdomain, quadrature, ratedistortion, simulate, special

@@ -69,9 +69,6 @@ class OrderedStatsBound:
     threshold: int
     degenerate: bool = False
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def log_q_minus(n: float, rate: float) -> float:
     """ln(2**(n R) - 1), stable for huge n R."""

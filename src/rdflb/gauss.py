@@ -44,6 +44,7 @@ from .geometry import log_prob_intersect_batch, log_shell_mass_batch, log_vol_di
 from .logdomain import LOG_ZERO
 from .quadrature import bracket_solve, gl_nodes, gl_panels, gl_partial, gl_rule
 from .special import (
+    log_ball_volume,
     log_reg_gamma_lower,
     log_unit_ball_volume,
     noncentral_chi2_log_cdf,
@@ -115,9 +116,6 @@ class GaussUpperBound:
     value: float
     degenerate: bool = False
 
-    def __float__(self) -> float:
-        return self.value
-
 
 # ---------------------------------------------------------------------------
 # pointwise pieces of the lower bound
@@ -159,10 +157,7 @@ def _log_gamma_radii(inp: GaussBoundInput, t: np.ndarray) -> tuple[np.ndarray, n
     r1 = np.sqrt(inp.radius_sq(t, rm))
     c1 = inp.scale * rm
     log_vdiff = log_vol_diff_vec(n, r0, c1, r1)
-    with np.errstate(divide="ignore"):
-        log_v0 = log_unit_ball_volume(n) + n * np.log(np.maximum(r0, 1e-300))
-    log_v0 = np.where(r0 > 0, log_v0, LOG_ZERO)
-    log_vtot = np.logaddexp(log_v0, inp.log_q + log_vdiff)
+    log_vtot = np.logaddexp(log_ball_volume(n, r0), inp.log_q + log_vdiff)
     return (log_vtot - log_unit_ball_volume(n)) / n, np.log(c1 + r1)
 
 

@@ -25,13 +25,7 @@ import numpy as np
 
 from .logdomain import LOG_ZERO, logsumexp
 from .quadrature import gl_rule
-from .special import (
-    log_cone_area,
-    log_reg_gamma_lower,
-    log_reg_inc_beta,
-    log_unit_ball_volume,
-    log_unit_sphere_area,
-)
+from .special import log_ball_volume, log_cone_area, log_reg_gamma_lower, log_unit_sphere_area
 
 __all__ = ["log_shell_mass_batch", "log_prob_intersect_batch", "log_vol_diff_vec"]
 
@@ -71,10 +65,7 @@ def _log_full_shell(n, a, b, sigma2):
         la = log_reg_gamma_lower(0.5 * n, 0.5 * b**2 / sigma2)
         lb = log_reg_gamma_lower(0.5 * n, 0.5 * a**2 / sigma2)
         return _log_diff_vec(la, lb)
-    with np.errstate(divide="ignore"):
-        lvb = log_unit_ball_volume(n) + n * np.log(b)
-        lva = np.where(a > 0, log_unit_ball_volume(n) + n * np.log(np.maximum(a, 1e-300)), LOG_ZERO)
-    return _log_diff_vec(lvb, lva)
+    return _log_diff_vec(log_ball_volume(n, b), log_ball_volume(n, a))
 
 
 def _log_cap_area_bounds(n: int, cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +157,7 @@ def _log_cap_shell(n, cap_lo, cap_hi, mid, c1, r1, sigma2):
     floor = best.reshape(rows, -1).max(axis=1) - 46.0
     need = b + upper >= floor[row]
     terms = np.full(b.shape, LOG_ZERO)
-    terms[need] = b[need] + log_cone_area(n, np.arccos(cos[need]))
+    terms[need] = b[need] + log_cone_area(n, cos[need])
     log_terms = np.full(base.shape, LOG_ZERO)
     log_terms[keep] = np.where(np.isnan(terms), LOG_ZERO, terms)
     return logsumexp(log_terms.reshape(rows, -1), axis=1)
@@ -241,30 +232,25 @@ def log_prob_intersect_batch(n: int, r0: float, c1: np.ndarray, r1: np.ndarray, 
 def log_vol_diff_vec(n: int, r0: np.ndarray, c1: float, r1: np.ndarray) -> np.ndarray:
     """ln Lebesgue volume of C1 \\ C0 for vectors of radii at a fixed center distance c1 > 0.
 
-    The lens C1 & C0 is split by the radical hyperplane into two caps, each
-    an incomplete-beta fraction of its ball.
+    The lens C1 & C0 is split by the radical hyperplane into two caps.  A
+    ball cap is a sphere cap two dimensions up (Li, "Concise formulas for the
+    area and volume of a hyperspherical cap", 2011): the part of the radius-r
+    ball beyond the plane at signed distance a from its center is the
+    fraction Omega_{n+2} / A_{n+2} of the ball at cos = a / r.
     """
     r0 = np.asarray(r0, dtype=float)
     r1 = np.asarray(r1, dtype=float)
-    log_vn = log_unit_ball_volume(n)
-    with np.errstate(divide="ignore"):
-        log_v1 = np.where(r1 > 0, log_vn + n * np.log(np.maximum(r1, 1e-300)), LOG_ZERO)
-        log_v0 = np.where(r0 > 0, log_vn + n * np.log(np.maximum(r0, 1e-300)), LOG_ZERO)
+    log_v1 = log_ball_volume(n, r1)
+    log_v0 = log_ball_volume(n, r0)
 
     d0 = (c1 * c1 + r0**2 - r1**2) / (2.0 * c1)
     a0 = d0
     a1 = c1 - d0
 
     def cap(r, a, log_ball):
-        s = np.clip((r - np.abs(a)) * (r + np.abs(a)) / np.maximum(r * r, 1e-300), 0.0, 1.0)
-        half = log_ball - math.log(2.0)
-        log_i = log_reg_inc_beta(0.5 * (n + 1), 0.5, s)
-        minor = half + log_i
-        with np.errstate(invalid="ignore"):
-            major = np.logaddexp(half, half + np.log1p(-np.minimum(np.exp(log_i), 1.0)))
-        out = np.where(a >= 0.0, minor, major)
-        out = np.where(a >= r, LOG_ZERO, out)
-        return np.where(a <= -r, log_ball, out)
+        r = np.maximum(r, 1e-300)
+        cos = np.clip(a, -r, r) / r
+        return log_ball + log_cone_area(n + 2, cos) - log_unit_sphere_area(n + 2)
 
     log_lens = np.logaddexp(cap(r0, a0, log_v0), cap(r1, a1, log_v1))
     log_lens = np.where(c1 >= r0 + r1, LOG_ZERO, log_lens)

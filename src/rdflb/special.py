@@ -34,6 +34,7 @@ __all__ = [
     "exp_gap_inverse",
     "log_unit_sphere_area",
     "log_unit_ball_volume",
+    "log_ball_volume",
     "log_cone_area",
 ]
 
@@ -197,8 +198,17 @@ def log_unit_ball_volume(n: int) -> float:
     return log_unit_sphere_area(n) - math.log(n)
 
 
-def _log_inc_beta(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """ln I_x(a, b) elementwise for x in [0, 1].
+def log_ball_volume(n: int, r):
+    """ln(V_n r^n), the volume of the radius-r ball in R^n; -inf where r <= 0."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = log_unit_ball_volume(n) + n * np.log(np.maximum(r, 1e-300))
+    return _scalar_or_array(np.where(r > 0, out, LOG_ZERO))
+
+
+def log_reg_inc_beta(a: float, b: float, x):
+    """ln I_x(a, b), the log of the regularized incomplete beta function,
+    elementwise for x in [0, 1].
 
     Underflowing lanes (small x) use
     I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * 2F1(a+b, 1; a+1; x).
@@ -214,38 +224,34 @@ def _log_inc_beta(a: float, b: float, x: np.ndarray) -> np.ndarray:
             a * np.log(xd) + b * np.log1p(-xd) - math.log(a) - betaln(a, b)
             + np.log(hyp2f1(a + b, 1.0, a + 1.0, xd))
         )
-    return out
+    return _scalar_or_array(out)
 
 
-def log_reg_inc_beta(a: float, b: float, x) -> np.ndarray:
-    """ln I_x(a, b), the log of the regularized incomplete beta function."""
-    return _scalar_or_array(_log_inc_beta(a, b, x))
+def log_cone_area(n: int, cos) -> np.ndarray:
+    """ln of the area Omega_n(cos) of the cap of semiangle theta on the unit
+    sphere in R^n, given cos = cos(theta) in [-1, 1].
 
-
-def log_cone_area(n: int, theta) -> np.ndarray:
-    """ln of the cap area Omega_n(theta) on the unit sphere in R^n.
-
-    Omega_n(theta) = (A_n / 2) I_{sin^2 theta}((n-1)/2, 1/2) for
-    theta <= pi/2, and A_n - Omega_n(pi - theta) beyond.  By the beta
-    reflection I_x(a, b) = 1 - I_{1-x}(b, a), both halves read
-    (A_n / 2) (1 -+ I_{cos^2 theta}(1/2, (n-1)/2)).  A cap below its mean
-    size (cos^2 theta > 1/n, theta < pi/2) is taken from the sin^2 form,
-    which keeps full relative accuracy for tiny caps; every other cap from
-    the cos^2 form, where 1 -+ I stays above about 1/3, so neither form
-    cancels and neither loses accuracy to the rounding of sin^2 near 1.
+    Omega_n = (A_n / 2) I_{sin^2 theta}((n-1)/2, 1/2) for cos >= 0, and
+    A_n - Omega_n(-cos) for cos < 0.  By the beta reflection
+    I_x(a, b) = 1 - I_{1-x}(b, a), both read
+    (A_n / 2) (1 -+ I_{cos^2}(1/2, (n-1)/2)).  A cap below its mean size
+    (cos^2 > 1/n, cos > 0) is taken from the sin^2 form with
+    sin^2 = (1 - cos)(1 + cos), which keeps full relative accuracy for
+    tiny caps; every other cap from the cos^2 form, where 1 -+ I stays
+    above about 1/3, so neither form cancels.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    theta = np.asarray(theta, dtype=float)
-    if np.any((theta < 0.0) | (theta > math.pi)):
-        raise ValueError("semiangle must lie in [0, pi]")
+    c = np.asarray(cos, dtype=float)
+    if np.any((c < -1.0) | (c > 1.0)):
+        raise ValueError("cosine must lie in [-1, 1]")
     a = 0.5 * (n - 1)
-    c2 = np.cos(theta) ** 2
-    obtuse = theta > 0.5 * math.pi
+    c2 = c * c
+    obtuse = c < 0.0
     small = ~obtuse & (c2 > 1.0 / n)
-    out = np.empty(theta.shape)
-    out[small] = _log_inc_beta(a, 0.5, np.sin(theta[small]) ** 2)
+    out = np.empty(c.shape)
+    cs = c[small]
+    out[small] = log_reg_inc_beta(a, 0.5, (1.0 - cs) * (1.0 + cs))
     q = betainc(0.5, a, c2[~small])
     out[~small] = np.log1p(np.where(obtuse[~small], q, -q))
     return _scalar_or_array(log_unit_sphere_area(n) - _LN2 + out)
-

@@ -533,8 +533,9 @@ def test_panels_read_like_a_per_lane_search():
 
 
 # the gauss-curve benchmark's gauss work (n = 64, R = 1/2, eps = 0.005; the
-# alpha = 2 and unbounded classes, then rm = 200), counted from cold tables
-WORK = {"shell_calls": 140, "shell_rows": 4254, "cone_lanes": 300755}
+# alpha = 2 and unbounded classes, then rm = 200), counted from cold tables;
+# the cone lanes include the 3250 ball caps of the bounded class's volume cap
+WORK = {"shell_calls": 140, "shell_rows": 4254, "cone_lanes": 304101}
 
 
 def test_gauss_curve_work_stays_down(monkeypatch):
@@ -548,9 +549,9 @@ def test_gauss_curve_work_stays_down(monkeypatch):
         work["shell_rows"] += np.size(lo)
         return log_shell_mass_batch(n, lo, *args)
 
-    def cone(n, theta):
-        work["cone_lanes"] += np.size(theta)
-        return log_cone_area(n, theta)
+    def cone(n, cos):
+        work["cone_lanes"] += np.size(cos)
+        return log_cone_area(n, cos)
 
     monkeypatch.setattr(gauss, "log_shell_mass_batch", shell)
     monkeypatch.setattr(geometry, "log_shell_mass_batch", shell)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -153,6 +154,39 @@ def test_vol_lens_closed_form():
     assert vol_diff(3, 1.0, 1.0, 1.0)[0] == pytest.approx(4 * math.pi / 3 - 5 * math.pi / 12, rel=1e-12, abs=0)
 
 
+def _mp_log_vol_diff(n, r0, c1, r1):
+    """ln |C1 \\ C0| in 40 digits: the lens is a cap of each ball beyond the
+    radical plane, each the incomplete-beta fraction of its ball."""
+    with mpmath.workdps(40):
+        r0, c1, r1 = (mpmath.mpf(v) for v in (r0, c1, r1))
+        d0 = (c1**2 + r0**2 - r1**2) / (2 * c1)
+
+        def cap(r, a):
+            half = mpmath.betainc(mpmath.mpf(n + 1) / 2, 0.5, 0, 1 - (a / r) ** 2, regularized=True) / 2
+            return half if a >= 0 else 1 - half
+
+        log_vn = (mpmath.mpf(n) / 2) * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2 + 1)
+        v0, v1 = (mpmath.exp(log_vn + n * mpmath.log(r)) for r in (r0, r1))
+        return float(mpmath.log(v1 - v0 * cap(r0, d0) - v1 * cap(r1, c1 - d0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+def test_vol_diff_vs_mpmath_lens(n):
+    # the radical plane at signed distance a1 from C1's center: a1 < 0 gives
+    # C1 an obtuse cap (more than half of it in the lens), and a1 > c1 gives
+    # C0 one; the caps' cosines sit within a few 1/sqrt(n) of 0.  r1 puts
+    # ln|C1| near 0, so 1e-12 is relative to the volume, not to its log
+    r1 = math.sqrt((n + 2) / (2.0 * math.pi * math.e))
+    s = 1.0 / math.sqrt(n + 2)
+    geoms = [(c1, a1) for c1 in (0.3, 1.0) for a1 in (1.5 * s, 0.5 * s, -0.5 * s, -1.5 * s)] + [(0.3, 0.5)]
+    c1 = r1 * np.array([g[0] for g in geoms])
+    r0 = np.sqrt(c1**2 - 2.0 * c1 * r1 * np.array([g[1] for g in geoms]) + r1**2)
+    for i, c in enumerate(c1):
+        want = _mp_log_vol_diff(n, r0[i], c, r1)
+        assert abs(want) < 10.0
+        assert log_vol_diff_vec(n, r0[i : i + 1], c, np.full(1, r1))[0] == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_vol_additivity_random():
     # |C1 \ C0| + |C1 & C0| = |C1|, with the intersection from the radial
     # route (volume mode: sphere caps inside C1 summed over 0 < r <= r0),
@@ -195,9 +229,9 @@ def test_cap_area_bounds_bracket_the_cap_area(n):
         math.pi - np.geomspace(1e-12, 1e-2, 11),
         [0.0, math.pi],
     ])
-    # the shell quadrature reads the bounds at cos(theta) and the cap area at arccos of it
-    cos = np.cos(theta)
-    got = log_cone_area(n, np.arccos(cos))
+    # the shell quadrature reads the bounds and the cap area at the same cosine
+    cos = np.concatenate([np.cos(theta), [1.0 - 2.0**-52, 1.0 - 2.0**-40, -1.0 + 2.0**-52]])
+    got = log_cone_area(n, cos)
     lower, upper = _log_cap_area_bounds(n, cos)
     # the bounds are exact inequalities; allow the rounding of the logs only
     slack = 1e-14 * np.maximum(np.abs(np.where(np.isfinite(got), got, 0.0)), 1.0)
@@ -238,7 +272,7 @@ def _reference_half(n, edge, far, c1, r1, sigma2, from_left):
     log_omega = np.full(base.shape, -np.inf)
     if np.any(keep):
         ri, _ = np.nonzero(keep)
-        log_omega[keep] = log_cone_area(n, np.arccos(_cap_cos(c1[ri], r1[ri], rho[keep])))
+        log_omega[keep] = log_cone_area(n, _cap_cos(c1[ri], r1[ri], rho[keep]))
     log_terms = base + log_omega
     return np.where(np.isnan(log_terms), -np.inf, log_terms)
 

@@ -242,35 +242,37 @@ def test_unit_sphere_and_ball():
 
 def test_cone_area_closed_forms():
     # Omega_3(theta) = 2 pi (1 - cos theta)
-    assert sp.log_cone_area(3, math.pi / 2) == pytest.approx(math.log(2 * math.pi), rel=1e-12)
-    assert sp.log_cone_area(3, math.pi) == pytest.approx(math.log(4 * math.pi), rel=1e-12)
-    assert sp.log_cone_area(3, 1.1) == pytest.approx(math.log(2 * math.pi * (1 - math.cos(1.1))), rel=1e-10)
+    assert sp.log_cone_area(3, 0.0) == pytest.approx(math.log(2 * math.pi), rel=1e-12)
+    assert sp.log_cone_area(3, -1.0) == pytest.approx(math.log(4 * math.pi), rel=1e-12)
+    assert sp.log_cone_area(3, 0.4) == pytest.approx(math.log(2 * math.pi * 0.6), rel=1e-10)
     # Omega_2(theta) = 2 theta (arc length)
-    assert sp.log_cone_area(2, 1.0) == pytest.approx(math.log(2.0), rel=1e-10)
-    assert sp.log_cone_area(4, 0.0) == -math.inf
+    assert sp.log_cone_area(2, math.cos(1.0)) == pytest.approx(math.log(2.0), rel=1e-10)
+    assert sp.log_cone_area(4, 1.0) == -math.inf
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 2000])
 def test_cone_area_full_sphere(n):
-    assert sp.log_cone_area(n, math.pi) == pytest.approx(sp.log_unit_sphere_area(n), rel=1e-10)
+    assert sp.log_cone_area(n, -1.0) == pytest.approx(sp.log_unit_sphere_area(n), rel=1e-10)
 
 
 def test_cone_area_monotone_and_domain():
     for n in (2, 7, 300):
-        vals = sp.log_cone_area(n, np.linspace(1e-3, math.pi, 40))
+        vals = sp.log_cone_area(n, np.linspace(1.0 - 1e-6, -1.0, 40))
         assert np.all(np.diff(vals) >= 0)
-    with pytest.raises(ValueError):
-        sp.log_cone_area(5, 3.5)
+    for bad in (1.5, -1.0 - 1e-12):
+        with pytest.raises(ValueError):
+            sp.log_cone_area(5, bad)
 
 
-def _mp_log_cap(n, theta):
-    # Omega_n = (A_n / 2) I_{sin^2}((n-1)/2, 1/2), folded back past pi/2
+def _mp_log_cap(n, cos):
+    # Omega_n = (A_n / 2) I_{sin^2}((n-1)/2, 1/2), folded back below cos = 0;
+    # sin^2 is taken exactly at the double cosine
     with mpmath.workdps(40):
-        th = mpmath.mpf(theta)
+        c = mpmath.mpf(cos)
         a = mpmath.mpf(n - 1) / 2
-        i = mpmath.betainc(a, 0.5, 0, mpmath.sin(th) ** 2, regularized=True)
+        i = mpmath.betainc(a, 0.5, 0, (1 - c) * (1 + c), regularized=True)
         log_half = (mpmath.mpf(n) / 2) * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2)
-        return float(log_half + mpmath.log(i if th <= mpmath.pi / 2 else 2 - i))
+        return float(log_half + mpmath.log(i if c >= 0 else 2 - i))
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -293,15 +295,25 @@ def test_log_reg_inc_beta_vs_mpmath(n):
 def test_cone_area_near_half_sphere():
     # just below pi/2, where sin^2 theta rounds near 1 and the integrand
     # sin^(n-2) is flat: an understated cap here makes the converse too high
-    assert sp.log_cone_area(64, 1.569041) == pytest.approx(_mp_log_cap(64, 1.569041), rel=0, abs=1e-12)
+    c = math.cos(1.569041)
+    assert sp.log_cone_area(64, c) == pytest.approx(_mp_log_cap(64, c), rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+@pytest.mark.parametrize("n", [2, 3, 64, 1000, 4096])
 def test_cone_area_vs_mpmath(n):
-    thetas = [1e-8, 1e-3, 0.3, 1.0, 1.5, math.pi / 2, 1.6, 2.5, 3.1, math.pi]
-    got = sp.log_cone_area(n, np.array(thetas))
-    for th, g in zip(thetas, got):
-        assert g == pytest.approx(_mp_log_cap(n, th), rel=1e-12, abs=1e-12)
+    # both ends to the last double, both sides of the switch between the
+    # sin^2 and cos^2 forms at cos^2 = 1/n, and both sides of the hemisphere,
+    # where sin^2 rounds to 1; the log area reaches -1.1e4 at n = 4096, so
+    # 1e-15 relative is a few of its last bits and 1e-12 the floor
+    cosines = [1.0 - 2.0**-52, 1.0 - 2.0**-40, 1.0 / math.sqrt(n) + 1e-12, 1.0 / math.sqrt(n) - 1e-12,
+               0.00175, 1e-9, 0.0, -1e-9, -0.9, -1.0 + 2.0**-52, 1.0, -1.0]
+    got = sp.log_cone_area(n, np.array(cosines))
+    for c, g in zip(cosines, got):
+        want = _mp_log_cap(n, c)
+        if want == -math.inf:
+            assert g == -math.inf
+        else:
+            assert g == pytest.approx(want, rel=1e-15, abs=1e-12), c
 
 
 def test_cone_area_vs_quadrature():
@@ -313,4 +325,10 @@ def test_cone_area_vs_quadrature():
         want = math.log(raw) + math.log(2.0) + 0.5 * (n - 1) * math.log(math.pi) - float(
             mpmath.log(mpmath.gamma((n - 1) / 2))
         )
-        assert sp.log_cone_area(n, th) == pytest.approx(want, rel=1e-9)
+        assert sp.log_cone_area(n, math.cos(th)) == pytest.approx(want, rel=1e-9)
+
+
+def test_ball_volume():
+    assert sp.log_ball_volume(3, 2.0) == pytest.approx(math.log(4 * math.pi / 3 * 8.0), rel=1e-15)
+    got = sp.log_ball_volume(5, np.array([0.0, -1.0, 1.0]))
+    assert got.tolist() == [-math.inf, -math.inf, sp.log_unit_ball_volume(5)]

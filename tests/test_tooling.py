@@ -1,17 +1,23 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_traced_layers_resolve_to_rdflb_callables():
-    # the traced benchmark run wraps every LAYERS name with getattr; a
-    # renamed or deleted function must fail here, not in that run
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_layers_resolve_to_rdflb_callables():
+    # the traced benchmark run wraps every LAYERS name with getattr; a
+    # renamed or deleted function must fail here, not in that run
+    tracing = _load_tracing()
     missing = []
     for qual in tracing.LAYERS:
         mod_name, func_name = qual.split(".")
@@ -57,3 +63,43 @@ def test_every_import_is_read():
     files = sorted(package.rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
     unused = [u for path in files if path != package / "__init__.py" for u in _unused_imports(path)]
     assert unused == []
+
+
+def _read_callables() -> set[int]:
+    """ids of the functions some rdflb module reads, as a bare name or as an
+    attribute of a module, resolved in the module that reads them."""
+    package = Path(importlib.import_module("rdflb").__file__).parent
+    read = set()
+    for path in sorted(package.glob("*.py")):
+        mod = importlib.import_module("rdflb" if path.stem == "__init__" else f"rdflb.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            obj = None
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                obj = getattr(mod, node.id, None)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                base = getattr(mod, node.value.id, None)
+                obj = getattr(base, node.attr, None) if inspect.ismodule(base) else None
+            if callable(obj):
+                read.add(id(obj))
+    return read
+
+
+def test_traced_layers_without_a_caller_are_pinned():
+    # a traced layer that no package code reads measures nothing on any
+    # workload; this set is what the benchmark's LAYERS still has to drop or
+    # re-point, and a refactor that cuts off a layer's last caller fails here
+    tracing = _load_tracing()
+    read = _read_callables()
+    unread = set()
+    for qual in tracing.LAYERS:
+        mod_name, func_name = qual.split(".")
+        if id(getattr(importlib.import_module(f"rdflb.{mod_name}"), func_name)) not in read:
+            unread.add(qual)
+    assert unread == {
+        "bss.hamming_ball_threshold",
+        "logdomain.log_binomial",
+        "quadrature.find_root",
+        "simulate.delta_residue",
+        "simulate.duality_error_prob",
+        "simulate.exact_distortion",
+    }
