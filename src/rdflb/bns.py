@@ -182,8 +182,8 @@ def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: floa
         law[k, cols] = logsumexp(terms, axis=1)
         np.logaddexp.accumulate(law[k, : lk + 1], out=cum[k, : lk + 1])
     d = (cum <= log_budget).sum(axis=1)
-    left = [log_diff(log_budget, cum[k, dk - 1]) if dk else log_budget for k, dk in enumerate(d.tolist())]
-    return law, d, np.array(left), last
+    left = log_diff(log_budget, np.where(d > 0, cum[np.arange(d.size), d - 1], LOG_ZERO))
+    return law, d, left, last
 
 
 def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) -> np.ndarray:
@@ -248,9 +248,8 @@ def lower_bound(n: int, rate: float, p: float) -> float:
     # above[i]: mass of the classes lo + i and up, normalized to the window total
     # so that the rounding of ln C(n,k) cancels; 1 below the window, 0 above it
     above = np.append(np.cumsum(mass[::-1])[::-1], 0.0) / total
-    with np.errstate(divide="ignore"):
-        # the unserved words of class c, (cnt[c] - slots) words at p^c (1-p)^(n-c)
-        part = np.exp(cls[c] - lb[c] + cnt[c] + np.log1p(-np.exp(slots - cnt[c])) - top) / total
+    # the unserved words of class c, (cnt[c] - slots) words at p^c (1-p)^(n-c)
+    part = np.exp(cls[c] - lb[c] + log_diff(cnt[c], slots) - top) / total
     return float((above[np.clip(c - lo + 1, 0, above.size - 1)] + part).sum() / n)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .geometry import log_prob_intersect_batch, log_shell_mass_batch, log_vol_diff_vec
-from .logdomain import LOG_ZERO
+from .logdomain import LOG_ZERO, log_diff
 from .quadrature import bracket_solve, gl_nodes, gl_panels, gl_partial, gl_rule
 from .special import (
     log_ball_volume,
@@ -503,8 +503,7 @@ def _log_budget(inp: GaussBoundInput) -> float:
     lq = inp.log_q
     if lq < math.log(3.0):
         raise ValueError("codebook size must be at least 3")
-    log_qm2 = lq + math.log1p(-2.0 * math.exp(-lq))
-    return math.log(math.log(1.0 / inp.eps)) - log_qm2
+    return math.log(math.log(1.0 / inp.eps)) - log_diff(lq, _LN2)
 
 
 def _os_bound(inp: GaussBoundInput, log_cover, radius_bracket, eps_term: float) -> GaussUpperBound:

@@ -12,9 +12,11 @@ and re-exponentiated around the maximum.  Both halves of a row's cap
 shell go through one pass, and the cap area (an incomplete beta function)
 is evaluated only at the nodes whose elementary upper bound reaches within
 46 nats of the row's largest lower bound; every node left out is below
-e^-46 of the row's largest term (``_log_cap_shell``).  Volumes use the
-exact radical-plane cap decomposition instead.  Every function is
-vectorized over rows of radii.
+e^-46 of the row's largest term (``_log_cap_shell``).  The volume of
+C1 \\ C0 is exact instead: the cap of C1 beyond the radical plane less the
+cap of C0 beyond it, one ``log_diff`` of two ball caps, each a cap
+fraction two dimensions up.  Every function is vectorized over rows of
+radii.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import math
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, logsumexp
+from .logdomain import LOG_ZERO, log_diff, logsumexp
 from .quadrature import gl_rule
-from .special import log_ball_volume, log_cone_area, log_reg_gamma_lower, log_unit_sphere_area
+from .special import log_ball_volume, log_cap_fraction, log_cone_area, log_reg_gamma_lower, log_unit_sphere_area
 
 __all__ = ["log_shell_mass_batch", "log_prob_intersect_batch", "log_vol_diff_vec"]
 
@@ -48,24 +50,14 @@ def _cap_cos(c1, r1, rho):
     return np.clip(arg, -1.0, 1.0)
 
 
-def _log_diff_vec(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """Vector log(exp(la) - exp(lb)) for la >= lb (slack for roundoff)."""
-    la = np.asarray(la, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    d = np.where(np.isneginf(la), 0.0, lb - la)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = la + np.log1p(-np.exp(np.minimum(d, 0.0)))
-    return np.where((np.isneginf(lb)) | np.isneginf(la), la, out)
-
-
 def _log_full_shell(n, a, b, sigma2):
     """ln of the full-sphere shell integral over a < r <= b (closed form)."""
     a = np.maximum(a, 0.0)
     if sigma2 is not None:
         la = log_reg_gamma_lower(0.5 * n, 0.5 * b**2 / sigma2)
         lb = log_reg_gamma_lower(0.5 * n, 0.5 * a**2 / sigma2)
-        return _log_diff_vec(la, lb)
-    return _log_diff_vec(log_ball_volume(n, b), log_ball_volume(n, a))
+        return log_diff(la, lb)
+    return log_diff(log_ball_volume(n, b), log_ball_volume(n, a))
 
 
 def _log_cap_area_bounds(n: int, cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,34 +224,22 @@ def log_prob_intersect_batch(n: int, r0: float, c1: np.ndarray, r1: np.ndarray, 
 def log_vol_diff_vec(n: int, r0: np.ndarray, c1: float, r1: np.ndarray) -> np.ndarray:
     """ln Lebesgue volume of C1 \\ C0 for vectors of radii at a fixed center distance c1 > 0.
 
-    The lens C1 & C0 is split by the radical hyperplane into two caps.  A
-    ball cap is a sphere cap two dimensions up (Li, "Concise formulas for the
-    area and volume of a hyperspherical cap", 2011): the part of the radius-r
-    ball beyond the plane at signed distance a from its center is the
-    fraction Omega_{n+2} / A_{n+2} of the ball at cos = a / r.
+    The radical hyperplane x = a0, a0 = (c1^2 + r0^2 - r1^2) / (2 c1), holds
+    the intersection of the two spheres.  Beyond it (x > a0) the part of C0
+    lies inside C1, and short of it the part of C1 lies inside C0, so
+    C1 \\ C0 is the cap of C1 beyond the plane less the cap of C0 beyond
+    it: one difference.  The cap of the radius-r ball beyond a plane at
+    signed distance a from its center is the fraction
+    ``log_cap_fraction(n + 2, a / r)`` of the ball, with the cosine clipped
+    to [-1, 1], so disjoint or nested balls and r0 = 0 need no case of
+    their own.
     """
     r0 = np.asarray(r0, dtype=float)
     r1 = np.asarray(r1, dtype=float)
-    log_v1 = log_ball_volume(n, r1)
-    log_v0 = log_ball_volume(n, r0)
+    a0 = (c1 * c1 + r0**2 - r1**2) / (2.0 * c1)
 
-    d0 = (c1 * c1 + r0**2 - r1**2) / (2.0 * c1)
-    a0 = d0
-    a1 = c1 - d0
+    def cap(r, a):
+        s = np.maximum(r, 1e-300)
+        return log_ball_volume(n, r) + log_cap_fraction(n + 2, np.clip(a, -s, s) / s)
 
-    def cap(r, a, log_ball):
-        r = np.maximum(r, 1e-300)
-        cos = np.clip(a, -r, r) / r
-        return log_ball + log_cone_area(n + 2, cos) - log_unit_sphere_area(n + 2)
-
-    log_lens = np.logaddexp(cap(r0, a0, log_v0), cap(r1, a1, log_v1))
-    log_lens = np.where(c1 >= r0 + r1, LOG_ZERO, log_lens)
-    log_lens = np.where(c1 + r1 <= r0, log_v1, log_lens)
-    log_lens = np.where(c1 + r0 <= r1, log_v0, log_lens)
-    log_lens = np.where((r0 <= 0) | (r1 <= 0), LOG_ZERO, log_lens)
-    # C1 inside C0 gives ratio 0 and an exact-zero difference, ln 0 = -inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.minimum(log_lens - log_v1, 0.0)
-        diff = log_v1 + np.log1p(-np.exp(ratio))
-    diff = np.where(np.isneginf(log_lens), log_v1, diff)
-    return np.where(np.isneginf(log_v1), LOG_ZERO, diff)
+    return log_diff(cap(r1, a0 - c1), cap(r0, a0))

@@ -39,24 +39,27 @@ def logsumexp(logs: np.ndarray, axis=None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
-def log_diff(log_a: float, log_b: float) -> float:
-    """log(exp(log_a) - exp(log_b)) for log_a >= log_b.
+def log_diff(log_a, log_b):
+    """log(exp(log_a) - exp(log_b)) for log_a >= log_b, elementwise.
 
-    A tiny negative difference (roundoff) is clamped to exact zero.  The
+    The arguments broadcast; scalars give a float.  Where log_b is -inf the
+    result is log_a.  A negative difference of up to 1e-12 in the logs
+    (roundoff) is clamped to exact zero, and a larger one raises.  The
     factor log(1 - e^d), d = log_b - log_a < 0, takes log(-expm1(d)) for
     d > -ln 2 and log1p(-e^d) below, so it stays finite and accurate for
     arguments that differ in their last bits.
     """
-    if log_b == LOG_ZERO:
-        return log_a
-    if log_a == LOG_ZERO:
-        raise ValueError("negative difference: 0 - positive")
-    d = log_b - log_a
-    if d > 1e-12:
-        raise ValueError(f"negative difference in log_diff: log_a={log_a}, log_b={log_b}")
-    if d >= 0.0:
-        return LOG_ZERO
-    return log_a + (math.log(-math.expm1(d)) if d > -_LN2 else math.log1p(-math.exp(d)))
+    a = np.asarray(log_a, dtype=float)
+    b = np.asarray(log_b, dtype=float)
+    # where log_b alone is -inf, d = -inf and the factor is log1p(-0) = 0; where
+    # both are, d is nan, which fmin takes to 0, and the factor ln 0 keeps -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = b - a
+        if np.any(d > 1e-12):
+            raise ValueError(f"negative difference in log_diff: log_b - log_a up to {np.nanmax(d)}")
+        d = np.fmin(d, 0.0)
+        out = a + np.where(d > -_LN2, np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
+    return float(out) if out.ndim == 0 else out
 
 
 def log_binomial(n: int, k: int) -> float:

@@ -35,6 +35,7 @@ __all__ = [
     "log_unit_sphere_area",
     "log_unit_ball_volume",
     "log_ball_volume",
+    "log_cap_fraction",
     "log_cone_area",
 ]
 
@@ -227,18 +228,20 @@ def log_reg_inc_beta(a: float, b: float, x):
     return _scalar_or_array(out)
 
 
-def log_cone_area(n: int, cos) -> np.ndarray:
-    """ln of the area Omega_n(cos) of the cap of semiangle theta on the unit
-    sphere in R^n, given cos = cos(theta) in [-1, 1].
+def log_cap_fraction(n: int, cos) -> np.ndarray:
+    """ln(Omega_n / A_n), the share of the unit sphere in R^n held by the cap
+    of semiangle theta, given cos = cos(theta) in [-1, 1].
 
-    Omega_n = (A_n / 2) I_{sin^2 theta}((n-1)/2, 1/2) for cos >= 0, and
-    A_n - Omega_n(-cos) for cos < 0.  By the beta reflection
-    I_x(a, b) = 1 - I_{1-x}(b, a), both read
-    (A_n / 2) (1 -+ I_{cos^2}(1/2, (n-1)/2)).  A cap below its mean size
-    (cos^2 > 1/n, cos > 0) is taken from the sin^2 form with
-    sin^2 = (1 - cos)(1 + cos), which keeps full relative accuracy for
-    tiny caps; every other cap from the cos^2 form, where 1 -+ I stays
-    above about 1/3, so neither form cancels.
+    The share is (1/2) I_{sin^2 theta}((n-1)/2, 1/2) for cos >= 0, and
+    1 - share(-cos) for cos < 0.  By the beta reflection
+    I_x(a, b) = 1 - I_{1-x}(b, a), both read (1/2)(1 -+ I_{cos^2}(1/2, (n-1)/2)).
+    A cap below its mean size (cos^2 > 1/n, cos > 0) is taken from the
+    sin^2 form with sin^2 = (1 - cos)(1 + cos), which keeps full relative
+    accuracy for tiny caps; every other cap from the cos^2 form, where
+    1 -+ I stays above about 1/3, so neither form cancels.  The share of
+    the radius-r ball in R^n beyond a plane at signed distance r cos from
+    its center is ``log_cap_fraction(n + 2, cos)`` (Li, "Concise formulas
+    for the area and volume of a hyperspherical cap", 2011).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -254,4 +257,11 @@ def log_cone_area(n: int, cos) -> np.ndarray:
     out[small] = log_reg_inc_beta(a, 0.5, (1.0 - cs) * (1.0 + cs))
     q = betainc(0.5, a, c2[~small])
     out[~small] = np.log1p(np.where(obtuse[~small], q, -q))
-    return _scalar_or_array(log_unit_sphere_area(n) - _LN2 + out)
+    return _scalar_or_array(out - _LN2)
+
+
+def log_cone_area(n: int, cos) -> np.ndarray:
+    """ln of the area Omega_n(cos) of the cap of semiangle theta on the unit
+    sphere in R^n, given cos = cos(theta) in [-1, 1]: ln A_n plus
+    ``log_cap_fraction(n, cos)``."""
+    return log_cap_fraction(n, cos) + log_unit_sphere_area(n)

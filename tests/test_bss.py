@@ -73,6 +73,27 @@ def test_lower_bound_vs_bigint_oracle(n, rate):
     assert bss.lower_bound(n, rate) == pytest.approx(want, rel=1e-11)
 
 
+def exact_lower_half_rate(n):
+    """(1/(n 2^n)) sum_t max(0, 2^n - Q sum_{i<=t} C(n, i)) at R = 1/2, even n,
+    in big integers: Q = 2^(n/2) codewords serve at most Q C(n, i) words at
+    distance i, and the mean distance is the sum over t of the share of
+    words not served within distance t."""
+    q, total, served, unserved = 2 ** (n // 2), 2**n, 0, 0
+    for i in range(n + 1):
+        served += q * comb(n, i)
+        if served >= total:
+            break
+        unserved += total - served
+    return float(Fraction(unserved, n * total))
+
+
+def test_lower_bound_vs_exact_sum_large_n():
+    # the oracle above stops at n = 20 and works in floats; this one is exact
+    assert exact_lower_half_rate(200) == 0.11548405444003067
+    for n in range(100, 2001, 100):
+        assert bss.lower_bound(n, 0.5) == pytest.approx(exact_lower_half_rate(n), rel=1e-14, abs=0), n
+
+
 def test_lower_bound_small_n_sane():
     v = bss.lower_bound(1, 0.5)
     assert 0.0 <= v <= 0.5

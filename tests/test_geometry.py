@@ -16,6 +16,7 @@ from rdflb.geometry import (
 from rdflb.logdomain import logsumexp
 from rdflb.quadrature import gl_rule
 from rdflb.special import (
+    log_ball_volume,
     log_cone_area,
     log_unit_ball_volume,
     log_unit_sphere_area,
@@ -175,7 +176,9 @@ def test_vol_diff_vs_mpmath_lens(n):
     # the radical plane at signed distance a1 from C1's center: a1 < 0 gives
     # C1 an obtuse cap (more than half of it in the lens), and a1 > c1 gives
     # C0 one; the caps' cosines sit within a few 1/sqrt(n) of 0.  r1 puts
-    # ln|C1| near 0, so 1e-12 is relative to the volume, not to its log
+    # ln|C1| near 0, so tol is relative to the volume, not to its log; at
+    # n = 1000, ln V_n and n ln r1 are each about 2e3, with last bits of 2.3e-13
+    tol = 3e-13 if n == 1000 else 2e-14
     r1 = math.sqrt((n + 2) / (2.0 * math.pi * math.e))
     s = 1.0 / math.sqrt(n + 2)
     geoms = [(c1, a1) for c1 in (0.3, 1.0) for a1 in (1.5 * s, 0.5 * s, -0.5 * s, -1.5 * s)] + [(0.3, 0.5)]
@@ -184,7 +187,27 @@ def test_vol_diff_vs_mpmath_lens(n):
     for i, c in enumerate(c1):
         want = _mp_log_vol_diff(n, r0[i], c, r1)
         assert abs(want) < 10.0
-        assert log_vol_diff_vec(n, r0[i : i + 1], c, np.full(1, r1))[0] == pytest.approx(want, rel=0, abs=1e-12)
+        assert log_vol_diff_vec(n, r0[i : i + 1], c, np.full(1, r1))[0] == pytest.approx(want, rel=0, abs=tol)
+
+
+def test_vol_nested_and_disjoint_large_n():
+    # at n = 1000 the cap cosines clip to -1 or 1 and the cap fractions are
+    # exactly 0 or -inf: disjoint balls and r0 = 0 give ln|C1| exactly, C1
+    # inside C0 gives -inf, and C0 inside C1 gives ln(|C1| - |C0|)
+    n = 1000
+    r1 = math.sqrt((n + 2) / (2.0 * math.pi * math.e))
+    log_v1 = log_ball_volume(n, r1)
+    r0 = r1 * np.array([0.5, 0.0, 1.5, 1.0 - 1e-3])
+    c1 = r1 * np.array([2.0, 0.3, 0.2, 0.5e-3])
+    got = [log_vol_diff_vec(n, r0[i : i + 1], c, np.full(1, r1))[0] for i, c in enumerate(c1)]
+    assert got[:3] == [log_v1, log_v1, -math.inf]
+    with mpmath.workdps(40):
+        log_vn = (mpmath.mpf(n) / 2) * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2 + 1)
+        v0, v1 = (mpmath.exp(log_vn + n * mpmath.log(mpmath.mpf(r))) for r in (r0[3], r1))
+        want = float(mpmath.log(v1 - v0))
+    assert -1.0 < want - log_v1 < -0.1  # |C0| is a fair share of |C1|
+    # ln V_n and n ln r are each about 2e3 here, and their last bits are 2.3e-13
+    assert got[3] == pytest.approx(want, rel=0, abs=3e-13)
 
 
 def test_vol_additivity_random():

@@ -50,8 +50,38 @@ def test_log_diff():
     assert log_diff(math.log(3.0), math.log(1.0)) == pytest.approx(math.log(2.0), rel=1e-14)
     assert log_diff(math.log(2.0), LOG_ZERO) == pytest.approx(math.log(2.0))
     assert log_diff(0.0, 0.0) == LOG_ZERO
+    assert type(log_diff(0.0, -1.0)) is float
+    assert type(log_diff(np.float64(0.0), np.array(-1.0))) is float
     with pytest.raises(ValueError):
         log_diff(0.0, 1.0)
+    # -inf in log_b gives log_a, also where log_a is -inf; log_a = -inf < log_b raises
+    got = log_diff(np.array([1.0, LOG_ZERO, 0.0]), np.array([LOG_ZERO, LOG_ZERO, -1.0]))
+    assert got.tolist() == [1.0, LOG_ZERO, log_diff(0.0, -1.0)]
+    assert log_diff(LOG_ZERO, LOG_ZERO) == LOG_ZERO
+    with pytest.raises(ValueError):
+        log_diff(LOG_ZERO, -1.0)
+    with pytest.raises(ValueError):
+        log_diff(np.array([0.0, LOG_ZERO]), np.array([-1.0, 0.0]))
+    # a negative difference up to 1e-12 is roundoff and clamped to exact zero
+    assert log_diff(np.zeros(3), np.array([0.0, 1e-13, 1e-12])).tolist() == [LOG_ZERO] * 3
+    with pytest.raises(ValueError):
+        log_diff(np.zeros(2), np.array([-1.0, 2e-12]))
+    # array against scalar either way round, and a row against a column;
+    # every lane equals the scalar call on its own pair
+    b = np.array([-3.0, -0.5, LOG_ZERO, 0.0])
+    assert log_diff(0.0, b).tolist() == [log_diff(0.0, float(v)) for v in b]
+    a = np.array([0.0, 2.0, 700.0])
+    assert log_diff(a, -1.0).tolist() == [log_diff(float(v), -1.0) for v in a]
+    grid = log_diff(a[:, None], b[None, :])
+    assert grid.shape == (3, 4)
+    assert grid.tolist() == [[log_diff(float(x), float(y)) for y in b] for x in a]
+
+
+def _mp_log_diff(log_a, log_b):
+    # 400 digits keep 1 - e^-gap exact to a double out to gap = 700
+    with mpmath.workdps(400):
+        gap = mpmath.mpf(log_a) - mpmath.mpf(log_b)
+        return LOG_ZERO if gap == 0 else float(log_a + mpmath.log(-mpmath.expm1(-gap)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -63,10 +93,21 @@ def test_log_diff():
 def test_log_diff_vs_mpmath(log_a, log10_gap):
     # gaps from 1e-18 to 1; below about 1.1e-16, e^(log_b - log_a) rounds to 1
     log_b = log_a - 10.0**log10_gap
-    with mpmath.workdps(60):
-        gap = mpmath.mpf(log_a) - mpmath.mpf(log_b)
-        want = LOG_ZERO if gap == 0 else float(log_a + mpmath.log(-mpmath.expm1(-gap)))
+    want = _mp_log_diff(log_a, log_b)
     assert log_diff(log_a, log_b) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def test_log_diff_vector_vs_mpmath():
+    # one call per log_a, with gaps on both sides of the switch at ln 2
+    # between the expm1 and the log1p forms; at log_a = 0 the result is
+    # about -e^-gap, which stays a normal double out to gap = 700
+    ln2 = math.log(2.0)
+    gaps = np.array([1e-15, 1e-9, 1e-3, 0.3, ln2 * (1 - 1e-15), ln2, ln2 * (1 + 1e-15), 0.7, 1.0, 5.0, 40.0, 700.0])
+    for log_a in (0.0, -3.5, 12.25):
+        log_b = log_a - gaps
+        got = log_diff(log_a, log_b)
+        for g, lb in zip(got, log_b):
+            assert g == pytest.approx(_mp_log_diff(log_a, float(lb)), rel=1e-15, abs=0), (log_a, lb)
 
 
 def test_log_binomial_small_exact():

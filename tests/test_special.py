@@ -264,15 +264,19 @@ def test_cone_area_monotone_and_domain():
             sp.log_cone_area(5, bad)
 
 
-def _mp_log_cap(n, cos):
-    # Omega_n = (A_n / 2) I_{sin^2}((n-1)/2, 1/2), folded back below cos = 0;
+def _mp_log_cap_fraction(n, cos):
+    # Omega_n / A_n = (1/2) I_{sin^2}((n-1)/2, 1/2), folded back below cos = 0;
     # sin^2 is taken exactly at the double cosine
     with mpmath.workdps(40):
         c = mpmath.mpf(cos)
-        a = mpmath.mpf(n - 1) / 2
-        i = mpmath.betainc(a, 0.5, 0, (1 - c) * (1 + c), regularized=True)
-        log_half = (mpmath.mpf(n) / 2) * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2)
-        return float(log_half + mpmath.log(i if c >= 0 else 2 - i))
+        i = mpmath.betainc(mpmath.mpf(n - 1) / 2, 0.5, 0, (1 - c) * (1 + c), regularized=True)
+        return mpmath.log(i / 2 if c >= 0 else 1 - i / 2)
+
+
+def _mp_log_cap(n, cos):
+    with mpmath.workdps(40):
+        log_area = mpmath.log(2) + (mpmath.mpf(n) / 2) * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2)
+        return float(log_area + _mp_log_cap_fraction(n, cos))
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -308,12 +312,23 @@ def test_cone_area_vs_mpmath(n):
     cosines = [1.0 - 2.0**-52, 1.0 - 2.0**-40, 1.0 / math.sqrt(n) + 1e-12, 1.0 / math.sqrt(n) - 1e-12,
                0.00175, 1e-9, 0.0, -1e-9, -0.9, -1.0 + 2.0**-52, 1.0, -1.0]
     got = sp.log_cone_area(n, np.array(cosines))
-    for c, g in zip(cosines, got):
-        want = _mp_log_cap(n, c)
+    frac = sp.log_cap_fraction(n, np.array(cosines))
+    for c, g, f in zip(cosines, got, frac):
+        want, want_frac = _mp_log_cap(n, c), float(_mp_log_cap_fraction(n, c))
         if want == -math.inf:
-            assert g == -math.inf
+            assert g == -math.inf and f == -math.inf
         else:
             assert g == pytest.approx(want, rel=1e-15, abs=1e-12), c
+            assert f == pytest.approx(want_frac, rel=1e-15, abs=1e-12), c
+    # the area is ln A_n plus the fraction, to the rounding of that one sum
+    assert got.tolist() == (frac + sp.log_unit_sphere_area(n)).tolist()
+    # a cap and the cap of the opposite cosine tile the sphere: F(c) + F(-c) = 1.
+    # Just above the switch at cos^2 = 1/n (lane 2) the sin^2 form carries the
+    # rounding of sin^2 = (1 - cos)(1 + cos), amplified about n/2 times (5e-13
+    # in F at n = 4096, where the cos^2 form is good to 1e-16)
+    tile = np.logaddexp(frac, sp.log_cap_fraction(n, -np.array(cosines)))
+    assert np.abs(np.delete(tile, 2)).max() <= 1e-15
+    assert abs(tile[2]) <= n * 2.0**-52
 
 
 def test_cone_area_vs_quadrature():

@@ -103,3 +103,20 @@ def test_traced_layers_without_a_caller_are_pinned():
         "simulate.duality_error_prob",
         "simulate.exact_distortion",
     }
+
+
+def test_log_one_minus_exp_lives_in_logdomain():
+    # ln(e^a - e^b) has one kernel, logdomain.log_diff; an inline copy of its
+    # log(1 - e^d) factor elsewhere would drift from its rules (the clamp, the
+    # branch at -ln 2, the -inf cases)
+    package = Path(importlib.import_module("rdflb").__file__).parent
+    idioms = ("log1p(-np.exp(", "log1p(-math.exp(", "log(-np.expm1(", "log(-math.expm1(")
+    found = [
+        f"{path.name}:{i} {idiom}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "logdomain.py"
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for idiom in idioms
+        if idiom in line.replace(" ", "")
+    ]
+    assert found == []
