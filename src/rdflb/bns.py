@@ -186,17 +186,6 @@ def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: floa
     return law, d, left, last
 
 
-def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) -> np.ndarray:
-    """ln P(n d(x,y) = d) for weight-w x and codeword bits i.i.d. Bernoulli(z).
-
-    The one-class view of ``_block_laws``: only the columns up to the first
-    whose running sum passes log_budget come back, every one of them exact;
-    the default budget returns all n + 1.
-    """
-    law, _, _, last = _block_laws(n, np.array([w]), z, _log_factorials(n), log_budget)
-    return law[0, : last[0] + 1]
-
-
 def _class_scans(n: int, weights: np.ndarray, z: float, log_budget: float):
     """The weight classes ``weights`` scanned against log_budget, block by block.
 

@@ -24,8 +24,10 @@ where a random codeword lands within r(x) of the source word x with the
 probability budget ln(1/eps)/(Q-2); the classes differ only in the codeword
 law behind it, N(0, (sigma2 - D) I_n) (a noncentral chi-squared distance)
 for an unbounded codebook and that law conditioned on |y| <= rm for a
-bounded one.  Every radius is solved to the side where the bound stays
-valid.
+bounded one.  A radius is solved only at the source nodes where it enters
+the min, those whose cover gap at radius |x| is >= 0; at the others
+r(x) > |x|, and the node takes |x|^2 exactly.  Every radius is solved to
+the side where the bound stays valid.
 
 Everything multiplied by the codebook size Q = 2**(n R) runs in the log
 domain; Q*K products are clamped at 1 before entering integrands.
@@ -506,25 +508,30 @@ def _log_budget(inp: GaussBoundInput) -> float:
     return math.log(math.log(1.0 / inp.eps)) - log_diff(lq, _LN2)
 
 
-def _os_bound(inp: GaussBoundInput, log_cover, radius_bracket, eps_term: float) -> GaussUpperBound:
+def _os_bound(inp: GaussBoundInput, log_cover, floor_sq, eps_term: float) -> GaussUpperBound:
     """E[min(|x|^2, r(x)^2)]/n + eps_term, the ordered-statistics bound of
     either codebook class.
 
     r(x), the covering radius of a source word of squared norm x, is the
-    smallest t with ``log_cover(x, t)`` = ln P(|Y - x| <= t) >= ln p0 for a
-    codeword Y of the class's law; ``radius_bracket(x)`` gives t brackets
-    with the gap log_cover - ln p0 < 0 at one end and >= 0 at the other.
-    One ``bracket_solve`` returns every node's radius on its gap >= 0 side,
-    so it is at least the covering radius and the bound errs high, the
-    valid side.  So does the mass outside the source window, bounded by
-    its |x|^2/n moment.  A bracket's low end at t = 0 is a ball that is a
-    point, null under either law, so its gap is -inf by definition: it is
-    passed to the solver as known, and only the high ends and any positive
-    low ends are evaluated.
+    smallest t with ``log_cover(x, t^2)`` = ln P(|Y - x|^2 <= t^2) >= ln p0
+    for a codeword Y of the class's law.  The gap log_cover - ln p0 rises
+    in s = t^2; it is evaluated once at s = x on every node.  Where it is
+    negative, r(x) > |x| and the integrand is |x|^2 exactly (the largest
+    the min can be, so a skip could only err high): no radius is solved.
+    The other nodes are solved in s by one ``bracket_solve`` on
+    [``floor_sq(x)``, x], the gap at x their known high end.  No low end
+    is evaluated: the point s = 0, or for a bounded codebook the ball of
+    radius |x| - rm that touches the rm-ball from outside, has probability
+    zero, so its gap is passed as -inf, and the solver's first step
+    bisects (at radius |x|/sqrt(2) from a zero floor, nearer the root than
+    |x|/2 would be).  Whatever the low end, the solver returns only points
+    where it measured a gap >= 0, so every radius is at least the covering
+    radius and the bound errs high, the valid side.  So does the mass
+    outside the source window, bounded by its |x|^2/n moment.
 
     The integrand kinks where r(x) = |x|.  The balls B(|x| u, |x|) all
     touch the origin and are nested in |x|, so under either (rotation
-    invariant) law the gap at t = |x| rises in x and crosses zero at most
+    invariant) law the gap at s = x rises in x and crosses zero at most
     once: its sign at the window's ends and one bracket solve find the
     kink when it lies in the window, and it becomes a panel edge.
     Otherwise the window is cut at its middle.
@@ -537,7 +544,7 @@ def _os_bound(inp: GaussBoundInput, log_cover, radius_bracket, eps_term: float) 
     lo, hi = _source_window(n, s2, n * (s2 + delta))
 
     def kink_gap(x, _lanes):
-        return log_cover(x, np.sqrt(x)) - log_p0
+        return log_cover(x, x) - log_p0
 
     edges = np.array([lo, 0.5 * (lo + hi), hi])
     gap_lo, gap_hi = kink_gap(np.array([lo, hi]), None)
@@ -545,19 +552,18 @@ def _os_bound(inp: GaussBoundInput, log_cover, radius_bracket, eps_term: float) 
         kink = float(bracket_solve(kink_gap, lo, hi, gap_lo, gap_hi)[0])
         edges = np.unique([lo, kink, 0.5 * (kink + hi), hi])
     nodes, wgt = gl_panels(edges, 32)
+    at_norm = kink_gap(nodes, None)
+    solve = np.flatnonzero(at_norm >= 0.0)
+    x = nodes[solve]
 
-    def gap(t, k):
-        return log_cover(nodes[k], t) - log_p0
+    def gap(s, k):
+        return log_cover(x[k], s) - log_p0
 
-    t_lo, t_hi = radius_bracket(nodes)
-    at = np.flatnonzero(t_lo > 0.0)
-    ends = gap(np.concatenate([t_lo[at], t_hi]), np.concatenate([at, np.arange(nodes.size)]))
-    gap_lo = np.full(nodes.size, LOG_ZERO)
-    gap_lo[at] = ends[: at.size]
-    radius = bracket_solve(gap, t_lo, t_hi, gap_lo, ends[at.size :])
+    radius_sq = nodes.copy()
+    radius_sq[solve] = bracket_solve(gap, floor_sq(x), x, np.full(x.size, LOG_ZERO), at_norm[solve])
     a = 0.5 * n  # |x|^2 / sigma2 is chi-squared with n degrees
     log_pdf = (a - 1.0) * np.log(nodes) - 0.5 * nodes / s2 - a * math.log(2.0 * s2) - gammaln(a)
-    integrand = np.exp(log_pdf) * np.minimum(nodes, radius**2) / n
+    integrand = np.exp(log_pdf) * np.minimum(nodes, radius_sq) / n
     main = float((integrand * wgt).sum())
 
     # outside the window |x|^2/n bounds the integrand: below it by lo/n, above
@@ -576,15 +582,10 @@ def upper_bound_unbounded(inp: GaussBoundInput) -> GaussUpperBound:
     """
     n, mv = inp.n, inp.sigma2 - inp.dstar
 
-    def log_cover(x, t):
-        return noncentral_chi2_log_cdf(n, x / mv, t**2 / mv)
+    def log_cover(x, s):
+        return noncentral_chi2_log_cdf(n, x / mv, s / mv)
 
-    def radius_bracket(x):
-        # the log-CDF runs from -inf at 0 to above ln p0 at n + lam + 10 sqrt(2n + 4 lam) + 10
-        lam = x / mv
-        return np.zeros_like(x), np.sqrt(mv * (n + lam + 10.0 * np.sqrt(2.0 * n + 4.0 * lam) + 10.0))
-
-    return _os_bound(inp, log_cover, radius_bracket, inp.eps * (2.0 * inp.sigma2 - inp.dstar))
+    return _os_bound(inp, log_cover, np.zeros_like, inp.eps * (2.0 * inp.sigma2 - inp.dstar))
 
 
 def upper_bound_bounded(inp: GaussBoundInput) -> GaussUpperBound:
@@ -598,13 +599,12 @@ def upper_bound_bounded(inp: GaussBoundInput) -> GaussUpperBound:
     mv = s2 - inp.dstar
     log_cm = float(log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv))
 
-    def log_cover(x, t):
-        return log_prob_intersect_batch(n, rm, np.sqrt(x), t, mv) - log_cm
+    def log_cover(x, s):
+        return log_prob_intersect_batch(n, rm, np.sqrt(x), np.sqrt(s), mv) - log_cm
 
-    def radius_bracket(x):
-        # from the radius that misses the rm-ball (-inf) to one that holds it (0)
-        r = np.sqrt(x)
-        return np.maximum(r - rm, 0.0), r + rm
+    def floor_sq(x):
+        # the ball around x that touches the rm-ball from outside
+        return np.maximum(np.sqrt(x) - rm, 0.0) ** 2
 
     eps_term = eps * s2 + eps * math.exp(-log_cm) * mv * float(reg_gamma_lower(0.5 * (n + 2), 0.5 * rm**2 / mv))
-    return _os_bound(inp, log_cover, radius_bracket, eps_term)
+    return _os_bound(inp, log_cover, floor_sq, eps_term)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdflb import bns, bss
-from rdflb.logdomain import LOG_ZERO, log_binomial_row, logsumexp
+from rdflb.logdomain import LOG_ZERO, _log_factorials, log_binomial_row, logsumexp
 from rdflb.ratedistortion import BinaryNonSymmetricSource, solve
 from rdflb.simulate import Codebook, exact_distortion
 from rdflb.special import binary_entropy, inverse_binary_entropy
@@ -16,20 +16,31 @@ from rdflb.special import binary_entropy, inverse_binary_entropy
 # weight-conditional distance pmf
 # ---------------------------------------------------------------------------
 
+def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) -> np.ndarray:
+    """ln P(n d(x,y) = d) for weight-w x and codeword bits i.i.d. Bernoulli(z).
+
+    The one-class view of ``bns._block_laws``: only the columns up to the
+    first whose running sum passes log_budget come back, every one of them
+    exact; the default budget returns all n + 1.
+    """
+    law, _, _, last = bns._block_laws(n, np.array([w]), z, _log_factorials(n), log_budget)
+    return law[0, : last[0] + 1]
+
+
 def test_pmf_hand_convolution():
-    pmf = np.exp(bns._log_distance_law(2, 1, 0.4))
+    pmf = np.exp(_log_distance_law(2, 1, 0.4))
     assert pmf == pytest.approx([0.24, 0.52, 0.24], abs=1e-14)
 
 
 def test_pmf_weight_zero_is_binomial():
-    pmf = np.exp(bns._log_distance_law(5, 0, 0.3))
+    pmf = np.exp(_log_distance_law(5, 0, 0.3))
     want = [comb(5, d) * 0.3**d * 0.7 ** (5 - d) for d in range(6)]
     assert pmf == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n,w,z", [(7, 3, 0.37), (12, 12, 0.2), (20, 9, 0.5), (31, 1, 0.01)])
 def test_pmf_normalizes(n, w, z):
-    pmf = np.exp(bns._log_distance_law(n, w, z))
+    pmf = np.exp(_log_distance_law(n, w, z))
     assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -42,7 +53,7 @@ def test_pmf_brute_force_enumeration():
         y = (word >> np.arange(n)) & 1
         d = int((y != x).sum())
         pmf[d] += z ** y.sum() * (1 - z) ** (n - y.sum())
-    assert np.exp(bns._log_distance_law(n, w, z)) == pytest.approx(pmf, rel=1e-11)
+    assert np.exp(_log_distance_law(n, w, z)) == pytest.approx(pmf, rel=1e-11)
 
 
 @pytest.mark.parametrize("w", [6, 150, 294])
@@ -50,7 +61,7 @@ def test_pmf_vs_integer_oracle(w):
     # z = 1/5: P(d) 5^n = sum_i C(w,i) C(n-w,d-i) 4^(n-w+2i-d), exact in integers;
     # the far tail of w = 6 lies below e^-745, where a linear convolution gives -inf
     n = 600
-    got = bns._log_distance_law(n, w, 0.2)
+    got = _log_distance_law(n, w, 0.2)
     for d in range(n + 1):
         s = sum(comb(w, i) * comb(n - w, d - i) * 4 ** (n - w + 2 * i - d)
                 for i in range(max(0, d - (n - w)), min(w, d) + 1))
@@ -61,9 +72,9 @@ def test_budget_limits_exact_columns_to_those_read():
     # n = 2000: both tails of the law fall below the convolution floor; a
     # budgeted law must agree with the full one on every column a scan reads
     n, w, z = 2000, 500, 0.175
-    full = bns._log_distance_law(n, w, z)
+    full = _log_distance_law(n, w, z)
     for log_budget in (-900.0, -400.0, -5.0, 0.0):
-        law = bns._log_distance_law(n, w, z, log_budget)
+        law = _log_distance_law(n, w, z, log_budget)
         t, _ = bns.hamming_ball_threshold(law, log_budget)
         assert t == bns.hamming_ball_threshold(full, log_budget)[0]
         assert np.array_equal(law[: t + 1], full[: t + 1])
@@ -152,16 +163,16 @@ def test_one_part_classes_are_their_binomial_rows(n, z):
     # w = 0: every mismatch is a codeword one; w = n: every mismatch a codeword zero
     j = np.arange(n + 1)
     lz, l1z = math.log(z), math.log1p(-z)
-    assert np.array_equal(bns._log_distance_law(n, 0, z), log_binomial_row(n) + j * lz + (n - j) * l1z)
-    assert np.array_equal(bns._log_distance_law(n, n, z), log_binomial_row(n) + (n - j) * lz + j * l1z)
+    assert np.array_equal(_log_distance_law(n, 0, z), log_binomial_row(n) + j * lz + (n - j) * l1z)
+    assert np.array_equal(_log_distance_law(n, n, z), log_binomial_row(n) + (n - j) * lz + j * l1z)
 
 
 @pytest.mark.parametrize("n", [1, 37, 1000])
 def test_one_part_class_vs_exact_binomials(n):
     z = 0.3
     want = [math.log(comb(n, j)) + j * math.log(z) + (n - j) * math.log1p(-z) for j in range(n + 1)]
-    assert bns._log_distance_law(n, 0, z) == pytest.approx(want, rel=0, abs=1e-11)
-    assert bns._log_distance_law(n, n, z) == pytest.approx(want[::-1], rel=0, abs=1e-11)
+    assert _log_distance_law(n, 0, z) == pytest.approx(want, rel=0, abs=1e-11)
+    assert _log_distance_law(n, n, z) == pytest.approx(want[::-1], rel=0, abs=1e-11)
 
 
 def test_block_scan_of_the_single_half_class():
@@ -272,7 +283,7 @@ def test_total_mass_over_weights():
     total = 0.0
     for w in range(n + 1):
         weight = comb(n, w) * p**w * (1 - p) ** (n - w)
-        total += weight * np.exp(bns._log_distance_law(n, w, z)).sum()
+        total += weight * np.exp(_log_distance_law(n, w, z)).sum()
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -522,10 +533,10 @@ def test_half_collapse_matches_every_weight_class(n):
     os_total = rr_total = 0.0
     for w in range(n + 1):
         weight = comb(n, w) * 0.5**n
-        cum = np.cumsum(np.exp(bns._log_distance_law(n, w, z)))
+        cum = np.cumsum(np.exp(_log_distance_law(n, w, z)))
         t = min(int(np.searchsorted(cum, os_budget, side="right")), n)
         os_total += weight * ((1 - eps) * t / n + eps / 2)
-        pmf = np.exp(bns._log_distance_law(n, w, z0))
+        pmf = np.exp(_log_distance_law(n, w, z0))
         acc, val = 0.0, 0.0
         for j in range(n + 1):
             ratio = d0**j * (1 - d0) ** (n - j) / 0.5**n

@@ -361,10 +361,23 @@ def test_upper_bounded_reduces_to_unbounded(n):
     assert bd == pytest.approx(ub, rel=1e-10)
 
 
-def _node_residuals(inp, monkeypatch):
-    """The upper bound's source nodes and, per node, the cover gap at its
-    solved radius, ln P(|Y - x| <= r(x)) - ln p0, evaluated independently."""
-    nodes, radii = [], []
+def _cover_gap(inp, x, s):
+    """ln P(|Y - x|^2 <= s) - ln p0 for source words of squared norm x,
+    evaluated independently of the upper bound."""
+    n, mv = inp.n, inp.sigma2 - inp.dstar
+    if inp.rm is None:
+        log_cover = noncentral_chi2_log_cdf(n, x / mv, s / mv)
+    else:
+        log_cm = float(log_reg_gamma_lower(0.5 * n, 0.5 * inp.rm**2 / mv))
+        log_cover = log_prob_intersect_batch(n, inp.rm, np.sqrt(x), np.sqrt(s), mv) - log_cm
+    return log_cover - gauss._log_budget(inp)
+
+
+def _node_gaps(inp, monkeypatch):
+    """The upper bound's source nodes, which of them had a radius solved, and
+    per node the cover gap, evaluated independently: at the solved radius for
+    a solved node, at radius |x| for a skipped one."""
+    nodes, solves = [], []
 
     def panels(edges, k):
         out = gl_panels(edges, k)
@@ -373,32 +386,75 @@ def _node_residuals(inp, monkeypatch):
 
     def solve(f, lo, hi, *ends):
         out = bracket_solve(f, lo, hi, *ends)
-        radii.append(out)
+        solves.append((np.asarray(hi), out))
         return out
 
     monkeypatch.setattr(gauss, "gl_panels", panels)
     monkeypatch.setattr(gauss, "bracket_solve", solve)
-    n, mv = inp.n, inp.sigma2 - inp.dstar
-    if inp.rm is None:
-        gauss.upper_bound_unbounded(inp)
-        log_cover = noncentral_chi2_log_cdf(n, nodes[0] / mv, radii[-1] ** 2 / mv)
-    else:
-        gauss.upper_bound_bounded(inp)
-        log_cm = float(log_reg_gamma_lower(0.5 * n, 0.5 * inp.rm**2 / mv))
-        log_cover = log_prob_intersect_batch(n, inp.rm, np.sqrt(nodes[0]), radii[-1], mv) - log_cm
-    return nodes[0], log_cover - gauss._log_budget(inp)
+    (gauss.upper_bound_unbounded if inp.rm is None else gauss.upper_bound_bounded)(inp)
+    x = nodes[0]
+    # the radius solve is the last, in the squared radius, its high ends the
+    # solved nodes' squared norms
+    hi, radius_sq = solves[-1]
+    solved = np.isin(x, hi)
+    s = x.copy()
+    s[solved] = radius_sq
+    return x, solved, _cover_gap(inp, x, s)
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
 @pytest.mark.parametrize("rm_of_n", [None, lambda n: math.sqrt(2.0 * n), lambda n: 200.0], ids=["unbounded", "a2", "rm200"])
 def test_bounded_thresholds_valid_side(n, rm_of_n, monkeypatch):
-    # every node radius of either upper bound, unbounded or bounded codebook,
-    # lands on the budget or just above it (the valid side), never below
+    # every node of either upper bound, unbounded or bounded codebook, is one
+    # of two kinds: solved, its radius on the budget or just above it (the
+    # valid side), never below; or skipped, taking |x|^2, which is exact
+    # because its gap at radius |x| is negative.  The kink of min(|x|^2, r^2)
+    # lies in the window, so the panel below it is skipped.
     inp = GaussBoundInput(n, 0.5, rm=None if rm_of_n is None else rm_of_n(n))
-    nodes, res = _node_residuals(inp, monkeypatch)
+    nodes, solved, gap = _node_gaps(inp, monkeypatch)
     assert nodes.size == 96
-    assert res.min() >= 0.0
-    assert res.max() <= 1e-10
+    assert solved.sum() == 64
+    assert gap[solved].min() >= 0.0
+    assert gap[solved].max() <= 1e-10
+    assert (gap[~solved] < 0.0).all()
+
+
+@pytest.mark.parametrize("rm", [None, 4.0, 2.0, 200.0], ids=["unbounded", "a2", "a0.5", "rm200"])
+def test_upper_bound_solves_no_radius_when_kink_above_window(rm, monkeypatch):
+    # n = 8, R = 1/2: the gap at radius |x| is negative over the whole source
+    # window, so no radius is solved, every node takes |x|^2, and the bound
+    # is E[|x|^2]/n = sigma2 plus the eps term
+    inp = GaussBoundInput(8, 0.5, rm=rm)
+    lanes = []
+
+    def solve(f, lo, hi, *ends):
+        lanes.append(np.size(lo))
+        return bracket_solve(f, lo, hi, *ends)
+
+    monkeypatch.setattr(gauss, "bracket_solve", solve)
+    n, s2, eps, mv = inp.n, inp.sigma2, inp.eps, inp.sigma2 - inp.dstar
+    if rm is None:
+        value = gauss.upper_bound_unbounded(inp).value
+        eps_term = eps * (2.0 * s2 - inp.dstar)
+    else:
+        value = gauss.upper_bound_bounded(inp).value
+        log_cm = float(log_reg_gamma_lower(0.5 * n, 0.5 * rm**2 / mv))
+        eps_term = eps * s2 + eps * math.exp(-log_cm) * mv * float(reg_gamma_lower(0.5 * (n + 2), 0.5 * rm**2 / mv))
+    assert sum(lanes) == 0
+    assert value == pytest.approx(s2 + eps_term, rel=0, abs=1e-13)
+    nodes, solved, gap = _node_gaps(inp, monkeypatch)
+    assert not solved.any() and (gap < 0.0).all()
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_upper_bound_solves_every_node_when_kink_below_window(alpha, monkeypatch):
+    # n = 1200, R = 1/2: the gap at radius |x| is >= 0 over the whole source
+    # window, so the window is cut at its middle and every node is solved
+    inp = GaussBoundInput(1200, 0.5, rm=None if alpha is None else math.sqrt(alpha * 1200))
+    nodes, solved, gap = _node_gaps(inp, monkeypatch)
+    assert nodes.size == 64 and solved.all()
+    assert gap.min() >= 0.0
+    assert gap.max() <= 1e-10
 
 
 def _dense_oracle(inp, panels=8):
@@ -490,26 +546,32 @@ def test_input_validation():
         gauss.upper_bound_bounded(GaussBoundInput(8, 0.5))  # rm missing
 
 
-@pytest.mark.parametrize("rm_of_n", [None, lambda n: math.sqrt(2.0 * n), lambda n: 200.0], ids=["unbounded", "a2", "rm200"])
+@pytest.mark.parametrize(
+    "rm_of_n",
+    [None, lambda n: math.sqrt(2.0 * n), lambda n: 200.0, lambda n: math.sqrt(0.25 * n)],
+    ids=["unbounded", "a2", "rm200", "a0.25"],
+)
 def test_os_bound_never_evaluates_the_cover_at_radius_zero(rm_of_n, monkeypatch):
-    # a radius-0 ball is a point: the radius brackets' known -inf low ends
-    # are passed to the solver, never evaluated
-    radii = []
+    # no low end of a radius bracket is evaluated: a radius-0 ball is a point,
+    # and a bounded codebook's floor ball touches the rm-ball from outside,
+    # so both have probability zero and are passed to the solver as -inf
+    above = []
     os_bound = gauss._os_bound
 
-    def spy(inp, log_cover, radius_bracket, eps_term):
-        def watched(x, t):
-            radii.append(np.array(t, dtype=float))
-            return log_cover(x, t)
+    def spy(inp, log_cover, floor_sq, eps_term):
+        def watched(x, s):
+            x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
+            above.append(s - floor_sq(x))
+            return log_cover(x, s)
 
-        return os_bound(inp, watched, radius_bracket, eps_term)
+        return os_bound(inp, watched, floor_sq, eps_term)
 
     monkeypatch.setattr(gauss, "_os_bound", spy)
     n = 64
     inp = GaussBoundInput(n, 0.5, rm=None if rm_of_n is None else rm_of_n(n))
     (gauss.upper_bound_unbounded if inp.rm is None else gauss.upper_bound_bounded)(inp)
-    t = np.concatenate([np.ravel(r) for r in radii])
-    assert t.size > 96 and (t > 0.0).all()
+    above = np.concatenate([np.ravel(a) for a in above])
+    assert above.size > 96 and (above > 0.0).all()
 
 
 def test_panels_read_like_a_per_lane_search():
@@ -534,14 +596,16 @@ def test_panels_read_like_a_per_lane_search():
 
 # the gauss-curve benchmark's gauss work (n = 64, R = 1/2, eps = 0.005; the
 # alpha = 2 and unbounded classes, then rm = 200), counted from cold tables;
-# the cone lanes include the 3250 ball caps of the bounded class's volume cap
-WORK = {"shell_calls": 140, "shell_rows": 4254, "cone_lanes": 304101}
+# the ball caps of the bounded class's volume cap go through the untraced
+# log_cap_fraction and are not among the cone lanes
+WORK = {"shell_calls": 130, "shell_rows": 3122, "cone_lanes": 229568}
 
 
 def test_gauss_curve_work_stays_down(monkeypatch):
     # each count may rise by at most 5%: a change that brings back unpruned
-    # cap areas or the slower Illinois root steps fails here (the radius-0
-    # ends are watched by test_os_bound_never_evaluates_the_cover_at_radius_zero)
+    # cap areas, the slower Illinois root steps or radius solves at the nodes
+    # below the kink fails here (the brackets' low ends are watched by
+    # test_os_bound_never_evaluates_the_cover_at_radius_zero)
     work = dict.fromkeys(WORK, 0)
 
     def shell(n, lo, *args):

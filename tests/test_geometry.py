@@ -88,6 +88,23 @@ def test_prob_intersect_degenerate_cases():
     assert prob_intersect(5, 0.7, [0.1], [3.0])[0] == pytest.approx(reg_gamma_lower(2.5, 0.245), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("n", [8, 64, 1200])
+def test_prob_intersect_of_the_touching_ball_is_zero(n):
+    # the floor of a bounded codebook's radius bracket: the ball of radius
+    # |x| - rm around x touches the rm-ball from outside, so they meet in a
+    # point.  Where |x| <= 2 rm the difference |x| - rm is exact (Sterbenz),
+    # and the mass is exactly -inf; beyond, it may round up and leave a
+    # sliver of the rm-sphere, whose mass stays below e^(-10 n)
+    rng = np.random.default_rng(n)
+    rm = np.array([1.0, 3.0, math.sqrt(0.25 * n), math.sqrt(2.0 * n), 200.0])
+    for mv in (0.5, 0.75):
+        for r in rm:
+            near = r * np.append(rng.uniform(1.0, 2.0, 100), [np.nextafter(1.0, 2.0), 2.0])
+            assert np.isneginf(log_prob_intersect_batch(n, r, near, near - r, mv)).all()
+            far = r * rng.uniform(2.0, 20.0, 100)
+            assert (log_prob_intersect_batch(n, r, far, far - r, mv) < -10.0 * n).all()
+
+
 def test_prob_additivity_random():
     # P(C1 \ C0) + P(C1 & C0) = P(C1), a noncentral chi-squared CDF
     rng = np.random.default_rng(7)
