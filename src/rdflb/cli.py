@@ -1,5 +1,10 @@
 """Command-line front end: bound curves as CSV, validation runs, SVG plots.
 
+A row's bounds, and the two that validate checks, come from ``_bounds``
+with their column and side.  A bound prints to 10 significant digits on its
+valid side, a lower bound rounded down and an upper bound up; the asymptote
+and the Monte-Carlo and identity values are rounded to nearest.
+
 Exit codes: 0 success, 1 a validate check failed, 2 usage, input or file
 error, 3 compute budget exceeded.  Every error is reported once, by main.
 """
@@ -7,10 +12,12 @@ error, 3 compute budget exceeded.  Every error is reported once, by main.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 
@@ -32,8 +39,13 @@ from .simulate import (
 )
 from .special import binary_entropy, inverse_binary_entropy
 
+_DIRECTED = {"lower": Context(prec=10, rounding=ROUND_FLOOR), "upper": Context(prec=10, rounding=ROUND_CEILING)}
 
-def _fmt(v: float) -> str:
+
+def _fmt(v: float, side: str | None = None) -> str:
+    """``v`` to 10 significant digits: down for a lower bound, up for an upper one, else nearest."""
+    if side is not None:  # Decimal(v) is exact, and .10g prints the 10 directed digits back unchanged
+        v = float(_DIRECTED[side].plus(Decimal(v)))
     return f"{v:.10g}"
 
 
@@ -61,66 +73,72 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
+def _source(args):
+    if args.family == "bns" and args.p is None:
+        raise ValueError("bns needs --p")
+    if args.family == "bss":
+        return BinarySymmetricSource()
+    if args.family == "bns":
+        return BinaryNonSymmetricSource(args.p)
+    return GaussianSource(args.sigma2)
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
 
-def _curve_row(task: dict) -> tuple[dict, list[str]]:
-    """One CSV row; separated out so rows can run in worker processes.
+def _bounds(task: dict):
+    """Yield (column, side, value, degenerate) for every bound of one row.
 
-    The row's keys, in insertion order, are the CSV's columns.
-
-    A bound that rejects its input (ValueError) is re-raised with the row's n.
+    Each codebook class's lower bound comes before its upper bounds.  bss
+    rows call the bss functions, which are bns at p = 1/2.
     """
-    try:
-        return _curve_cells(task)
-    except ValueError as exc:
-        raise ValueError(f"n={task['n']}: {exc}") from exc
-
-
-def _cell(row: dict, flags: list[str], key: str, upper: float, lower: float, degenerate: bool = False) -> None:
-    """Store one upper-bound cell, flagged if degenerate or else if the lower bound crosses it."""
-    row[key] = upper
-    if degenerate:
-        flags.append(f"{key}_degenerate")
-    elif lower > upper + 1e-9:
-        flags.append(f"cross_{key}")
-
-
-def _curve_cells(task: dict) -> tuple[dict, list[str]]:
-    n = task["n"]
-    fam = task["family"]
-    rate = task["rate"]
-    row = {"n": n, "asymptote": task["dstar"]}
-    flags: list[str] = []
-    if fam == "gauss":
-        for tag, rm in task["variants"]:
+    n, rate, p = task["n"], task["rate"], task["p"]
+    if task["family"] == "gauss":
+        variants = [(f"a{a:g}", math.sqrt(a * n)) for a in task["alpha"]]
+        if task["unbounded"] or not variants:
+            variants.append(("unbounded", None))
+        for tag, rm in variants:
             inp = gauss.GaussBoundInput(n, rate, task["sigma2"], rm=rm, delta=task["delta"])
-            lo = gauss.lower_bound(inp)
-            row[f"lower_{tag}"] = lo
+            yield f"lower_{tag}", "lower", gauss.lower_bound(inp), False
+            upper_os = gauss.upper_bound_unbounded if rm is None else gauss.upper_bound_bounded
             for eps in task["eps"]:
-                inp_e = gauss.GaussBoundInput(n, rate, task["sigma2"], rm=rm, eps=eps, delta=task["delta"])
-                ub = gauss.upper_bound_bounded(inp_e) if rm is not None else gauss.upper_bound_unbounded(inp_e)
-                _cell(row, flags, f"upper_os_{eps:g}_{tag}", ub.value, lo, ub.degenerate)
-        return row, flags
-    if fam == "bss":
-        lo = bss.lower_bound(n, rate)
-    else:
-        lo = bns.lower_bound(n, rate, task["p"])
-    row["lower"] = lo
+                r = upper_os(dataclasses.replace(inp, eps=eps))
+                yield f"upper_os_{eps:g}_{tag}", "upper", r.value, r.degenerate
+        return
+    sym = task["family"] == "bss"
+    yield "lower", "lower", bss.lower_bound(n, rate) if sym else bns.lower_bound(n, rate, p), False
     for eps in task["eps"]:
-        r = bss.upper_bound_os(n, rate, eps) if fam == "bss" else bns.upper_bound_os(n, rate, task["p"], eps)
-        _cell(row, flags, f"upper_os_{eps:g}", r.value, lo, r.degenerate)
+        r = bss.upper_bound_os(n, rate, eps) if sym else bns.upper_bound_os(n, rate, p, eps)
+        yield f"upper_os_{eps:g}", "upper", r.value, r.degenerate
     for r0 in task["ref_rate"]:
-        if fam == "bss":
-            v = bss.upper_bound_rr(n, rate, r0)
-        else:
-            d0 = inverse_binary_entropy(binary_entropy(task["p"]) - r0)
-            v = bns.upper_bound_rr(n, rate, task["p"], d0)
-        _cell(row, flags, f"upper_rr_{r0:g}", v, lo)
+        d0 = None if sym else inverse_binary_entropy(binary_entropy(p) - r0)
+        v = bss.upper_bound_rr(n, rate, r0) if sym else bns.upper_bound_rr(n, rate, p, d0)
+        yield f"upper_rr_{r0:g}", "upper", v, False
     if task["legacy_eps"] is not None:
         for r0 in task["ref_rate"]:
-            row[f"upper_legacy_{r0:g}"] = bss.upper_bound_legacy(n, rate, r0, task["legacy_eps"])
+            yield f"upper_legacy_{r0:g}", "upper", bss.upper_bound_legacy(n, rate, r0, task["legacy_eps"]), False
+
+
+def _curve_row(task: dict) -> tuple[dict, list[str]]:
+    """One CSV row (run in a worker process when --jobs > 1): printed cells by column, and flags.
+
+    An upper bound is flagged if degenerate, or else if it lies more than 1e-9
+    below its class's lower bound.  A ValueError is re-raised with the row's n.
+    """
+    row = {"n": str(task["n"]), "asymptote": _fmt(task["dstar"])}
+    flags: list[str] = []
+    try:
+        for col, side, value, degenerate in _bounds(task):
+            row[col] = _fmt(value, side)
+            if side == "lower":
+                lower = value
+            elif degenerate:
+                flags.append(f"{col}_degenerate")
+            elif lower > value + 1e-9:
+                flags.append(f"cross_{col}")
+    except ValueError as exc:
+        raise ValueError(f"n={task['n']}: {exc}") from exc
     return row, flags
 
 
@@ -128,8 +146,6 @@ def cmd_curve(args) -> int:
     ns = _parse_n_range(args.n)
     if not ns:
         raise ValueError("empty n range")
-    if args.family == "bns" and args.p is None:
-        raise ValueError("bns needs --p")
     if args.legacy_eps is not None and args.family != "bss":
         raise ValueError("--legacy-eps applies to the bss family only")
     if args.legacy_eps is not None and not args.ref_rate:
@@ -139,12 +155,7 @@ def cmd_curve(args) -> int:
     if args.alpha and min(args.alpha) <= 0:
         raise ValueError(f"--alpha must be > 0, got {min(args.alpha):g}")
 
-    if args.family == "bss":
-        source = BinarySymmetricSource()
-    elif args.family == "bns":
-        source = BinaryNonSymmetricSource(args.p)
-    else:
-        source = GaussianSource(args.sigma2)
+    source = _source(args)
     task_base = {
         "family": args.family,
         "rate": args.rate,
@@ -154,18 +165,12 @@ def cmd_curve(args) -> int:
         "eps": args.eps or [],
         "ref_rate": args.ref_rate or [],
         "legacy_eps": args.legacy_eps,
+        "alpha": args.alpha or [],
+        "unbounded": args.unbounded,
         "dstar": solve(source, args.rate).dstar,
     }
 
-    tasks = []
-    for n in ns:
-        t = dict(task_base, n=n)
-        if args.family == "gauss":
-            variants = [(f"a{a:g}", math.sqrt(a * n)) for a in (args.alpha or [])]
-            if args.unbounded or not variants:
-                variants.append(("unbounded", None))
-            t["variants"] = variants
-        tasks.append(t)
+    tasks = [dict(task_base, n=n) for n in ns]
 
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
@@ -174,21 +179,15 @@ def cmd_curve(args) -> int:
     else:
         results = [_curve_row(t) for t in tasks]
 
-    cols = list(results[0][0])
-    any_flags = any(flags for _, flags in results)
+    if any(flags for _, flags in results):
+        for row, flags in results:
+            row["flags"] = ";".join(flags)
     params = (
         f"family={args.family} rate={args.rate} n={args.n} p={args.p} sigma2={args.sigma2} "
         f"eps={args.eps} ref_rate={args.ref_rate} alpha={args.alpha} unbounded={args.unbounded} "
         f"legacy_eps={args.legacy_eps} delta={args.delta}"
     )
-    lines = [f"# params: {params}"]
-    header = ",".join(cols + (["flags"] if any_flags else []))
-    lines.append(header)
-    for row, flags in results:
-        vals = [_fmt(row[c]) if c != "n" else str(row["n"]) for c in cols]
-        if any_flags:
-            vals.append(";".join(flags))
-        lines.append(",".join(vals))
+    lines = [f"# params: {params}", ",".join(results[0][0])] + [",".join(row.values()) for row, _ in results]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
@@ -199,22 +198,16 @@ def cmd_curve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    if args.family == "bns" and args.p is None:
-        raise ValueError("bns needs --p")
+    source = _source(args)
     if args.codebooks < 1:
         raise ValueError("--codebooks must be >= 1")
-    source = BinarySymmetricSource() if args.family == "bss" else BinaryNonSymmetricSource(args.p)
     # only bss enumerates codebooks exactly; bns runs the Monte Carlo alone
     if args.family == "bss" and args.n > _ENUM_LIMIT:
         raise BudgetError(f"n={args.n} exceeds the exact-enumeration budget ({_ENUM_LIMIT})")
     sol = solve(source, args.rate)
     eps = 0.01
-    if args.family == "bss":
-        lower = bss.lower_bound(args.n, args.rate)
-        upper = bss.upper_bound_os(args.n, args.rate, eps).value
-    else:
-        lower = bns.lower_bound(args.n, args.rate, args.p)
-        upper = bns.upper_bound_os(args.n, args.rate, args.p, eps).value
+    task = dict(family=args.family, n=args.n, rate=args.rate, p=args.p, eps=[eps], ref_rate=[], legacy_eps=None)
+    (_, lower_side, lower, _), (_, upper_side, upper, _) = _bounds(task)
     cfg = ExperimentConfig(source, args.n, args.rate, args.trials, args.seed)
     mean, se = mc_mean_distortion(cfg)
     lines = [
@@ -225,10 +218,10 @@ def cmd_validate(args) -> int:
         f"seed={args.seed}",
         f"eps={_fmt(eps)}",
         f"asymptote={_fmt(sol.dstar)}",
-        f"lower={_fmt(lower)}",
+        f"lower={_fmt(lower, lower_side)}",
         f"mc_mean={_fmt(mean)}",
         f"mc_stderr={_fmt(se)}",
-        f"upper_os={_fmt(upper)}",
+        f"upper_os={_fmt(upper, upper_side)}",
     ]
     sandwich = lower <= mean + 3.0 * se and mean <= upper + 3.0 * se
     lines.append(f"sandwich_pass={'true' if sandwich else 'false'}")

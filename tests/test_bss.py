@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 from math import comb
@@ -5,6 +6,7 @@ from math import comb
 import pytest
 
 from rdflb import bss
+from rdflb.cli import main
 from rdflb.ratedistortion import BinarySymmetricSource, solve
 
 DSTAR_HALF = solve(BinarySymmetricSource(), 0.5).dstar
@@ -84,14 +86,24 @@ def exact_lower_half_rate(n):
         if served >= total:
             break
         unserved += total - served
-    return float(Fraction(unserved, n * total))
+    return Fraction(unserved, n * total)
 
 
 def test_lower_bound_vs_exact_sum_large_n():
     # the oracle above stops at n = 20 and works in floats; this one is exact
-    assert exact_lower_half_rate(200) == 0.11548405444003067
+    assert float(exact_lower_half_rate(200)) == 0.11548405444003067
     for n in range(100, 2001, 100):
-        assert bss.lower_bound(n, 0.5) == pytest.approx(exact_lower_half_rate(n), rel=1e-14, abs=0), n
+        assert bss.lower_bound(n, 0.5) == pytest.approx(float(exact_lower_half_rate(n)), rel=1e-14, abs=0), n
+
+
+def test_printed_lower_bound_never_exceeds_the_exact_sum(tmp_path):
+    # the float errs with either sign by about 1e-14, but the CLI rounds a
+    # lower bound down to 10 digits, so the printed value stays valid
+    out = tmp_path / "bss.csv"
+    assert main(["curve", "bss", "--rate", "0.5", "--n", "100:2000:100", "--jobs", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:]))
+    assert len(rows) == 20
+    assert [r["n"] for r in rows if Fraction(r["lower"]) > exact_lower_half_rate(int(r["n"]))] == []
 
 
 def test_lower_bound_small_n_sane():

@@ -1,14 +1,16 @@
 import csv
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from rdflb import bns, bss, gauss, svg
+from rdflb import bns, bss, cli, gauss, svg
 from rdflb.cli import _CONFIG_CONVERT, _fmt, main
 from rdflb.ratedistortion import BinaryNonSymmetricSource, GaussianSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
@@ -29,13 +31,13 @@ def test_curve_bns_cells_match_direct_calls(tmp_path):
     d0 = inverse_binary_entropy(binary_entropy(P) - REF_RATE)
     for row in rows:
         n = int(row["n"])
-        want = {
-            "asymptote": dstar,
-            "lower": bns.lower_bound(n, RATE, P),
-            "upper_os_0.01": bns.upper_bound_os(n, RATE, P, EPS).value,
-            "upper_rr_0.25": bns.upper_bound_rr(n, RATE, P, d0),
+        assert row == {
+            "n": str(n),
+            "asymptote": _fmt(dstar),
+            "lower": _fmt(bns.lower_bound(n, RATE, P), "lower"),
+            "upper_os_0.01": _fmt(bns.upper_bound_os(n, RATE, P, EPS).value, "upper"),
+            "upper_rr_0.25": _fmt(bns.upper_bound_rr(n, RATE, P, d0), "upper"),
         }
-        assert row == {"n": str(n), **{k: f"{v:.10g}" for k, v in want.items()}}
 
 
 def test_curve_bns_is_byte_identical_across_runs(tmp_path):
@@ -54,8 +56,8 @@ def test_curve_bns_text_at_the_benchmark_configuration(tmp_path):
         "# params: family=bns rate=0.3 n=200:600:200 p=0.25 sigma2=1.0 eps=[0.01] ref_rate=[0.25] "
         "alpha=None unbounded=False legacy_eps=None delta=0.5\n"
         "n,asymptote,lower,upper_os_0.01,upper_rr_0.25\n"
-        "200,0.113801878,0.1145638338,0.1293690737,0.2225274009\n"
-        "400,0.113801878,0.1141747394,0.1238564763,0.1850302641\n"
+        "200,0.113801878,0.1145638338,0.1293690737,0.222527401\n"
+        "400,0.113801878,0.1141747393,0.1238564763,0.1850302642\n"
         "600,0.113801878,0.114037479,0.1219265926,0.1648603298\n"
     )
 
@@ -69,10 +71,101 @@ def test_curve_bss_text_at_the_benchmark_configuration(tmp_path):
         "# params: family=bss rate=0.5 n=20000:60000:20000 p=None sigma2=1.0 eps=[0.01] ref_rate=[0.45] "
         "alpha=None unbounded=False legacy_eps=0.0485 delta=0.5\n"
         "n,asymptote,lower,upper_os_0.01,upper_rr_0.45,upper_legacy_0.45\n"
-        "20000,0.1100278644,0.1101380312,0.114098,0.127304806,0.1273048069\n"
+        "20000,0.1100278644,0.1101380312,0.1140980001,0.127304806,0.127304807\n"
         "40000,0.1100278644,0.1100893219,0.11402375,0.127304806,0.127304806\n"
-        "60000,0.1100278644,0.1100686681,0.1139825,0.127304806,0.127304806\n"
+        "60000,0.1100278644,0.110068668,0.1139825001,0.127304806,0.127304806\n"
     )
+
+
+def test_fmt_rounds_a_bound_toward_its_valid_side():
+    assert (_fmt(0.1, "lower"), _fmt(0.1), _fmt(0.1, "upper")) == ("0.1", "0.1", "0.1000000001")
+    rng = random.Random(0)
+    for v in (math.exp(rng.uniform(-30.0, 5.0)) for _ in range(2000)):
+        lo, hi = _fmt(v, "lower"), _fmt(v, "upper")
+        assert Fraction(lo) <= Fraction(v) <= Fraction(hi)
+        assert _fmt(v) in (lo, hi)  # the same text style as nearest rounding
+
+
+def _record_bounds(monkeypatch) -> list[tuple]:
+    """Make cli._bounds also append every (column, side, value, degenerate) it yields to the returned list."""
+    seen, real = [], cli._bounds
+
+    def record(task):
+        for bound in real(task):
+            seen.append(bound)
+            yield bound
+
+    monkeypatch.setattr(cli, "_bounds", record)
+    return seen
+
+
+def _on_valid_side(printed: str, side: str, value: float) -> bool:
+    return Fraction(printed) <= Fraction(value) if side == "lower" else Fraction(printed) >= Fraction(value)
+
+
+# the benchmark's curve steps, and a small-n Gaussian sweep over two eps and three classes
+SIDE_CURVES = {
+    "gauss": ["gauss", "--rate", "0.5", "--eps", "0.005", "--alpha", "2", "--unbounded", "--n", "64:64:64"],
+    "gauss_small_n": ["gauss", "--rate", "0.5", "--eps", "0.005", "0.1", "--alpha", "0.5", "2", "--unbounded",
+                      "--n", "8:40:16"],
+    "bss": ["bss", "--rate", "0.5", "--eps", "0.01", "--ref-rate", "0.45", "--legacy-eps", "0.0485",
+            "--n", "20000:60000:20000"],
+    "bns": ["bns", "--p", "0.25", "--rate", "0.3", "--eps", "0.01", "--ref-rate", "0.25", "--n", "200:600:200"],
+    "degen_bns": ["bns", "--p", "0.5", "--rate", "0.5", "--eps", "0.01", "--ref-rate", "0.45", "--n", "200:200:200"],
+    "degen_bss": ["bss", "--rate", "0.5", "--eps", "0.01", "--ref-rate", "0.45", "--n", "200:200:200"],
+}
+
+
+@pytest.mark.parametrize("argv", SIDE_CURVES.values(), ids=SIDE_CURVES.keys())
+def test_curve_prints_every_bound_on_its_valid_side(tmp_path, monkeypatch, argv):
+    seen = _record_bounds(monkeypatch)
+    out = tmp_path / "curve.csv"
+    assert main(["curve", *argv, "--jobs", "1", "--out", str(out)]) == 0
+    rows = csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:])
+    printed = [(col, text) for row in rows for col, text in row.items() if col not in ("n", "asymptote", "flags")]
+    assert [col for col, _ in printed] == [col for col, *_ in seen]
+    for (col, text), (_, side, value, _) in zip(printed, seen):
+        assert side == col.split("_")[0]
+        assert _on_valid_side(text, side, value), (col, text, value)
+        assert float(text) == pytest.approx(value, rel=1e-9)
+
+
+@pytest.mark.parametrize("family,source,n,rate", [
+    ("bss", [], "16", "0.5"),
+    ("bns", ["--p", "0.25"], "20", "0.3"),
+], ids=["bss", "bns"])
+def test_validate_prints_the_curve_cells_on_their_valid_side(tmp_path, monkeypatch, capsys, family, source, n, rate):
+    seen = _record_bounds(monkeypatch)
+    assert main(["validate", family, *source, "--n", n, "--rate", rate, "--trials", "2000", "--codebooks", "1"]) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    (_, _, lower, _), (_, _, upper, _) = seen
+    assert _on_valid_side(printed["lower"], "lower", lower)
+    assert _on_valid_side(printed["upper_os"], "upper", upper)
+    out = tmp_path / "curve.csv"
+    argv = ["curve", family, *source, "--rate", rate, "--eps", "0.01", "--n", f"{n}:{n}:1", "--jobs", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:])
+    assert (row["lower"], row["upper_os_0.01"]) == (printed["lower"], printed["upper_os"])
+
+
+LEGACY_CURVE = ["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--ref-rate", "0.45", "--legacy-eps", "0.0485",
+                "--n", "100:100:100", "--jobs", "1"]
+
+
+@pytest.mark.parametrize("bound,fake,flag", [
+    ("upper_bound_os", SimpleNamespace(value=0.0, degenerate=False), "cross_upper_os_0.01"),
+    ("upper_bound_os", SimpleNamespace(value=0.0, degenerate=True), "upper_os_0.01_degenerate"),
+    ("upper_bound_rr", 0.0, "cross_upper_rr_0.45"),
+    ("upper_bound_legacy", 0.0, "cross_upper_legacy_0.45"),
+], ids=["os_cross", "os_degenerate", "rr_cross", "legacy_cross"])
+def test_every_upper_column_is_flagged_by_one_rule(tmp_path, monkeypatch, bound, fake, flag):
+    out = tmp_path / "bss.csv"
+    assert main(LEGACY_CURVE + ["--out", str(out)]) == 0
+    assert "flags" not in out.read_text(encoding="utf-8").splitlines()[1]
+    monkeypatch.setattr(bss, bound, lambda *a, **k: fake)
+    assert main(LEGACY_CURVE + ["--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:])
+    assert row["flags"] == flag
 
 
 def test_curve_bns_at_n_one(tmp_path):
@@ -194,8 +287,8 @@ def test_curve_gauss_cells_match_direct_calls(tmp_path):
             gauss._lane_table.cache_clear()
             inp = gauss.GaussBoundInput(n, 0.5, rm=rm, eps=0.005)
             upper = gauss.upper_bound_unbounded(inp) if rm is None else gauss.upper_bound_bounded(inp)
-            want[f"lower_{tag}"] = _fmt(gauss.lower_bound(inp))
-            want[f"upper_os_0.005_{tag}"] = _fmt(upper.value)
+            want[f"lower_{tag}"] = _fmt(gauss.lower_bound(inp), "lower")
+            want[f"upper_os_0.005_{tag}"] = _fmt(upper.value, "upper")
         assert row == want
 
 
@@ -224,7 +317,7 @@ def test_validate_passes_and_is_byte_identical_across_runs(capsys):
 
 
 def test_validate_failed_check_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(bss, "upper_bound_os", lambda *a, **k: SimpleNamespace(value=0.0))
+    monkeypatch.setattr(bss, "upper_bound_os", lambda *a, **k: SimpleNamespace(value=0.0, degenerate=False))
     assert main(VALIDATE_BSS + ["--seed", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "sandwich_pass=false" in out and out[-1] == "pass=false"

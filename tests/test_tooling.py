@@ -120,3 +120,29 @@ def test_log_one_minus_exp_lives_in_logdomain():
         if idiom in line.replace(" ", "")
     ]
     assert found == []
+
+
+def test_cli_names_each_bound_only_in_bounds():
+    # curve rows, their flags and validate all read cli._bounds; a bound
+    # called anywhere else in cli.py would be a second wiring with its own
+    # column, side and flag rule
+    path = Path(importlib.import_module("rdflb.cli").__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (bounds,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_bounds"]
+    inside = {id(node) for node in ast.walk(bounds)}
+    modules = ("bss", "bns", "gauss")
+
+    def named(node) -> list[str]:
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            return [f"{node.value.id}.{node.attr}"]
+        if isinstance(node, ast.ImportFrom) and node.module in modules:
+            return [f"{node.module}.{a.name}" for a in node.names]
+        return []
+
+    def is_bound(qual: str) -> bool:
+        return qual.split(".")[1].startswith(("lower_bound", "upper_bound"))
+
+    found = [q for node in ast.walk(tree) if id(node) not in inside for q in named(node) if is_bound(q)]
+    assert found == []
+    wired = {q for node in ast.walk(bounds) for q in named(node) if is_bound(q)}
+    assert {"bss.lower_bound", "bns.lower_bound", "gauss.lower_bound", "bss.upper_bound_legacy"} <= wired
