@@ -32,7 +32,6 @@ from .simulate import (
 )
 from .special import (
     binary_entropy,
-    exp_gap_inverse,
     inverse_binary_entropy,
     log_unit_ball_volume,
     log_unit_sphere_area,

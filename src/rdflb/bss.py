@@ -23,13 +23,6 @@ __all__ = [
 ]
 
 
-def _check(n: int, rate: float) -> None:
-    if n < 1:
-        raise ValueError(f"blocklength must be >= 1, got {n}")
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"rate must be in (0, 1), got {rate}")
-
-
 def lower_bound(n: int, rate: float) -> float:
     """Sphere-covering lower bound on the size-2**(nR) quantizer distortion.
 
@@ -67,7 +60,7 @@ def upper_bound_legacy(n: int, rate: float, ref_rate: float, eps_rate: float) ->
 
     Kept as a comparison curve; the maximum Hamming distortion is 1.
     """
-    _check(n, rate)
+    bns._check(n, rate, 0.5)
     if not 0.0 < ref_rate < rate:
         raise ValueError(f"need 0 < ref_rate < rate, got {ref_rate}")
     if not 0.0 < eps_rate < rate - ref_rate:

@@ -152,7 +152,8 @@ def _touch(inp: GaussBoundInput, rho) -> np.ndarray:
 
 def _log_gamma_radii(inp: GaussBoundInput, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ln r_n(t), the radius of a ball with the volume of C0 and Q codeword
-    excesses, and ln(c1 + r1(t)), the reach of the rm codeword's ball."""
+    excesses, and ln(c1 + r1(t)), the reach of the rm codeword's ball; the
+    bounded codebook's volume cap has radius r_E = min(r_n, c1 + r1)."""
     rm = inp.rm
     n = inp.n
     r0 = np.sqrt(inp.radius_sq(t, 0.0))
@@ -161,11 +162,6 @@ def _log_gamma_radii(inp: GaussBoundInput, t: np.ndarray) -> tuple[np.ndarray, n
     log_vdiff = log_vol_diff_vec(n, r0, c1, r1)
     log_vtot = np.logaddexp(log_ball_volume(n, r0), inp.log_q + log_vdiff)
     return (log_vtot - log_unit_ball_volume(n)) / n, np.log(c1 + r1)
-
-
-def _log_gamma_radius(inp: GaussBoundInput, t: np.ndarray) -> np.ndarray:
-    """ln r_E(t) = ln min(r_n, c1 + r1) for the bounded-codebook volume cap."""
-    return np.minimum(*_log_gamma_radii(inp, t))
 
 
 def _cap_kinks(inp: GaussBoundInput, probe: np.ndarray) -> np.ndarray:
@@ -185,7 +181,7 @@ def _cap_kinks(inp: GaussBoundInput, probe: np.ndarray) -> np.ndarray:
 
 
 def _one_minus_gamma(inp: GaussBoundInput, t: np.ndarray) -> np.ndarray:
-    return reg_gamma_upper(0.5 * inp.n, 0.5 * np.exp(2.0 * _log_gamma_radius(inp, t)) / inp.sigma2)
+    return reg_gamma_upper(0.5 * inp.n, 0.5 * np.exp(2.0 * np.minimum(*_log_gamma_radii(inp, t))) / inp.sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +262,6 @@ def _captured_density(inp: GaussBoundInput, rho, t) -> np.ndarray:
     return np.maximum(0.0, _one_minus_k0(inp, t) - qk) * -np.expm1(-t)
 
 
-# panels per shell-mass call when lanes are laid out, 256 node rows: it
-# bounds the size of the shell-mass temporaries, and since rows are
-# independent it does not move a value
-_CHUNK = 256 // _NODES
-
-
 def _crossing(inp: GaussBoundInput, rho: np.ndarray, t_end: float) -> np.ndarray:
     """t_x per lane, where ln Q + ln K_excess(t, rho) = ln(1 - K0(t)).
 
@@ -299,15 +289,13 @@ def _crossing(inp: GaussBoundInput, rho: np.ndarray, t_end: float) -> np.ndarray
 
 
 def _lane_panels(inp: GaussBoundInput, rho: np.ndarray, tx: np.ndarray, panels=_PANELS, cuts=()) -> _Panels:
-    """A(., rho) per lane as panels on [0, t_x]; the lanes' nodes go through
-    the shell masses ``_CHUNK`` panels at a time."""
+    """A(., rho) per lane as panels on [0, t_x], whose last edge is t_x; the
+    nodes of all lanes go through the shell masses in one call, which takes
+    its rows in blocks (rows do not affect each other)."""
     edges = [_panel_edges(0.0, x, np.append(_GRADING, _touch(inp, r)), panels, cuts) for r, x in zip(rho, tx)]
     counts = np.array([e.size - 1 for e in edges])
-    lo = np.concatenate([e[:-1] for e in edges])
-    t, _ = gl_rule(lo, np.concatenate([e[1:] for e in edges]), _NODES)
-    rows = np.repeat(rho, counts)[:, None]
-    vals = [_captured_density(inp, rows[i : i + _CHUNK], t[i : i + _CHUNK]) for i in range(0, t.shape[0], _CHUNK)]
-    return _Panels(edges, np.concatenate(vals))
+    t, _ = gl_rule(np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]), _NODES)
+    return _Panels(edges, _captured_density(inp, np.repeat(rho, counts)[:, None], t))
 
 
 class _LaneTable:
@@ -321,31 +309,24 @@ class _LaneTable:
     it: its 1 - Gamma is at most 1 - K0, since r_E >= r0 (r_n's ball holds
     C0's volume, and c1 + r1 >= r1 >= r0).
 
-    Per norm value it keeps the crossing t_x and A(., rho) on the default
-    panels without cuts, each solved once, for every codebook class.
-    ``lanes`` rebuilds the panels in the order asked for: ``_Panels.below``
-    is a running sum across lanes, so the order sets its last bits.
+    Per norm value it keeps A(., rho) on the default panels without cuts,
+    solved once for every codebook class.  The lane's last edge is its
+    crossing t_x, so the lane also holds t_x.  ``lanes`` rebuilds the
+    panels in the order asked for: ``_Panels.below`` is a running sum
+    across lanes, so the order sets its last bits.
     """
 
     def __init__(self, inp: GaussBoundInput):
         self.inp = inp
         n, s2, d = inp.n, inp.sigma2, inp.dstar
         self.t_end = (s2 - d) / (2.0 * d) * (n + 12.0 * math.sqrt(2.0 * n) + 60.0)
-        self._tx: dict[float, float] = {}
         self._lanes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def crossing(self, rho: np.ndarray) -> np.ndarray:
-        """t_x per lane (``_crossing``); the norms not seen before are solved in one batch."""
-        new = np.array([r for r in dict.fromkeys(rho.tolist()) if r not in self._tx])
-        if new.size:
-            self._tx.update(zip(new.tolist(), _crossing(self.inp, new, self.t_end).tolist()))
-        return np.array([self._tx[r] for r in rho.tolist()])
 
     def lanes(self, rho: np.ndarray) -> _Panels:
         """A(., rho) per lane; the norms not seen before are laid out in one batch."""
         new = np.array([r for r in dict.fromkeys(rho.tolist()) if r not in self._lanes])
         if new.size:
-            p = _lane_panels(self.inp, new, self.crossing(new))
+            p = _lane_panels(self.inp, new, _crossing(self.inp, new, self.t_end))
             split = np.cumsum([e.size - 1 for e in p.edges])[:-1]
             self._lanes.update(zip(new.tolist(), zip(p.edges, np.split(p.vals, split))))
         edges, vals = zip(*(self._lanes[r] for r in rho.tolist()))
@@ -364,8 +345,8 @@ class _Converse:
     rm), the splits, the tail T with its anchors (the kinks from
     ``_cap_kinks`` among them) and the fine pass at the optimum, and
     ``detail``, the class's solved converse.  t_end and the per-lane work
-    come from ``shared``, the lane table of (n, R, sigma2), which every
-    class reads.
+    (t_x is the last edge of a lane) come from ``shared``, the lane table
+    of (n, R, sigma2), which every class reads.
     """
 
     def __init__(self, inp: GaussBoundInput):
@@ -416,9 +397,10 @@ class _Converse:
         j = int(np.argmax(v.min(axis=0)))
         best = int(np.argmin(v[:, j]))
         s, r = float(splits[j]), float(rho[best])
-        # the optimum again, on twice the panels and with the split as an edge
+        # the optimum again, on twice the panels and with the split as an
+        # edge, up to the crossing t_x, the last edge of its lane
         one = np.array([r])
-        fine = float(_lane_panels(self.inp, one, self.shared.crossing(one), 2 * _PANELS, [s]).at(s)[0, 0])
+        fine = float(_lane_panels(self.inp, one, self.shared.lanes(one).last[:, 0], 2 * _PANELS, [s]).at(s)[0, 0])
         if self.inp.rm is not None:
             fine += float(_tail_above(self.tail(2 * _TAIL_PANELS, [s]), s)[0, 0])
         best_val = max(min(float(v[best, j]), fine), 0.0)
@@ -429,11 +411,6 @@ class _Converse:
 def _tail_above(tail: _Panels, s) -> np.ndarray:
     """T(s), the tail's integral from s to t_end."""
     return tail.at(tail.edges[0][-1]) - tail.at(s)
-
-
-def _table(inp: GaussBoundInput) -> _Converse:
-    """The class table of inp, keyed on (n, R, sigma2, rm): eps and delta do not enter the converse."""
-    return _class_table(inp.n, inp.rate, inp.sigma2, inp.rm)
 
 
 @lru_cache(maxsize=16)
@@ -455,9 +432,9 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
     Delta(mu0, rho) = A(mu0, rho) + T(mu0): A integrates f(t, rho) dmu up to
     the split, T integrates 1 - Gamma beyond it (dmu = (1 - e^-t) dt; T = 0
     for the unbounded class, whose only split is t_end).  t_end and A's
-    lanes (t_x and the default panels per norm) do not depend on rm and are
-    shared by every class (``_LaneTable``); the norm grid, the splits, T and
-    the fine pass belong to the class (``_Converse``).
+    lanes (the default panels per norm, each ending at its t_x) do not
+    depend on rm and are shared by every class (``_LaneTable``); the norm
+    grid, the splits, T and the fine pass belong to the class (``_Converse``).
     The value does not depend on which classes ran before.  Each step, and
     the side it errs on:
 
@@ -481,7 +458,8 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
       the curvature in rho times the squared final spacing.  It is not
       certified.
     """
-    return _table(inp).detail
+    # the class table is keyed on (n, R, sigma2, rm): eps and delta do not enter the converse
+    return _class_table(inp.n, inp.rate, inp.sigma2, inp.rm).detail
 
 
 def lower_bound(inp: GaussBoundInput) -> float:

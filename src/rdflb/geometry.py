@@ -51,13 +51,11 @@ def _cap_cos(c1, r1, rho):
 
 
 def _log_full_shell(n, a, b, sigma2):
-    """ln of the full-sphere shell integral over a < r <= b (closed form)."""
+    """ln of the full-sphere shell mass over a < r <= b (closed form)."""
     a = np.maximum(a, 0.0)
-    if sigma2 is not None:
-        la = log_reg_gamma_lower(0.5 * n, 0.5 * b**2 / sigma2)
-        lb = log_reg_gamma_lower(0.5 * n, 0.5 * a**2 / sigma2)
-        return log_diff(la, lb)
-    return log_diff(log_ball_volume(n, b), log_ball_volume(n, a))
+    upper = log_reg_gamma_lower(0.5 * n, 0.5 * b**2 / sigma2)
+    lower = log_reg_gamma_lower(0.5 * n, 0.5 * a**2 / sigma2)
+    return log_diff(upper, lower)
 
 
 def _log_cap_area_bounds(n: int, cos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,10 +95,7 @@ def _cap_half_rows(n, edge, far, sigma2, sgn):
     u_max = np.sqrt(span)
     # refine in u on the edge decay length of the log-integrand
     edge_safe = np.maximum(edge, 1e-300)
-    if sigma2 is not None:
-        slope = np.abs(-edge_safe / sigma2 + (n - 1) / edge_safe)
-    else:
-        slope = (n - 1) / edge_safe
+    slope = np.abs(-edge_safe / sigma2 + (n - 1) / edge_safe)
     delta = 1.0 / np.maximum(slope, 1e-300)
     u_splits = np.sqrt(np.minimum(delta[:, None] * np.array([[3.0, 15.0, 60.0]]), span[:, None]))
     frac = u_max[:, None] * np.array([[0.35, 0.8]])
@@ -114,10 +109,8 @@ def _cap_half_rows(n, edge, far, sigma2, sgn):
 
     # u >= 0 and wgt >= 0, so a zero weight or jacobian 2u gives a -inf base
     with np.errstate(divide="ignore"):
-        base = (n - 1) * np.log(np.maximum(rho, 1e-300))
-        if sigma2 is not None:
-            base = base - rho**2 / (2.0 * sigma2) - 0.5 * n * math.log(2.0 * math.pi * sigma2)
-        base += np.log(wgt * (2.0 * u))
+        base = (n - 1) * np.log(np.maximum(rho, 1e-300)) - rho**2 / (2.0 * sigma2)
+        base = base - 0.5 * n * math.log(2.0 * math.pi * sigma2) + np.log(wgt * (2.0 * u))
     row_max = np.max(base, axis=1, keepdims=True)
     return rho, base, (base >= row_max - 46.0) & (base > LOG_ZERO)
 
@@ -167,16 +160,16 @@ def log_shell_mass_batch(
     hi: np.ndarray,
     c1: np.ndarray,
     r1: np.ndarray,
-    sigma2: float | None,
+    sigma2: float,
 ) -> np.ndarray:
-    """ln of integral_lo^hi [density] r^(n-1) Omega_n(theta(r)) dr, per row.
+    """ln of integral_lo^hi [density] r^(n-1) Omega_n(theta(r)) dr per row:
+    the N(0, sigma2 I_n) mass of C1 between the radii lo and hi.
 
-    sigma2=None drops the Gaussian density (volume mode).  Rows with
-    hi <= lo return exact log-zero.  The region below |c1 - r1| (full
-    spheres) is handled in closed form; the cap region is integrated in
-    two halves with a square-root substitution at each end, which removes
-    the tangency cusps of theta(r), and the cap area is evaluated only at
-    the nodes that can matter (``_log_cap_shell``).
+    Rows with hi <= lo return exact log-zero.  The region below |c1 - r1|
+    (full spheres) is handled in closed form; the cap region is integrated
+    in two halves with a square-root substitution at each end, which
+    removes the tangency cusps of theta(r), and the cap area is evaluated
+    only at the nodes that can matter (``_log_cap_shell``).
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -194,10 +187,8 @@ def log_shell_mass_batch(
     cap_lo = np.maximum(lo, kink)
     cap_hi = np.minimum(hi, c1 + r1)
     width = np.maximum(cap_hi - cap_lo, 0.0)
-    # anchor the halves so the integrand peak faces a substitution edge:
-    # the radial density peak in probability mode, the upper limit (where
-    # r^(n-1) concentrates) in volume mode
-    peak = math.sqrt(sigma2 * max(n - 1, 1)) if sigma2 is not None else 0.0
+    # anchor the halves so the radial density peak faces a substitution edge
+    peak = math.sqrt(sigma2 * max(n - 1, 1))
     mid = np.clip(peak, cap_lo + 0.05 * width, cap_hi - 0.05 * width)
 
     log_cap = np.full(lo.shape, LOG_ZERO)

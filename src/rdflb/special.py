@@ -31,7 +31,6 @@ __all__ = [
     "reg_gamma_upper",
     "log_reg_gamma_lower",
     "noncentral_chi2_log_cdf",
-    "exp_gap_inverse",
     "log_unit_sphere_area",
     "log_unit_ball_volume",
     "log_ball_volume",
@@ -159,28 +158,6 @@ def noncentral_chi2_log_cdf(n: int, lam, x):
             lw[:, 0] = -half[k]  # i ln(lam/2) is 0 at i = 0, also for lam = 0
             out[k] = logsumexp(lw + _log_gamma_p(0.5 * n + i, xh[k, None]), axis=1)
     return _scalar_or_array(out.reshape(lam.shape))
-
-
-# ---------------------------------------------------------------------------
-# inverse of t -> t - 1 + exp(-t)
-# ---------------------------------------------------------------------------
-
-def exp_gap_inverse(mu: float) -> float:
-    """The unique t >= 0 with t - 1 + exp(-t) = mu (Newton; the map is convex increasing)."""
-    if mu < 0:
-        raise ValueError(f"argument must be >= 0, got {mu}")
-    mu = np.asarray([mu], dtype=float)
-    t = np.where(mu < 1.0, np.sqrt(2.0 * mu), mu + 1.0)
-    for _ in range(80):
-        # f(t) = t + expm1(-t) - mu, f'(t) = -expm1(-t)
-        f = t + np.expm1(-t) - mu
-        fp = -np.expm1(-t)
-        step = np.where(fp > 0, f / np.where(fp > 0, fp, 1.0), 0.0)
-        step = np.clip(step, -1.0, t)  # keep t >= 0
-        t = t - step
-        if np.all(np.abs(f) <= 1e-13 * np.maximum(1.0, mu) + 1e-300):
-            break
-    return float(np.where(mu == 0.0, 0.0, t)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,11 @@ def test_upper_legacy_limit_and_domain():
     )
     with pytest.raises(ValueError):
         bss.upper_bound_legacy(100, 0.5, 0.4, 0.2)
+    # the blocklength and the rate pass bns's check at p = 1/2, where H(p) = 1 bit
+    with pytest.raises(ValueError):
+        bss.upper_bound_legacy(0, 0.5, 0.4, 0.05)
+    with pytest.raises(ValueError):
+        bss.upper_bound_legacy(100, 1.0, 0.4, 0.05)
 
 
 def test_legacy_exceeds_improved_rr_at_matched_reference():

@@ -3,13 +3,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdflb import gauss, geometry
 from rdflb.gauss import GaussBoundInput
 from rdflb.geometry import log_prob_intersect_batch, log_shell_mass_batch
 from rdflb.quadrature import bracket_solve, gl_panels, gl_partial
 from rdflb.special import (
-    exp_gap_inverse,
     log_cone_area,
     log_reg_gamma_lower,
     noncentral_chi2_log_cdf,
@@ -45,8 +45,28 @@ def _gamma_cap(t: float, inp: GaussBoundInput) -> float:
         raise ValueError(f"need t >= 0, got {t}")
     if inp.rm is None:
         return 1.0
-    log_re = float(gauss._log_gamma_radius(inp, np.array([float(t)]))[0])
+    log_re = float(np.minimum(*gauss._log_gamma_radii(inp, np.array([float(t)])))[0])
     return reg_gamma_lower(0.5 * inp.n, 0.5 * math.exp(2.0 * log_re) / inp.sigma2)
+
+
+def _exp_gap_inverse(mu: float) -> float:
+    """The unique t >= 0 with t - 1 + exp(-t) = mu, the t at which the
+    converse's measure dmu = (1 - e^-t) dt reaches mu (Newton; the map is
+    convex increasing)."""
+    if mu < 0:
+        raise ValueError(f"argument must be >= 0, got {mu}")
+    mu = np.asarray([mu], dtype=float)
+    t = np.where(mu < 1.0, np.sqrt(2.0 * mu), mu + 1.0)
+    for _ in range(80):
+        # f(t) = t + expm1(-t) - mu, f'(t) = -expm1(-t)
+        f = t + np.expm1(-t) - mu
+        fp = -np.expm1(-t)
+        step = np.where(fp > 0, f / np.where(fp > 0, fp, 1.0), 0.0)
+        step = np.clip(step, -1.0, t)  # keep t >= 0
+        t = t - step
+        if np.all(np.abs(f) <= 1e-13 * np.maximum(1.0, mu) + 1e-300):
+            break
+    return float(np.where(mu == 0.0, 0.0, t)[0])
 
 
 def _delta_hat(mu0: float, r: float, inp: GaussBoundInput) -> float:
@@ -56,16 +76,32 @@ def _delta_hat(mu0: float, r: float, inp: GaussBoundInput) -> float:
         raise ValueError("need mu0 >= 0 and r >= 0")
     if inp.rm is not None and r > inp.rm:
         raise ValueError(f"r exceeds the codeword bound: {r} > {inp.rm}")
-    cv = gauss._table(inp)
+    cv = gauss._class_table(inp.n, inp.rate, inp.sigma2, inp.rm)
     rho = np.array([float(r)])
-    t0 = min(exp_gap_inverse(mu0), cv.t_end)
-    lanes = gauss._lane_panels(inp, rho, cv.shared.crossing(rho), cuts=[t0])
+    t0 = min(_exp_gap_inverse(mu0), cv.t_end)
+    lanes = gauss._lane_panels(inp, rho, gauss._crossing(inp, rho, cv.t_end), cuts=[t0])
     return float(cv.objective(lanes, np.array([t0]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # pointwise pieces
 # ---------------------------------------------------------------------------
+
+def test_exp_gap_inverse_examples():
+    assert _exp_gap_inverse(0.0) == 0.0
+    assert _exp_gap_inverse(math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
+    assert _exp_gap_inverse(99.0) == pytest.approx(100.0, abs=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e4))
+def test_exp_gap_roundtrip_and_monotone(mu):
+    t = _exp_gap_inverse(mu)
+    assert t >= 0.0
+    assert t + math.expm1(-t) == pytest.approx(mu, rel=1e-12, abs=1e-12)
+    t2 = _exp_gap_inverse(mu + 0.1)
+    assert t2 > t
+
 
 def test_k0_closed_form():
     # sigma2=1, R=1/2: D=1/2, R(t,0) = 2t, so K0(1) = CDF_chi2(2) at 2
@@ -147,12 +183,12 @@ def _direct_delta_hat(inp, mu0, r):
     q = 2.0 ** (inp.n * inp.rate)
 
     def first(mu):
-        t = exp_gap_inverse(mu)
+        t = _exp_gap_inverse(mu)
         qk = min(1.0, q * _k_excess(t, r, inp))
         return max(0.0, 1.0 - _k0(t, inp) - qk)
 
     def second(mu):
-        t = exp_gap_inverse(mu)
+        t = _exp_gap_inverse(mu)
         return 1.0 - _gamma_cap(t, inp)
 
     want = quad(first, 0.0, mu0, epsabs=1e-12, epsrel=1e-9, limit=200)[0]
@@ -243,13 +279,28 @@ def test_lower_bound_bounded_vs_dense_oracle(n, alpha):
 def test_crossing_ends_the_support_of_f():
     # f(t, rho) > 0 below t_x and f = 0 on a probe grid beyond it
     inp = GaussBoundInput(64, 0.5)
-    cv = gauss._table(inp)
+    cv = gauss._class_table(inp.n, inp.rate, inp.sigma2, inp.rm)
     rho = np.array([2.0, 5.3, 8.0])
-    tx = cv.shared.crossing(rho)
+    tx = gauss._crossing(inp, rho, cv.t_end)
+    # the fine pass reads t_x as the last edge of the norm's lane
+    assert np.array_equal(cv.shared.lanes(rho).last[:, 0], tx)
     for r, x in zip(rho, tx):
         below = gauss._captured_density(inp, r, np.linspace(0.05, 0.999, 8) * x)
         beyond = gauss._captured_density(inp, r, x + np.geomspace(1e-6, cv.t_end - x, 8))
         assert (below > 0.0).all() and (beyond == 0.0).all()
+
+
+def test_lane_panels_in_one_batch_match_one_call_per_norm():
+    # every node row of a batch goes through one shell-mass call, which
+    # takes its rows in blocks; rows do not affect each other, so a lane's
+    # values do not depend on the lanes laid out with it
+    inp = GaussBoundInput(64, 0.5)
+    rho = math.sqrt(inp.n * (inp.sigma2 - inp.dstar)) * np.linspace(0.0, 3.0, 72)
+    tx = gauss._crossing(inp, rho, gauss._lane_table(inp.n, inp.rate, inp.sigma2).t_end)
+    batch = gauss._lane_panels(inp, rho, tx)
+    assert batch.vals.shape[0] > 256
+    one = [gauss._lane_panels(inp, rho[i : i + 1], tx[i : i + 1]).vals for i in range(rho.size)]
+    assert np.array_equal(batch.vals, np.concatenate(one))
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.5, 2.0])

@@ -210,26 +210,6 @@ def test_quantile_deep_tail():
 
 
 # ---------------------------------------------------------------------------
-# inverse of t - 1 + exp(-t)
-# ---------------------------------------------------------------------------
-
-def test_exp_gap_inverse_examples():
-    assert sp.exp_gap_inverse(0.0) == 0.0
-    assert sp.exp_gap_inverse(math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
-    assert sp.exp_gap_inverse(99.0) == pytest.approx(100.0, abs=1e-10)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1e4))
-def test_exp_gap_roundtrip_and_monotone(mu):
-    t = sp.exp_gap_inverse(mu)
-    assert t >= 0.0
-    assert t + math.expm1(-t) == pytest.approx(mu, rel=1e-12, abs=1e-12)
-    t2 = sp.exp_gap_inverse(mu + 0.1)
-    assert t2 > t
-
-
-# ---------------------------------------------------------------------------
 # hyperspherical areas
 # ---------------------------------------------------------------------------
 

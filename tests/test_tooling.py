@@ -65,19 +65,37 @@ def test_every_import_is_read():
     assert unused == []
 
 
+def _relative_imports(tree: ast.Module) -> dict:
+    """The names that a module's relative imports bind, also inside a
+    function, such as ``from . import svg`` in ``cli.cmd_plot``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module is None:
+                    obj = importlib.import_module(f"rdflb.{a.name}")
+                else:
+                    obj = getattr(importlib.import_module(f"rdflb.{node.module}"), a.name)
+                names[a.asname or a.name] = obj
+    return names
+
+
 def _read_callables() -> set[int]:
     """ids of the functions some rdflb module reads, as a bare name or as an
-    attribute of a module, resolved in the module that reads them."""
+    attribute of a module, resolved in the module that reads them (its
+    globals, then the names its functions import)."""
     package = Path(importlib.import_module("rdflb").__file__).parent
     read = set()
     for path in sorted(package.glob("*.py")):
         mod = importlib.import_module("rdflb" if path.stem == "__init__" else f"rdflb.{path.stem}")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {**_relative_imports(tree), **vars(mod)}
+        for node in ast.walk(tree):
             obj = None
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                obj = getattr(mod, node.id, None)
+                obj = names.get(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                base = getattr(mod, node.value.id, None)
+                base = names.get(node.value.id)
                 obj = getattr(base, node.attr, None) if inspect.ismodule(base) else None
             if callable(obj):
                 read.add(id(obj))
@@ -103,6 +121,26 @@ def test_traced_layers_without_a_caller_are_pinned():
         "simulate.duality_error_prob",
         "simulate.exact_distortion",
     }
+
+
+def test_every_function_and_class_is_read_by_the_package():
+    # a module-level function or class that no package code reads is dead
+    # weight, or test-only code that belongs with its tests; the traced
+    # layers are read by the benchmark, and the test above pins the ones
+    # that no package code reads
+    package = Path(importlib.import_module("rdflb").__file__).parent
+    traced = set()
+    for qual in _load_tracing().LAYERS:
+        mod_name, func_name = qual.split(".")
+        traced.add(id(getattr(importlib.import_module(f"rdflb.{mod_name}"), func_name)))
+    read = _read_callables() | traced
+    unread = []
+    for path in sorted(package.glob("[!_]*.py")):
+        mod = importlib.import_module(f"rdflb.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and id(getattr(mod, node.name)) not in read:
+                unread.append(f"{path.stem}.{node.name}")
+    assert unread == []
 
 
 def test_log_one_minus_exp_lives_in_logdomain():
