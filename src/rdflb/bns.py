@@ -14,7 +14,8 @@ whose distance law is a convolution of two binomials.  The weight classes
 go through in blocks of max(1, _CELLS // (n + 1)) classes.  One ln j!
 table serves every binomial row; the mismatch laws, their exponentials,
 the logs of the convolutions and the running-sum scans are 2-D array
-operations over the block, and only the convolution runs once per class.
+operations over the block, built only up to the column where the scan
+ends, and only the convolution runs once per class.
 A one-part class (w = 0 or w = n) has one mismatch part, and that part
 is its law, exactly: it skips the convolution and the floor.  Each bound
 reads its thresholds (and RR its leftover budgets) from that one exact
@@ -27,6 +28,7 @@ exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +55,7 @@ _FLOOR = -650.0
 # the roundoff of the convolution
 _SLACK = 1e-9
 # Cells in one 2-D temporary of the block pipeline: a block holds
-# max(1, _CELLS // (n + 1)) weight classes
+# max(1, _CELLS // (n + 1)) weight classes, each law built to its scan's end
 _CELLS = 8192
 
 
@@ -96,24 +98,20 @@ def hamming_ball_threshold(log_masses: np.ndarray, log_budget: float) -> tuple[i
     return d, log_diff(log_budget, cum[d - 1]) if d else log_budget
 
 
-def _mismatch_parts(n: int, w: np.ndarray, z: float, g: np.ndarray):
-    """Log pmfs of the mismatch counts among the w ones and n - w zeros of x,
-    one row per weight in w, padded with -inf; g[j] = ln j! for j = 0..n.
-
-    The in-place sums keep the float operations of ``log_binomial_row``
-    plus the two log-probability terms, so every entry is the same double.
-    """
+def _mismatch_parts(n: int, w: np.ndarray, z: float, g: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Log pmfs of the mismatch counts among the w ones and n - w zeros of x
+    at the counts i and j, broadcast against w[:, None], -inf past a part's
+    end; g[k] = ln k!.  The in-place sums keep the float operations of
+    ``log_binomial_row`` and the log-probability terms at every column."""
     lz, l1z = math.log(z), math.log1p(-z)
     wc, m = w[:, None], n - w[:, None]
     # g[k - i] wraps around where i > k; those cells are masked
-    i = np.arange(w.max() + 1)
-    ones = g[wc] - g[: i.size]
+    ones = g[wc] - g[i]
     ones -= g[wc - i]
     ones += (wc - i) * lz
     ones += i * l1z
     ones[i > wc] = LOG_ZERO
-    j = np.arange(n - w.min() + 1)
-    zeros = g[m] - g[: j.size]
+    zeros = g[m] - g[j]
     zeros -= g[m - j]
     zeros += j * lz
     zeros += (m - j) * l1z
@@ -121,45 +119,74 @@ def _mismatch_parts(n: int, w: np.ndarray, z: float, g: np.ndarray):
     return ones, zeros
 
 
-def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: float):
+def _part_maxima(n: int, w: np.ndarray, z: float, g: np.ndarray):
+    """Maxima of the full mismatch parts (ones, zeros) of the classes w: a
+    Binomial(k, q) row peaks in floats within one column of floor((k + 1) q)."""
+    wc, near = w[:, None], np.array([-1, 0, 1])
+    i = np.clip(np.floor((wc + 1) * (1.0 - z)).astype(int) + near, 0, wc)
+    j = np.clip(np.floor((n - wc + 1) * z).astype(int) + near, 0, n - wc)
+    return np.array([part.max(axis=1) for part in _mismatch_parts(n, w, z, g, i, j)])
+
+
+def _prefix_convolve(a: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """``np.convolve(a, v)[:size]`` bit for bit for len(a) >= len(v): output k
+    is the same dot product of a[: k + 1] and v[k::-1], from the cut parts."""
+    return np.correlate(a[: size + 2], v[: size + 1][::-1], "full")[:size]
+
+
+def _first_over(n: int, z: float, g: np.ndarray, limit: float) -> int:
+    """First column of the Binomial(n, z) log pmf above limit, n if none: a
+    bisection over its rise to the mode, on scalar ``_mismatch_parts`` terms."""
+    lz, l1z = math.log(z), math.log1p(-z)
+    mode = min(n, int((n + 1) * z))
+    j = bisect_left(range(mode + 1), True, key=lambda j: g[n] - g[j] - g[n - j] + j * lz + (n - j) * l1z > limit)
+    return j if j <= mode else n
+
+
+def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: float, size: int, tops: np.ndarray):
     """Distance laws of a block of weight classes, scanned against log_budget.
 
-    Row k of ``law`` is ln P(n d(x,y) = d), d = 0..n, for x of weight w[k]
-    (w ascending) and codeword bits i.i.d. Bernoulli(z).  A one-part class
-    (w = 0 or w = n) has one mismatch part, and its law is that part,
-    exactly: it skips the convolution and the floor, and the scan reads it
-    as it is.  For every other class one max-shifted linear convolution of
-    the two mismatch laws gives every column above _FLOOR.  A column below
-    it may have lost terms to underflow; it counts as zero in the block's
-    scan, and is recomputed by a log-sum-exp over its anti-diagonal only
-    where a scan against log_budget reads it: up to column ``last[k]``, the
-    first whose running sum of the above-floor columns, a lower estimate of
-    the exact one, exceeds log_budget + _SLACK (n + 1 if none does).  The
-    exact running sum of ``law[k, : last[k] + 1]`` then gives the threshold
-    d[k] and the log of the budget left over after the first d[k] columns,
-    ``left[k]``, as ``hamming_ball_threshold`` gives them on the exact law.
-    Returns (law, d, left, last).
+    Row k of ``law`` is ln P(n d(x,y) = d), built for d < size only, for x
+    of weight w[k] (w ascending) and codeword bits i.i.d. Bernoulli(z).  A
+    one-part class (w = 0 or w = n) has one mismatch part, and its law is
+    that part, exactly: it skips the convolution and the floor, and the
+    scan reads it as it is.  For every other class one max-shifted linear
+    convolution of the two mismatch laws gives every column above _FLOOR,
+    relative to the full parts' maxima ``tops`` (``_part_maxima``).  A
+    column below it may have lost terms to underflow; it counts as zero in
+    the block's scan, and is recomputed by a log-sum-exp over its
+    anti-diagonal only where a scan against log_budget reads it: up to
+    column ``last[k]``, the first whose running sum of the above-floor
+    columns, a lower estimate of the exact one, exceeds log_budget + _SLACK
+    (n + 1 if none does).  A block whose scan outruns size is built again
+    at full length: ``law[k, : last[k] + 1]`` comes back exact, and its
+    running sum gives the threshold d[k] and the log of the budget left
+    over after the first d[k] columns, ``left[k]``, as the exact law's
+    ``hamming_ball_threshold`` does.  Returns (law, d, left, last).
     """
-    ones, zeros = _mismatch_parts(n, w, z, g)
-    law = np.empty((w.size, n + 1))
+    span = np.arange(size + 2)  # the convolution's longer operand reads size + 2
+    ones, zeros = _mismatch_parts(n, w, z, g, span[: w.max() + 1], span[: n - w.min() + 1])
+    law = np.empty((w.size, size))
     low = np.zeros(law.shape, dtype=bool)
     # w ascending: a one-part class can only be the first (w = 0) or the
     # last (w = n) row, and the other part is its single entry ln 1 = 0
     a, b = int(w[0] == 0), w.size - int(w[-1] == n)
     if a:
-        law[0] = zeros[0]
+        law[0] = zeros[0, :size]
     if b < w.size:
-        law[-1] = ones[-1]
+        law[-1] = ones[-1, :size]
     if a < b:
         mid = law[a:b]
-        top1, top0 = ones[a:b].max(axis=1), zeros[a:b].max(axis=1)
+        top1, top0 = tops[:, a:b]
         shift = top1 + top0
         with np.errstate(divide="ignore", under="ignore"):
             e1, e0 = ones[a:b] - top1[:, None], zeros[a:b] - top0[:, None]
             np.exp(e1, out=e1)
             np.exp(e0, out=e0)
+            # np.convolve's operand roles on the full parts, the longer first
             for k, wk in enumerate(w[a:b].tolist()):
-                mid[k] = np.convolve(e1[k, : wk + 1], e0[k, : n - wk + 1])
+                x, y = e1[k, : wk + 1], e0[k, : n - wk + 1]
+                mid[k] = _prefix_convolve(*((y, x) if n - wk > wk else (x, y)), size)
             del e1, e0  # a large class's recompute below needs the room
             np.log(mid, out=mid)
         mid += shift[:, None]
@@ -168,10 +195,12 @@ def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: floa
     # the running sum passes log_budget + _SLACK no later than the first
     # column that passes it alone, so the scan stops there
     over = floored > log_budget + _SLACK
-    width = int(np.where(over.any(axis=1), over.argmax(axis=1), n).max()) + 1
+    width = int(np.where(over.any(axis=1), over.argmax(axis=1), size - 1).max()) + 1
     cum = np.logaddexp.accumulate(floored[:, :width], axis=1)
     del floored, over
     last = (cum <= log_budget + _SLACK).sum(axis=1)
+    if size <= n and last.max() >= size:
+        return _block_laws(n, w, z, g, log_budget, n + 1, tops)
     for k in np.flatnonzero(low.any(axis=1) & (low.argmax(axis=1) <= last)):
         wk, lk = int(w[k]), int(last[k])
         cols = np.flatnonzero(low[k, : lk + 1])
@@ -189,14 +218,22 @@ def _block_laws(n: int, w: np.ndarray, z: float, g: np.ndarray, log_budget: floa
 def _class_scans(n: int, weights: np.ndarray, z: float, log_budget: float):
     """The weight classes ``weights`` scanned against log_budget, block by block.
 
-    Yields (w, law, d, left) per block: the block's weights and what
-    ``_block_laws`` gives for them; ``law[k, : d[k]]`` is exact.
-    """
+    Yields (w, law, d, left) per block, as ``_block_laws`` gives them, each
+    law built only to its scan's end.  One more one in x moves the distance
+    to a codeword by 1, so last(w') <= last(w) + (w' - w): a block is built
+    up to its predecessor's largest last plus the step to its largest
+    weight.  The first block takes the w = 0 law, in or out of the window:
+    the scan of a one-part law ends by its first column above the budget."""
     g = _log_factorials(n)
     step = max(1, _CELLS // (n + 1))
+    tops = _part_maxima(n, weights, z, g)
+    reach = _first_over(n, z, g, log_budget + _SLACK)
     for s in range(0, weights.size, step):
         w = weights[s : s + step]
-        yield w, *_block_laws(n, w, z, g, log_budget)[:3]
+        size = min(n + 1, reach + int(w[-1]) + 1)
+        law, d, left, last = _block_laws(n, w, z, g, log_budget, size, tops[:, s : s + step])
+        yield w, law, d, left
+        reach = int(last.max()) - int(w[-1])
 
 
 def _check(n: int, rate: float, p: float) -> None:

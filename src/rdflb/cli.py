@@ -16,7 +16,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
@@ -174,6 +173,7 @@ def cmd_curve(args) -> int:
 
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial curve never loads multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_curve_row, tasks))
     else:

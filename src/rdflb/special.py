@@ -69,14 +69,17 @@ def inverse_binary_entropy(h: float) -> float:
         return 0.0
     if h == 1.0:
         return 0.5
+    # bisect until lo and hi are adjacent doubles: 1100 halvings reach the subnormals
     lo, hi = 0.0, 0.5
-    for _ in range(100):
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if binary_entropy(mid) < h:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ def _log_distance_law(n: int, w: int, z: float, log_budget: float = math.inf) ->
     first whose running sum passes log_budget come back, every one of them
     exact; the default budget returns all n + 1.
     """
-    law, _, _, last = bns._block_laws(n, np.array([w]), z, _log_factorials(n), log_budget)
+    w, g = np.array([w]), _log_factorials(n)
+    law, _, _, last = bns._block_laws(n, w, z, g, log_budget, n + 1, bns._part_maxima(n, w, z, g))
     return law[0, : last[0] + 1]
 
 
@@ -235,6 +236,136 @@ def test_a_block_holds_at_most_the_cell_budget():
     blocks = [w.size for w, *_ in bns._class_scans(n, weights, 0.2, -5.0)]
     assert sum(blocks) == weights.size
     assert max(blocks) * (n + 1) <= bns._CELLS
+
+
+# ---------------------------------------------------------------------------
+# laws built only to the scan's end
+# ---------------------------------------------------------------------------
+
+def _rr_z0(p, d0):
+    return (p - d0) / (1.0 - 2.0 * d0)
+
+
+def test_a_prefix_too_short_is_rebuilt_at_full_length():
+    n, rate, p, d0 = 600, 0.3, 0.25, 0.1314047333665419
+    g = _log_factorials(n)
+    z = solve(BinaryNonSymmetricSource(p), rate).marginal_one_prob
+    for zz, log_budget in zip((z, _rr_z0(p, d0)), _budgets(n, rate)):
+        for w in (np.arange(27, 40), np.arange(150, 163), np.array([0])):
+            tops = bns._part_maxima(n, w, zz, g)
+            law, d, left, last = bns._block_laws(n, w, zz, g, log_budget, n + 1, tops)
+            short = bns._block_laws(n, w, zz, g, log_budget, 3, tops)
+            assert short[0].shape[1] == (3 if last.max() < 3 else n + 1)
+            for k, lk in enumerate(last.tolist()):
+                assert np.array_equal(short[0][k, : lk + 1], law[k, : lk + 1])
+            for got, want in zip(short[1:], (d, left, last)):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,rate,d0", [(0.25, 0.3, 0.1314047333665419), (0.05, 0.2, 0.03)])
+@pytest.mark.parametrize("n", [200, 400, 600])
+def test_scan_end_moves_at_most_one_column_per_weight(n, p, rate, d0):
+    # the bound that sizes every block, on the full laws; the first block
+    # counts from the w = 0 law, whose scan ends by its first column over
+    g = _log_factorials(n)
+    weights = bns._weight_window(n, p)[0]
+    step = max(1, bns._CELLS // (n + 1))
+    z = solve(BinaryNonSymmetricSource(p), rate).marginal_one_prob
+    for zz, log_budget in zip((z, _rr_z0(p, d0)), _budgets(n, rate)):
+        tops = bns._part_maxima(n, weights, zz, g)
+        last = np.concatenate([bns._block_laws(n, weights[s : s + step], zz, g, log_budget, n + 1,
+                                               tops[:, s : s + step])[3] for s in range(0, weights.size, step)])
+        assert np.all(np.diff(last) <= 1)
+        assert last[0] <= bns._first_over(n, zz, g, log_budget + bns._SLACK) + weights[0]
+
+
+def test_prefix_convolution_is_the_full_one_cut():
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        a, v = (np.exp(-40.0 * rng.random(k)) for k in rng.integers(1, 701, 2))
+        full = np.convolve(a, v)
+        x, y = (v, a) if v.size > a.size else (a, v)
+        for size in range(1, full.size + 1):
+            assert np.array_equal(bns._prefix_convolve(x, y, size), full[:size])
+
+
+@pytest.mark.parametrize("n", [2, 7, 200, 601, 2000])
+def test_part_maxima_read_at_the_modes_are_the_full_row_maxima(n):
+    # the float maximum can sit one column off floor((k + 1) q), where two
+    # columns tie in exact arithmetic
+    g = _log_factorials(n)
+    w = np.arange(1, n)
+    for z in (0.5, 0.25, 1 / 3, 0.2, 0.1314, 0.0123):
+        ones, zeros = bns._mismatch_parts(n, w, z, g, np.arange(n + 1), np.arange(n + 1))
+        assert np.array_equal(bns._part_maxima(n, w, z, g), [ones.max(axis=1), zeros.max(axis=1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 20000, 60000])
+def test_one_part_bisection_finds_the_first_column_over(n):
+    g = _log_factorials(n)
+    for z in (0.5, 0.3, 0.02):
+        row = bns._mismatch_parts(n, np.array([0]), z, g, np.arange(1), np.arange(n + 1))[1][0]
+        for log_budget in (*_budgets(n, 0.2), -40.0, -3.0, row.max() - bns._SLACK, math.inf):
+            over = row > log_budget + bns._SLACK
+            want = int(over.argmax()) if over.any() else n
+            assert bns._first_over(n, z, g, log_budget + bns._SLACK) == want
+
+
+# (p, rate, d0, n, OS value at eps = 0.01, RR value) as float.hex, recorded
+# from the full-length laws before they were built only to the scan's end
+_PINNED = [
+    (0.05, 0.2, 0.03, 1, "0x1.fd70a3d70a3d7p-1", "0x1.4e9bb24a59991p-4"),
+    (0.05, 0.2, 0.03, 2, "0x1.fd70a3d70a3d7p-1", "0x1.31b8c9f6b4112p-4"),
+    (0.05, 0.2, 0.03, 7, "0x1.fd70a3d70a3d7p-1", "0x1.056f1b81f5640p-4"),
+    (0.05, 0.2, 0.03, 64, "0x1.11d53a75f6b18p-5", "0x1.6ffa3ae6706fcp-5"),
+    (0.05, 0.2, 0.03, 65, "0x1.12d00f4f24c04p-5", "0x1.6e3ba210b8e6bp-5"),
+    (0.05, 0.2, 0.03, 200, "0x1.6baf6ba0870a1p-6", "0x1.0eba08600feb8p-5"),
+    (0.05, 0.2, 0.03, 257, "0x1.4d85a1163f279p-6", "0x1.0319f7444d27cp-5"),
+    (0.05, 0.2, 0.03, 600, "0x1.260375dcdf717p-6", "0x1.ec4c6a29bfcaap-6"),
+    (0.05, 0.2, 0.03, 1000, "0x1.18b661a82c8f7p-6", "0x1.eb88e67f40649p-6"),
+    (0.25, 0.3, 0.1314047333665419, 1, "0x1.fd70a3d70a3d7p-1", "0x1.79b95585b741cp-2"),
+    (0.25, 0.3, 0.1314047333665419, 2, "0x1.fd70a3d70a3d7p-1", "0x1.66cd80ea6d812p-2"),
+    (0.25, 0.3, 0.1314047333665419, 7, "0x1.fd70a3d70a3d7p-1", "0x1.4e7ad8c331a7cp-2"),
+    (0.25, 0.3, 0.1314047333665419, 64, "0x1.34e54104f6eb5p-3", "0x1.1a433e8a60f64p-2"),
+    (0.25, 0.3, 0.1314047333665419, 65, "0x1.34c2df86be5aep-3", "0x1.19a2ffc0abe70p-2"),
+    (0.25, 0.3, 0.1314047333665419, 200, "0x1.08f2a72528f73p-3", "0x1.c7bc722b2774cp-3"),
+    (0.25, 0.3, 0.1314047333665419, 257, "0x1.0431a60b8593bp-3", "0x1.abfbc2cc8e1e0p-3"),
+    (0.25, 0.3, 0.1314047333665419, 600, "0x1.f3694c78dff64p-4", "0x1.51a24ae641341p-3"),
+    (0.25, 0.3, 0.1314047333665419, 1000, "0x1.ed119bd4630eap-4", "0x1.29d578e6efa7ep-3"),
+    (0.4, 0.5, 0.2, 1, "0x1.fd70a3d70a3d7p-1", "0x1.01bf297ea50adp-1"),
+    (0.4, 0.5, 0.2, 2, "0x1.fd70a3d70a3d7p-1", "0x1.d950c83fb72ebp-2"),
+    (0.4, 0.5, 0.2, 7, "0x1.c1797a9dde80bp-2", "0x1.7da5ef5eb560cp-2"),
+    (0.4, 0.5, 0.2, 64, "0x1.182750ca7c683p-3", "0x1.b608bd9051062p-3"),
+    (0.4, 0.5, 0.2, 65, "0x1.167f19585c007p-3", "0x1.b4e63cc8317a6p-3"),
+    (0.4, 0.5, 0.2, 200, "0x1.daad20881eed8p-4", "0x1.99bb60c3af265p-3"),
+    (0.4, 0.5, 0.2, 257, "0x1.d15e2e32a164dp-4", "0x1.999d5c9d71c56p-3"),
+    (0.4, 0.5, 0.2, 600, "0x1.bd4a6f554c0a4p-4", "0x1.9999999a2431cp-3"),
+    (0.4, 0.5, 0.2, 1000, "0x1.b70b62af49f51p-4", "0x1.999999999999ap-3"),
+    (0.5, 0.5, 0.13, 1, "0x1.fd70a3d70a3d7p-1", "0x1.ffeb1338d30dap-2"),
+    (0.5, 0.5, 0.13, 2, "0x1.fd70a3d70a3d7p-1", "0x1.04538ef34d6a2p-1"),
+    (0.5, 0.5, 0.13, 7, "0x1.b796ac9dfd130p-2", "0x1.a7235c0c5669cp-2"),
+    (0.5, 0.5, 0.13, 64, "0x1.275c28f5c28f6p-3", "0x1.5f502c930b1bap-2"),
+    (0.5, 0.5, 0.13, 65, "0x1.22f939d10db4bp-3", "0x1.5c9df8dc443f8p-2"),
+    (0.5, 0.5, 0.13, 200, "0x1.fb15b573eab36p-4", "0x1.0b7892268f352p-2"),
+    (0.5, 0.5, 0.13, 257, "0x1.fd9bfd9bfd9c1p-4", "0x1.f7e48087cd720p-3"),
+    (0.5, 0.5, 0.13, 600, "0x1.e6cf41f212d78p-4", "0x1.6b5a055955ea8p-3"),
+    (0.5, 0.5, 0.13, 1000, "0x1.deb313be22e5fp-4", "0x1.32062c58e5713p-3"),
+]
+
+
+@pytest.mark.parametrize("p,rate,d0,n,os_hex,rr_hex", _PINNED)
+def test_bounds_pinned_bit_for_bit(p, rate, d0, n, os_hex, rr_hex):
+    assert bns.upper_bound_os(n, rate, p, 0.01).value.hex() == os_hex
+    assert bns.upper_bound_rr(n, rate, p, d0).hex() == rr_hex
+
+
+@pytest.mark.parametrize("n,os_hex,rr_hex", [
+    (20000, "0x1.d3586ca89fc6ep-4", "0x1.04b861d2523e0p-3"),
+    (60000, "0x1.d2df505d0fa59p-4", "0x1.04b861d252024p-3"),
+])
+def test_bss_bounds_pinned_bit_for_bit(n, os_hex, rr_hex):
+    assert bss.upper_bound_os(n, 0.5, 0.01).value.hex() == os_hex
+    assert bss.upper_bound_rr(n, 0.5, 0.45).hex() == rr_hex
 
 
 @pytest.mark.parametrize("n", [600, 920, 1300])

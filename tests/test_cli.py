@@ -292,17 +292,24 @@ def test_curve_gauss_cells_match_direct_calls(tmp_path):
         assert row == want
 
 
-def test_import_loads_no_heavy_scipy_modules():
-    # rdflb imports only scipy.special; the optimizers, integrators and
-    # distributions stay out of every CLI start (tests may use them as oracles)
-    code = (
-        "import sys, rdflb, rdflb.cli; "
-        "print(' '.join(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats') if m in sys.modules))"
-    )
+def _loaded_at_import(*modules):
+    """The modules among ``modules`` that a fresh ``import rdflb, rdflb.cli`` loads."""
+    code = f"import sys, rdflb, rdflb.cli; print(' '.join(m for m in {modules!r} if m in sys.modules))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    # rdflb imports only scipy.special; the optimizers, integrators and
+    # distributions stay out of every CLI start (tests may use them as oracles)
+    assert _loaded_at_import("scipy.optimize", "scipy.integrate", "scipy.stats") == ""
+
+
+def test_import_loads_no_multiprocessing():
+    # only a curve with --jobs > 1 and more than one row starts a process pool
+    assert _loaded_at_import("multiprocessing", "concurrent.futures.process") == ""
 
 
 VALIDATE_BSS = ["validate", "bss", "--n", "8", "--rate", "0.5", "--trials", "2000", "--codebooks", "2"]

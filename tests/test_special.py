@@ -44,6 +44,29 @@ def test_inverse_entropy_residual(h):
     assert abs(sp.binary_entropy(q) - h) <= 1e-12
 
 
+def test_inverse_entropy_tiny_entropies():
+    # a fixed 100 halvings of [0, 1/2] cannot resolve q below 2^-101: at
+    # h = 1e-30 they returned q = 1.97e-31, where H(q) = 2.0e-29
+    for h in np.logspace(-300, 0, 601).tolist():
+        q = sp.inverse_binary_entropy(h)
+        assert abs(sp.binary_entropy(q) / h - 1.0) <= 1e-13
+
+
+def test_inverse_entropy_matches_the_fixed_halvings_for_normal_h():
+    def hundred_halvings(h):
+        lo, hi = 0.0, 0.5
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if sp.binary_entropy(mid) < h:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    for h in (*np.logspace(-10, -1, 91).tolist(), *np.linspace(0.01, 0.99, 99).tolist(), 1.0 - 1e-9):
+        assert sp.inverse_binary_entropy(h) == hundred_halvings(h)
+
+
 # ---------------------------------------------------------------------------
 # incomplete gamma / chi-squared
 # ---------------------------------------------------------------------------
