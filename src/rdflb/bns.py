@@ -2,8 +2,9 @@
 
 This module owns every binary bound of a Bernoulli(p) source, p <= 1/2:
 the rearrangement lower bound and the ordered-statistics (OS) and
-reference-rate (RR) upper bounds; ``bss`` reads all three from here at
-p = 1/2.
+reference-rate (RR) upper bounds.  ``bss`` reads the two upper bounds
+from here at p = 1/2; its lower bound is the closed-form sum, a second
+route to this one's.
 
 The lower bound serves the source words in decreasing probability order
 (weight ascending) from the codewords' distance slots, nearest first, and

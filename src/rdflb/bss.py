@@ -1,16 +1,20 @@
 """Finite-blocklength distortion bounds for the binary symmetric source.
 
-The sphere-covering lower bound and the OS and RR upper bounds are the
-``bns`` bounds at p = 1/2, where every source word is equally likely: the
-lower bound serves the words in any order, and the upper bounds evaluate
-one weight class, exactly.  This module adds the legacy reference-rate
-curve, a comparison that bns has no analogue of.
+The sphere-covering lower bound is the paper's closed-form sum over the
+distances that leave words unserved: every source word is equally likely,
+so it needs no weight classes, and it is a second route to ``bns.lower_bound``
+at p = 1/2.  The OS and RR upper bounds are the ``bns`` bounds at p = 1/2,
+which evaluate one weight class, exactly.  This module adds the legacy
+reference-rate curve, a comparison that bns has no analogue of.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import bns
 from .bns import OrderedStatsBound, hamming_ball_threshold
+from .logdomain import _log_factorials
 from .special import inverse_binary_entropy
 
 __all__ = [
@@ -26,11 +30,20 @@ __all__ = [
 def lower_bound(n: int, rate: float) -> float:
     """Sphere-covering lower bound on the size-2**(nR) quantizer distortion.
 
-    Each codeword serves at most C(n,i) words at distance i, so the mean
-    distance is at least that of the words served nearest first:
-    ``bns.lower_bound`` at p = 1/2.
+    Each of the Q = 2**(nR) codewords serves at most C(n,i) words at
+    distance i, so E[d] >= (1/n) sum_t (1 - Q V(t) 2**-n) over the t with
+    Q V(t) < 2**n, where V(t) = sum_{i<=t} C(n,i).  Those t end before the
+    first column with Q C(n,t) > 2**n (``bns._first_over``), so only that
+    prefix of the running log sum is built.  The same quantity as
+    ``bns.lower_bound`` at p = 1/2, by another route.
     """
-    return bns.lower_bound(n, rate, 0.5)
+    bns._check(n, rate, 0.5)
+    g = _log_factorials(n)
+    log_q, log_words = n * rate * bns._LN2, n * bns._LN2
+    j = np.arange(bns._first_over(n, 0.5, g, -log_q) + 1)
+    served = np.logaddexp.accumulate(g[n] - g[j] - g[n - j]) + log_q  # ln Q V(t)
+    served = served[served < log_words]
+    return float(-np.expm1(served - log_words).sum() / n)
 
 
 def upper_bound_os(n: int, rate: float, eps: float) -> OrderedStatsBound:

@@ -4,8 +4,8 @@ Everything that can overflow or underflow a double (codebook sizes
 2**(n*R), binomial masses, product pmfs) is carried as its natural
 logarithm, in plain floats and arrays.  Exact zero is encoded as -inf.
 This module holds the reductions over such logs (``logsumexp``,
-``log_diff``) and the log binomial coefficients.  Every binomial row of
-one blocklength reads one ln j! table, cached per process and read-only:
+``log_diff``) and the log binomial coefficients.  Every binomial row reads
+one ln j! table, grown per process as the blocklength grows and read-only:
 the bounds share it, and a caller that writes into it fails at once.
 """
 
@@ -71,16 +71,25 @@ def log_binomial(n: int, k: int) -> float:
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
+# ln j! for j < _LOG_FACT.size: grown by _log_factorials, never rebuilt, read-only
+_LOG_FACT = np.empty(0)
+
+
 @lru_cache(maxsize=1)
 def _log_factorials(m: int) -> np.ndarray:
     """ln j! for j = 0..m (shared and read-only).
 
-    A curve asks for one blocklength at a time, and every bound at that n
-    reads the same table, so a cache of one table builds it once per n.
+    One table serves every blocklength: a larger m extends it with the new
+    entries only (``gammaln`` works entry by entry, so they are the values a
+    fresh table would hold), and a smaller one reads its prefix.  A curve
+    asks for one blocklength at a time, and every bound at that n reads the
+    same prefix, so a cache of one view hands it out once per n.
     """
-    g = gammaln(np.arange(1, m + 2))
-    g.flags.writeable = False
-    return g
+    global _LOG_FACT
+    if _LOG_FACT.size <= m:
+        _LOG_FACT = np.concatenate([_LOG_FACT, gammaln(np.arange(_LOG_FACT.size + 1, m + 2))])
+        _LOG_FACT.flags.writeable = False
+    return _LOG_FACT[: m + 1]
 
 
 def log_binomial_row(m: int) -> np.ndarray:

@@ -184,12 +184,13 @@ def test_block_scan_of_the_single_half_class():
 
 @pytest.mark.parametrize("n,os_value,threshold,rr_value,lower", [
     (20000, 0.114098, 2204, 0.12730480597590965, 0.11013803124860069),
-    (40000, 0.11402375, 4405, 0.12730480597588312, 0.11008932190553801),
-    (60000, 0.1139825, 6605, 0.12730480597588312, 0.11006866807827488),
+    (40000, 0.11402375, 4405, 0.12730480597588312, 0.11008932190553809),
+    (60000, 0.1139825, 6605, 0.12730480597588312, 0.11006866807827645),
 ])
 def test_bss_bounds_pinned_at_large_n(n, os_value, threshold, rr_value, lower):
-    # the values of the class w = 0 taken through the convolution and the
-    # floor: its one part, read directly, must give the same
+    # OS and RR: the values of the class w = 0 taken through the convolution
+    # and the floor, which its one part, read directly, must give; lower: the
+    # closed-form sum, within 6e-15 of the exact one (tests/test_bss.py)
     r = bss.upper_bound_os(n, 0.5, 0.01)
     assert (r.value, r.threshold) == (os_value, threshold)
     assert bss.upper_bound_rr(n, 0.5, 0.45) == pytest.approx(rr_value, rel=1e-15, abs=0)

@@ -1,11 +1,13 @@
 import csv
 import math
 from fractions import Fraction
+from functools import cache
 from math import comb
 
+import numpy as np
 import pytest
 
-from rdflb import bss
+from rdflb import bns, bss, logdomain
 from rdflb.cli import main
 from rdflb.ratedistortion import BinarySymmetricSource, solve
 
@@ -75,17 +77,19 @@ def test_lower_bound_vs_bigint_oracle(n, rate):
     assert bss.lower_bound(n, rate) == pytest.approx(want, rel=1e-11)
 
 
+@cache
 def exact_lower_half_rate(n):
     """(1/(n 2^n)) sum_t max(0, 2^n - Q sum_{i<=t} C(n, i)) at R = 1/2, even n,
     in big integers: Q = 2^(n/2) codewords serve at most Q C(n, i) words at
     distance i, and the mean distance is the sum over t of the share of
     words not served within distance t."""
-    q, total, served, unserved = 2 ** (n // 2), 2**n, 0, 0
+    q, total, served, unserved, c = 2 ** (n // 2), 2**n, 0, 0, 1
     for i in range(n + 1):
-        served += q * comb(n, i)
+        served += q * c
         if served >= total:
             break
         unserved += total - served
+        c = c * (n - i) // (i + 1)  # C(n, i + 1)
     return Fraction(unserved, n * total)
 
 
@@ -96,6 +100,31 @@ def test_lower_bound_vs_exact_sum_large_n():
         assert bss.lower_bound(n, 0.5) == pytest.approx(float(exact_lower_half_rate(n)), rel=1e-14, abs=0), n
 
 
+# the exact sums at the bss-curve benchmark's blocklengths
+EXACT_LARGE_N = {20000: 0.11013803124860073, 40000: 0.11008932190553762, 60000: 0.11006866807827581}
+
+
+def test_closed_form_vs_exact_sum_at_the_benchmark_blocklengths():
+    for n, want in EXACT_LARGE_N.items():
+        assert float(exact_lower_half_rate(n)) == want
+        assert bss.lower_bound(n, 0.5) == pytest.approx(want, rel=1e-14, abs=0), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 100, 257, 2000])
+def test_closed_form_vs_the_bns_route(n):
+    # the small rates run the served prefix past n/2
+    for rate in (0.01, 0.1, 0.25, 0.5, 0.75, 0.99):
+        assert bss.lower_bound(n, rate) == pytest.approx(bns.lower_bound(n, rate, 0.5), rel=1e-13, abs=0), rate
+
+
+def test_closed_form_does_not_go_through_bns(monkeypatch):
+    def route(*args):
+        raise AssertionError("bss.lower_bound called bns.lower_bound")
+
+    monkeypatch.setattr(bns, "lower_bound", route)
+    assert bss.lower_bound(10, 0.5) == pytest.approx(0.1625, abs=1e-12)
+
+
 def test_printed_lower_bound_never_exceeds_the_exact_sum(tmp_path):
     # the float errs with either sign by about 1e-14, but the CLI rounds a
     # lower bound down to 10 digits, so the printed value stays valid
@@ -104,6 +133,34 @@ def test_printed_lower_bound_never_exceeds_the_exact_sum(tmp_path):
     rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:]))
     assert len(rows) == 20
     assert [r["n"] for r in rows if Fraction(r["lower"]) > exact_lower_half_rate(int(r["n"]))] == []
+
+
+def test_printed_lower_bound_stays_valid_at_the_benchmark_blocklengths(tmp_path):
+    # the float sits up to about 6e-15 above the exact sum here: only the
+    # CLI's floor to 10 digits keeps the printed value a lower bound
+    out = tmp_path / "bss.csv"
+    assert main(["curve", "bss", "--rate", "0.5", "--n", "20000:60000:20000", "--jobs", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:]))
+    assert [int(r["n"]) for r in rows] == list(EXACT_LARGE_N)
+    assert [r["n"] for r in rows if Fraction(r["lower"]) > exact_lower_half_rate(int(r["n"]))] == []
+
+
+def test_bss_curve_work_stays_down(monkeypatch, tmp_path):
+    # the bss-curve benchmark's ln j! work from a cleared table: one table
+    # grown to n = 60000 takes 60,001 gammaln lanes, where one table per
+    # blocklength took 120,003
+    gammaln, lanes = logdomain.gammaln, [0]
+
+    def counted(x):
+        lanes[0] += np.size(x)
+        return gammaln(x)
+
+    monkeypatch.setattr(logdomain, "gammaln", counted)
+    monkeypatch.setattr(logdomain, "_LOG_FACT", np.empty(0))
+    logdomain._log_factorials.cache_clear()
+    assert main(["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--ref-rate", "0.45", "--legacy-eps", "0.0485",
+                 "--n", "20000:60000:20000", "--jobs", "1", "--out", str(tmp_path / "bss.csv")]) == 0
+    assert 0 < lanes[0] <= 60001
 
 
 def test_lower_bound_small_n_sane():

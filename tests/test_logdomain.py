@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import gammaln
 
 from rdflb.logdomain import LOG_ZERO, _log_factorials, log_binomial, log_binomial_row, log_diff, logsumexp
 
@@ -127,6 +128,15 @@ def test_log_factorial_table_is_shared_and_read_only():
     with pytest.raises(ValueError):
         g += 1.0
     assert g[10] == pytest.approx(math.lgamma(11.0), rel=1e-15, abs=0)
+
+
+def test_log_factorial_table_grows_to_the_values_of_a_fresh_one():
+    # a larger m extends the one table and a smaller one reads its prefix;
+    # gammaln works entry by entry, so every order gives a fresh table's bits
+    for m in (7, 3000, 20, 5000, 0, 5001):
+        g = _log_factorials(m)
+        assert g.size == m + 1 and not g.flags.writeable
+        assert g.tobytes() == gammaln(np.arange(1, m + 2)).tobytes()
 
 
 def test_binomial_row_is_a_fresh_writable_array():
