@@ -32,6 +32,7 @@ from .simulate import (
     BudgetError,
     Codebook,
     ExperimentConfig,
+    _check_mc_budget,
     _chunk_rng,
     _region_sums,
     mc_mean_distortion,
@@ -206,9 +207,10 @@ def cmd_validate(args) -> int:
         raise BudgetError(f"n={args.n} exceeds the exact-enumeration budget ({_ENUM_LIMIT})")
     sol = solve(source, args.rate)
     eps = 0.01
+    cfg = ExperimentConfig(source, args.n, args.rate, args.trials, args.seed)
+    _check_mc_budget(cfg)  # before the bounds, so an over-budget run is refused at once
     task = dict(family=args.family, n=args.n, rate=args.rate, p=args.p, eps=[eps], ref_rate=[], legacy_eps=None)
     (_, lower_side, lower, _), (_, upper_side, upper, _) = _bounds(task)
-    cfg = ExperimentConfig(source, args.n, args.rate, args.trials, args.seed)
     mean, se = mc_mean_distortion(cfg)
     lines = [
         f"source={args.family}",

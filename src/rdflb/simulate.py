@@ -77,7 +77,13 @@ __all__ = [
 _LN2 = math.log(2.0)
 _CHUNK = 4096
 _ENUM_LIMIT = 24
-_SLICE = 128  # codebooks drawn and compared at once by the Monte Carlo
+# Codebooks drawn and compared at once by the Monte Carlo. Time a larger slice
+# in fresh interpreters, not in one process: at n = 20, Q = 64 and 100 000
+# trials on a 2-vCPU VM, 512 rows took about 57 000 minor page faults and
+# 0.10-0.14 s of system time per run, against about 100 faults and no system
+# time at 128 rows, because glibc hands freed blocks that large back to the OS
+# and the next slice faults them in again.
+_SLICE = 128
 _MC_BUDGET = 2_000_000_000  # Q * trials * n element operations
 _TIE_KEY = 2**33  # tie-stream key offset: above every chunk index and the 2**32 key of `rdflb validate`
 
@@ -126,12 +132,17 @@ class ExperimentConfig:
 
     @property
     def codebook_size(self) -> int:
-        """floor(2**(nR)); nR within 1e-9 (relative) of an integer counts as that integer."""
+        """floor(2**(nR)); nR within 1e-9 (relative) of an integer counts as that integer.
+
+        Otherwise it is the floor of 2**floor(nR) times the double 2**frac(nR),
+        whose 53 digits are shifted as an integer, so that no nR overflows.
+        """
         e = self.n * self.rate
         k = round(e)
         if k >= 0 and abs(e - k) <= 1e-9 * max(1, k):
             return 1 << k
-        return math.floor(2.0**e)
+        k = math.floor(e)
+        return (int(2.0 ** (e - k) * 2**52) << k) >> 52 if k >= 0 else 0
 
 
 def _word_layout(n: int) -> tuple[int, np.dtype]:
@@ -291,25 +302,44 @@ def _raw_bytes(rng, shape: tuple[int, ...], per_word: int) -> np.ndarray:
     return raw[:, :per_row].reshape(*shape, per_word)
 
 
+def _pad_lanes(rows: int, n: int) -> np.ndarray:
+    """rows zero-padded words of 8 * width bool lanes, the buffer `_draw_bits` packs from."""
+    return np.zeros((rows, 8 * _word_layout(n)[0]), dtype=bool)
+
+
 def _flat_true(mask: np.ndarray) -> np.ndarray:
     """C-order flat indices of the True entries of a contiguous bool array.
 
-    A sparse mask is scanned 8 entries per uint64 word, and only the nonzero
-    words are split into entries.
+    A sparse mask, such as the lanes tied on their raw byte (one in 256),
+    is scanned 8 entries per uint64 word, and only the nonzero words are
+    split into entries; the indices come out ascending, which is the order
+    in which the tied lanes draw from the tie stream.
     """
     flat = mask.reshape(-1)
     head = flat.size - flat.size % 8
     words = flat[:head].view(np.uint64)
-    hit = np.flatnonzero(words != 0)
-    lanes = np.flatnonzero(words[hit].view(bool))
-    return np.concatenate([hit[lanes >> 3] * 8 + (lanes & 7), head + np.flatnonzero(flat[head:])])
+    hit = np.nonzero(words != 0)[0]
+    lanes = np.nonzero(words[hit].view(bool))[0]
+    found = hit[lanes >> 3] * 8 + (lanes & 7)
+    if head == flat.size:
+        return found
+    return np.concatenate([found, head + np.nonzero(flat[head:])[0]])
 
 
-def _draw_bits(rng, tie_rng, law: _BitLaw, shape: tuple[int, ...], n: int) -> np.ndarray:
+def _draw_bits(rng, tie_rng, law: _BitLaw, shape: tuple[int, ...], n: int,
+               pad: np.ndarray | None = None) -> np.ndarray:
     """Bernoulli words of length n, machine words of shape (*shape, words).
 
-    Lanes tied on their raw byte are settled from tie_rng (see the module
-    docstring).
+    The draw keeps the stream contract of the module docstring, and every
+    word equals the lane-by-lane draw. For p not in {0, 1/2} each stage is
+    one pass: the raw bytes are compared with law.cut into contiguous
+    (*shape, n) lanes; the tied lanes, found at ascending flat indices (C
+    order), are settled from tie_rng and written at those indices; unless n
+    fills its machine words (n = 8, 16, 32 or a multiple of 64), each word's
+    n lanes are copied at once into the zero-padded rows of `pad`; and the
+    lanes are packed little-endian. `pad` holds at least prod(shape) rows of
+    8 * width bools, False from lane n on; those lanes are never written, so
+    one buffer serves every draw of a run. It is allocated when None.
     """
     width, dt = _word_layout(n)
     if law.tail.size == 0 and law.cut in (0, 128):
@@ -321,27 +351,38 @@ def _draw_bits(rng, tie_rng, law: _BitLaw, shape: tuple[int, ...], n: int) -> np
                 res[..., nb - 1] &= (1 << n % 8) - 1
         return res.view(dt)
     raw = _raw_bytes(rng, shape, n)
-    # 8 * width lanes per word, of which n hold coordinates and the rest stay False
-    lanes = np.zeros((*shape, 8 * width), dtype=bool)
-    np.less(raw, law.cut, out=lanes[..., :n])
+    lanes = np.less(raw, law.cut)
     if law.tail.size:
         tied = _flat_true(raw == law.cut)
         u = tie_rng.random((tied.size, law.tail.size)) * 2.0**53
-        # the first digit group that differs from p's decides; if none does, U >= p
-        below = np.zeros(tied.size, dtype=bool)
-        for j in reversed(range(law.tail.size)):
+        # the first digit group that differs from p's decides, and U >= p where all agree:
+        # the last group is one compare, and each earlier group overrides it where it differs
+        below = u[:, -1] < law.tail[-1]
+        for j in reversed(range(law.tail.size - 1)):
             below = np.where(u[:, j] != law.tail[j], u[:, j] < law.tail[j], below)
-        lanes.reshape(-1)[tied // n * (8 * width) + tied % n] = below
+        lanes.reshape(-1)[tied] = below
+    if n < 8 * width:
+        rows = lanes.size // n
+        pad = _pad_lanes(rows, n) if pad is None else pad[:rows]
+        # one n-byte void item per word: a copy of short bool rows pays per row
+        pad[:, :n].view(f"V{n}")[...] = lanes.reshape(rows, n).view(f"V{n}")
+        lanes = pad
     return np.packbits(lanes.reshape(-1), bitorder="little").view(dt).reshape(*shape, -1)
+
+
+def _check_mc_budget(cfg: ExperimentConfig) -> None:
+    """Raise BudgetError if cfg's Monte Carlo takes more than _MC_BUDGET element operations, Q * trials * n."""
+    pairs = cfg.codebook_size * cfg.trials * cfg.n
+    if pairs > _MC_BUDGET:
+        raise BudgetError(f"Q*trials*n = 2**{math.log2(pairs):.2f} exceeds the MC budget of {_MC_BUDGET}")
 
 
 def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
     """Sample mean and standard error of the nearest-codeword distortion
     over independently drawn (source word, codebook) pairs."""
+    _check_mc_budget(cfg)
     q = cfg.codebook_size
     n = cfg.n
-    if q * cfg.trials * n > _MC_BUDGET:
-        raise BudgetError(f"Q*trials*n = {q * cfg.trials * n} exceeds the MC budget")
     gaussian = isinstance(cfg.source, GaussianSource)
     fixed = cfg.codebook_law == "fixed"
     if fixed and cfg.codebook.n != n:
@@ -363,6 +404,8 @@ def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
         else:
             y_law = _bit_law(0.5)
     chunk = max(1, min(_CHUNK, _MC_BUDGET // max(1, q * n)))
+    if not gaussian:  # one buffer for every binary draw: a chunk's source words, then a slice's codebooks
+        pad = _pad_lanes(max(chunk, 0 if fixed else min(chunk, _SLICE) * q), n)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -374,7 +417,7 @@ def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
             x = rng.normal(0.0, math.sqrt(cfg.source.sigma2), size=(m, n))
         else:
             tie_rng = _chunk_rng(cfg.seed, c + _TIE_KEY)
-            x = _draw_bits(rng, tie_rng, x_law, (m,), n)
+            x = _draw_bits(rng, tie_rng, x_law, (m,), n, pad)
         d = np.empty(m)
         # rejection redraws follow the whole chunk's draws, so that path keeps whole chunks
         r = m if gaussian and cfg.rm is not None else _SLICE
@@ -385,7 +428,7 @@ def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
             elif gaussian:
                 y = _draw_gaussian_codebooks(rng, xs.shape[0], q, n, std, cfg.rm)
             else:
-                y = _draw_bits(rng, tie_rng, y_law, (xs.shape[0], q), n)
+                y = _draw_bits(rng, tie_rng, y_law, (xs.shape[0], q), n, pad)
             if gaussian:
                 dist = ((xs - y) ** 2).sum(axis=2)
             else:

@@ -359,6 +359,62 @@ def test_validate_errors_exit_with_their_code(capsys, argv, code):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_validate_refuses_a_fractional_nr_past_the_double_range_at_once(monkeypatch, capsys):
+    # nR = 1200.6: 2.0**nR overflows a double, and the MC budget refuses the run before any bound runs
+    monkeypatch.setattr("rdflb.cli._bounds", lambda task: pytest.fail("bounds ran before the budget check"))
+    assert main(["validate", "bns", "--p", "0.25", "--n", "2001", "--rate", "0.6", "--trials", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Q*trials*n = 2**") and captured.err.count("\n") == 1
+    assert "exceeds the MC budget" in captured.err
+
+
+# the benchmark's validate steps at seed 1, whole
+BENCH_VALIDATE = {
+    "bns": (["--p", "0.25", "--n", "20", "--rate", "0.3", "--trials", "100000"], """\
+source=bns
+n=20
+rate=0.3
+trials=100000
+seed=1
+eps=0.01
+asymptote=0.113801878
+lower=0.1211031641
+mc_mean=0.155028
+mc_stderr=0.0002102573048
+upper_os=0.2194941939
+sandwich_pass=true
+pass=true
+"""),
+    "bss": (["--n", "16", "--rate", "0.5", "--trials", "20000", "--codebooks", "1"], """\
+source=bss
+n=16
+rate=0.5
+trials=20000
+seed=1
+eps=0.01
+asymptote=0.1100278644
+lower=0.1496582031
+mc_mean=0.162228125
+mc_stderr=0.0003154784797
+upper_os=0.2525000001
+sandwich_pass=true
+identity_max_residual=1.249000903e-16
+thm4_margin=1.428989967
+identity_pass=true
+thm4_pass=true
+pass=true
+"""),
+}
+
+
+@pytest.mark.parametrize("family", BENCH_VALIDATE)
+def test_validate_prints_the_pinned_benchmark_run(capsys, family):
+    argv, want = BENCH_VALIDATE[family]
+    assert main(["validate", family, *argv, "--seed", "1"]) == 0
+    assert capsys.readouterr().out == want
+
+
 PLOT_CSV = """# params: family=bss
 n,asymptote,lower,upper_os_0.01,flags
 100,0.11,0.118,0.15,

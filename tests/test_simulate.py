@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -148,6 +149,24 @@ def test_codebook_size_is_the_floor_of_two_to_the_nr():
         ExperimentConfig(source=BSS, n=4, rate=-0.5, trials=1, seed=0)
 
 
+def test_codebook_size_is_finite_past_the_double_range():
+    # nR = 1200.6 overflows 2.0**nR; the size is the 53-digit 2**frac(nR) shifted left by 1200
+    cfg = ExperimentConfig(source=BNS, n=2001, rate=0.6, trials=10, seed=0)
+    q = cfg.codebook_size
+    assert q.bit_length() == 1201
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(q) / mpmath.power(2, mpmath.mpf(2001 * 0.6)) - 1) <= 2.0**-52
+    with pytest.raises(BudgetError, match="MC budget"):
+        mc_mean_distortion(cfg)
+
+
+def test_mc_refuses_a_run_over_the_budget():
+    # Q * trials * n is 64 * 10**6 * 20 = 1.28e9 within the budget of 2e9, and 2.56e10 past it
+    simulate._check_mc_budget(ExperimentConfig(source=BNS, n=20, rate=0.3, trials=10**6, seed=0))
+    with pytest.raises(BudgetError, match="MC budget"):
+        mc_mean_distortion(ExperimentConfig(source=BNS, n=20, rate=0.3, trials=2 * 10**7, seed=0))
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_mc_fixed_codebook_matches_enumeration(seed):
     cfg = ExperimentConfig(trials=5000, seed=seed, **MC_CASES["fixed"][0])
@@ -210,11 +229,15 @@ def _reference_bits(p, shape, n, seed=3):
 def test_packed_bits_match_lane_by_lane_reference(p):
     law = simulate._bit_law(p)
     # 7 words per row, so no row of 13, 20 or 70 raw bytes per word fills whole raw words
-    for n in (13, 20, 70):
+    cases = [((40, 7), n) for n in (13, 20, 70)]
+    # n that fill their machine words, packed without padding: rows of 8 words fill whole
+    # raw words at every p, and rows of 7 words of 1, 2 or 4 bytes at p = 1/2 do not
+    cases += [(shape, n) for n in (8, 16, 32, 64, 128) for shape in ((40, 8), (40, 7))]
+    for shape, n in cases:
         rng, tie = _streams()
-        got = simulate._draw_bits(rng, tie, law, (40, 7), n)
-        want, ties = _reference_bits(p, (40, 7), n)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = simulate._draw_bits(rng, tie, law, shape, n)
+        want, ties = _reference_bits(p, shape, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (shape, n)
         assert (ties > 0) == (law.tail.size > 0)
 
 
