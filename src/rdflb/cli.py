@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -87,49 +88,49 @@ def _source(args):
 # curve
 # ---------------------------------------------------------------------------
 
-def _bounds(task: dict):
-    """Yield (column, side, value, degenerate) for every bound of one row.
+def _bounds(args, n: int):
+    """Yield (column, side, value, degenerate) for every bound of row ``n`` of ``args``.
 
     Each codebook class's lower bound comes before its upper bounds.  bss
     rows call the bss functions, which are bns at p = 1/2.
     """
-    n, rate, p = task["n"], task["rate"], task["p"]
-    if task["family"] == "gauss":
-        variants = [(f"a{a:g}", math.sqrt(a * n)) for a in task["alpha"]]
-        if task["unbounded"] or not variants:
+    rate, p = args.rate, args.p
+    if args.family == "gauss":
+        variants = [(f"a{a:g}", math.sqrt(a * n)) for a in args.alpha or []]
+        if args.unbounded or not variants:
             variants.append(("unbounded", None))
         for tag, rm in variants:
-            inp = gauss.GaussBoundInput(n, rate, task["sigma2"], rm=rm, delta=task["delta"])
+            inp = gauss.GaussBoundInput(n, rate, args.sigma2, rm=rm, delta=args.delta)
             yield f"lower_{tag}", "lower", gauss.lower_bound(inp), False
             upper_os = gauss.upper_bound_unbounded if rm is None else gauss.upper_bound_bounded
-            for eps in task["eps"]:
+            for eps in args.eps or []:
                 r = upper_os(dataclasses.replace(inp, eps=eps))
                 yield f"upper_os_{eps:g}_{tag}", "upper", r.value, r.degenerate
         return
-    sym = task["family"] == "bss"
+    sym = args.family == "bss"
     yield "lower", "lower", bss.lower_bound(n, rate) if sym else bns.lower_bound(n, rate, p), False
-    for eps in task["eps"]:
+    for eps in args.eps or []:
         r = bss.upper_bound_os(n, rate, eps) if sym else bns.upper_bound_os(n, rate, p, eps)
         yield f"upper_os_{eps:g}", "upper", r.value, r.degenerate
-    for r0 in task["ref_rate"]:
+    for r0 in args.ref_rate or []:
         d0 = None if sym else inverse_binary_entropy(binary_entropy(p) - r0)
         v = bss.upper_bound_rr(n, rate, r0) if sym else bns.upper_bound_rr(n, rate, p, d0)
         yield f"upper_rr_{r0:g}", "upper", v, False
-    if task["legacy_eps"] is not None:
-        for r0 in task["ref_rate"]:
-            yield f"upper_legacy_{r0:g}", "upper", bss.upper_bound_legacy(n, rate, r0, task["legacy_eps"]), False
+    if args.legacy_eps is not None:
+        for r0 in args.ref_rate:
+            yield f"upper_legacy_{r0:g}", "upper", bss.upper_bound_legacy(n, rate, r0, args.legacy_eps), False
 
 
-def _curve_row(task: dict) -> tuple[dict, list[str]]:
+def _curve_row(args, dstar: float, n: int) -> tuple[dict, list[str]]:
     """One CSV row (run in a worker process when --jobs > 1): printed cells by column, and flags.
 
     An upper bound is flagged if degenerate, or else if it lies more than 1e-9
     below its class's lower bound.  A ValueError is re-raised with the row's n.
     """
-    row = {"n": str(task["n"]), "asymptote": _fmt(task["dstar"])}
+    row = {"n": str(n), "asymptote": _fmt(dstar)}
     flags: list[str] = []
     try:
-        for col, side, value, degenerate in _bounds(task):
+        for col, side, value, degenerate in _bounds(args, n):
             row[col] = _fmt(value, side)
             if side == "lower":
                 lower = value
@@ -138,7 +139,7 @@ def _curve_row(task: dict) -> tuple[dict, list[str]]:
             elif lower > value + 1e-9:
                 flags.append(f"cross_{col}")
     except ValueError as exc:
-        raise ValueError(f"n={task['n']}: {exc}") from exc
+        raise ValueError(f"n={n}: {exc}") from exc
     return row, flags
 
 
@@ -150,35 +151,21 @@ def cmd_curve(args) -> int:
         raise ValueError("--legacy-eps applies to the bss family only")
     if args.legacy_eps is not None and not args.ref_rate:
         raise ValueError("--legacy-eps needs --ref-rate")
+    if args.family == "gauss" and args.ref_rate:
+        raise ValueError("--ref-rate applies to the bss and bns families only")
     if args.family != "gauss" and (args.alpha or args.unbounded):
         raise ValueError("--alpha/--unbounded apply to the gauss family only")
     if args.alpha and min(args.alpha) <= 0:
         raise ValueError(f"--alpha must be > 0, got {min(args.alpha):g}")
 
-    source = _source(args)
-    task_base = {
-        "family": args.family,
-        "rate": args.rate,
-        "p": args.p,
-        "sigma2": args.sigma2,
-        "delta": args.delta,
-        "eps": args.eps or [],
-        "ref_rate": args.ref_rate or [],
-        "legacy_eps": args.legacy_eps,
-        "alpha": args.alpha or [],
-        "unbounded": args.unbounded,
-        "dstar": solve(source, args.rate).dstar,
-    }
-
-    tasks = [dict(task_base, n=n) for n in ns]
-
+    row_at = functools.partial(_curve_row, args, solve(_source(args), args.rate).dstar)
     jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1 and len(ns) > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial curve never loads multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_curve_row, tasks))
+            results = list(pool.map(row_at, ns))
     else:
-        results = [_curve_row(t) for t in tasks]
+        results = [row_at(n) for n in ns]
 
     if any(flags for _, flags in results):
         for row, flags in results:
@@ -206,11 +193,9 @@ def cmd_validate(args) -> int:
     if args.family == "bss" and args.n > _ENUM_LIMIT:
         raise BudgetError(f"n={args.n} exceeds the exact-enumeration budget ({_ENUM_LIMIT})")
     sol = solve(source, args.rate)
-    eps = 0.01
     cfg = ExperimentConfig(source, args.n, args.rate, args.trials, args.seed)
     _check_mc_budget(cfg)  # before the bounds, so an over-budget run is refused at once
-    task = dict(family=args.family, n=args.n, rate=args.rate, p=args.p, eps=[eps], ref_rate=[], legacy_eps=None)
-    (_, lower_side, lower, _), (_, upper_side, upper, _) = _bounds(task)
+    (_, lower_side, lower, _), (_, upper_side, upper, _) = _bounds(args, args.n)
     mean, se = mc_mean_distortion(cfg)
     lines = [
         f"source={args.family}",
@@ -218,7 +203,7 @@ def cmd_validate(args) -> int:
         f"rate={_fmt(args.rate)}",
         f"trials={args.trials}",
         f"seed={args.seed}",
-        f"eps={_fmt(eps)}",
+        f"eps={_fmt(args.eps[0])}",
         f"asymptote={_fmt(sol.dstar)}",
         f"lower={_fmt(lower, lower_side)}",
         f"mc_mean={_fmt(mean)}",
@@ -294,43 +279,38 @@ def _boolean(s: str) -> bool:
     return words[s.lower()]
 
 
-# config keys accepted by `curve` and their parsers; lists are whitespace
-# separated inside the value
-_CONFIG_CONVERT = {
-    "p": float,
-    "sigma2": float,
-    "rate": float,
-    "delta": float,
-    "legacy_eps": float,
-    "jobs": int,
-    "n": str,
-    "out": str,
-    "eps": lambda s: [float(v) for v in s.split()],
-    "ref_rate": lambda s: [float(v) for v in s.split()],
-    "alpha": lambda s: [float(v) for v in s.split()],
-    "unbounded": _boolean,
-}
+def _config_value(option: argparse.Action, raw: str):
+    """``raw`` read as ``option``'s flag reads it: a switch by _boolean, a list item by item."""
+    if option.nargs == 0:
+        return _boolean(raw)
+    convert = option.type or str
+    return [convert(v) for v in raw.split()] if option.nargs == "+" else convert(raw)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The parser, and the curve flags' actions by dest, which are the config keys."""
     parser = argparse.ArgumentParser(prog="rdflb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     cur = sub.add_parser("curve", help="sweep bounds over n and write CSV")
     cur.add_argument("family", choices=["bss", "bns", "gauss"])
-    cur.add_argument("--config", help="key = value defaults file (flags win)")
-    cur.add_argument("--p", type=float, help="P(bit = 1) for the bns family")
-    cur.add_argument("--sigma2", type=float, default=1.0, help="Gaussian variance")
-    cur.add_argument("--rate", type=float, help="rate in bits/symbol")
-    cur.add_argument("--n", help="blocklength range start:stop:step")
-    cur.add_argument("--eps", type=float, nargs="+", help="ordered-statistics eps values")
-    cur.add_argument("--ref-rate", type=float, nargs="+", help="reference rates R0")
-    cur.add_argument("--alpha", type=float, nargs="+", help="codeword bound rm^2 = alpha n (gauss)")
-    cur.add_argument("--unbounded", action="store_true", help="include the unbounded gauss curve")
-    cur.add_argument("--legacy-eps", type=float, help="rate slack for the legacy bound (bss)")
-    cur.add_argument("--delta", type=float, default=0.5, help="source ball margin (gauss)")
-    cur.add_argument("--jobs", type=int, help="parallel row workers (default: cores)")
-    cur.add_argument("--out", help="output CSV path")
+    cur.add_argument("--config", help="key = value defaults file (flags win): a key is a flag below, with dashes or "
+                     "underscores; switches take 1/true/yes/0/false/no, lists whitespace-separated values; "
+                     "# starts a comment")
+    curve_options = {a.dest: a for a in (
+        cur.add_argument("--p", type=float, help="P(bit = 1) for the bns family"),
+        cur.add_argument("--sigma2", type=float, default=1.0, help="Gaussian variance"),
+        cur.add_argument("--rate", type=float, help="rate in bits/symbol"),
+        cur.add_argument("--n", help="blocklength range start:stop:step"),
+        cur.add_argument("--eps", type=float, nargs="+", help="ordered-statistics eps values"),
+        cur.add_argument("--ref-rate", type=float, nargs="+", help="reference rates R0"),
+        cur.add_argument("--alpha", type=float, nargs="+", help="codeword bound rm^2 = alpha n (gauss)"),
+        cur.add_argument("--unbounded", action="store_true", help="include the unbounded gauss curve"),
+        cur.add_argument("--legacy-eps", type=float, help="rate slack for the legacy bound (bss)"),
+        cur.add_argument("--delta", type=float, default=0.5, help="source ball margin (gauss)"),
+        cur.add_argument("--jobs", type=int, help="parallel row workers (default: cores)"),
+        cur.add_argument("--out", help="output CSV path"),
+    )}
     cur.set_defaults(func=cmd_curve)
 
     val = sub.add_parser("validate", help="run the MC sandwich / identity checks")
@@ -341,13 +321,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     val.add_argument("--trials", type=int, default=100_000)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--codebooks", type=int, default=100, help="random codebooks for the identity check")
-    val.set_defaults(func=cmd_validate)
+    # the curve options that _bounds reads: one OS bound at eps = 0.01, no RR or legacy bound
+    val.set_defaults(func=cmd_validate, eps=[0.01], ref_rate=None, legacy_eps=None)
 
     plo = sub.add_parser("plot", help="render a curve CSV as a single SVG")
     plo.add_argument("csv", help="input CSV from `rdflb curve`")
     plo.add_argument("--out", required=True, help="output SVG path")
     plo.set_defaults(func=cmd_plot)
-    return parser, cur
+    return parser, curve_options
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -358,18 +339,16 @@ def main(argv: list[str] | None = None) -> int:
             cfg_path = argv[i + 1]
         elif a.startswith("--config="):
             cfg_path = a.split("=", 1)[1]
-    parser, curve_parser = _build_parser()
+    parser, curve_options = _build_parser()
     try:
         if cfg_path is not None:
-            defaults = {}
             for key, raw in _read_config(cfg_path).items():
-                if key not in _CONFIG_CONVERT:
+                if key not in curve_options:
                     raise ValueError(f"unknown config key: {key}")
                 try:
-                    defaults[key] = _CONFIG_CONVERT[key](raw)
+                    curve_options[key].default = _config_value(curve_options[key], raw)
                 except ValueError as exc:
                     raise ValueError(f"config key {key}: {exc}") from exc
-            curve_parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
         if args.command == "curve":
             missing = [k for k in ("rate", "n", "out") if getattr(args, k) is None]

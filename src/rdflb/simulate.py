@@ -125,24 +125,30 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.codebook_size < 1:
+        if self._size_exponent()[0] < 0:
             raise ValueError("codebook size must be >= 1")
-        if self.codebook_law == "fixed" and self.codebook is None:
-            raise ValueError("fixed law needs an explicit codebook")
+        if (self.codebook_law == "fixed") != (self.codebook is not None):
+            raise ValueError("the fixed law, and only it, takes an explicit codebook")
+        if self.rm is not None and not isinstance(self.source, GaussianSource):
+            raise ValueError("rm bounds Gaussian codewords only")
 
-    @property
-    def codebook_size(self) -> int:
-        """floor(2**(nR)); nR within 1e-9 (relative) of an integer counts as that integer.
+    def _size_exponent(self) -> tuple[int, float]:
+        """(k, f) with codebook_size = floor(2**k * 2**f) and 0 <= f < 1, read off nR alone.
 
-        Otherwise it is the floor of 2**floor(nR) times the double 2**frac(nR),
-        whose 53 digits are shifted as an integer, so that no nR overflows.
+        nR within 1e-9 (relative) of an integer counts as that integer, with f = 0.
         """
         e = self.n * self.rate
         k = round(e)
         if k >= 0 and abs(e - k) <= 1e-9 * max(1, k):
-            return 1 << k
+            return k, 0.0
         k = math.floor(e)
-        return (int(2.0 ** (e - k) * 2**52) << k) >> 52 if k >= 0 else 0
+        return k, e - k
+
+    @property
+    def codebook_size(self) -> int:
+        """floor(2**(nR)): the 53 digits of the double 2**f shifted as an integer by k, so that no nR overflows."""
+        k, f = self._size_exponent()
+        return (int(2.0**f * 2**52) << k) >> 52 if k >= 0 else 0
 
 
 def _word_layout(n: int) -> tuple[int, np.dtype]:
@@ -372,9 +378,15 @@ def _draw_bits(rng, tie_rng, law: _BitLaw, shape: tuple[int, ...], n: int,
 
 def _check_mc_budget(cfg: ExperimentConfig) -> None:
     """Raise BudgetError if cfg's Monte Carlo takes more than _MC_BUDGET element operations, Q * trials * n."""
-    pairs = cfg.codebook_size * cfg.trials * cfg.n
-    if pairs > _MC_BUDGET:
-        raise BudgetError(f"Q*trials*n = 2**{math.log2(pairs):.2f} exceeds the MC budget of {_MC_BUDGET}")
+    k, f = cfg._size_exponent()
+    if k < 31:
+        pairs = cfg.codebook_size * cfg.trials * cfg.n
+        if pairs <= _MC_BUDGET:
+            return
+        log2_pairs = math.log2(pairs)
+    else:  # Q >= 2**31 > _MC_BUDGET: refuse from nR alone, without forming Q's nR-bit integer
+        log2_pairs = k + f + math.log2(cfg.trials * cfg.n)
+    raise BudgetError(f"Q*trials*n = 2**{log2_pairs:.2f} exceeds the MC budget of {_MC_BUDGET}")
 
 
 def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from rdflb import bns, bss, cli, gauss, svg
-from rdflb.cli import _CONFIG_CONVERT, _fmt, main
+from rdflb.cli import _boolean, _fmt, main
 from rdflb.ratedistortion import BinaryNonSymmetricSource, GaussianSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
 
@@ -90,8 +90,8 @@ def _record_bounds(monkeypatch) -> list[tuple]:
     """Make cli._bounds also append every (column, side, value, degenerate) it yields to the returned list."""
     seen, real = [], cli._bounds
 
-    def record(task):
-        for bound in real(task):
+    def record(*args):
+        for bound in real(*args):
             seen.append(bound)
             yield bound
 
@@ -196,7 +196,8 @@ def test_curve_usage_errors_exit_2(tmp_path, capsys, argv):
     (["--n", "2:2:2"], "error: n=2: codebook size must be at least 3"),
     (["--n", "8:8:8", "--alpha", "0"], "error: --alpha must be > 0"),
     (["--n", "8:8:8", "--alpha", "2", "-1"], "error: --alpha must be > 0"),
-], ids=["codebook_below_three", "alpha_zero", "alpha_negative"])
+    (["--n", "8:8:8", "--ref-rate", "0.3"], "error: --ref-rate applies to the bss and bns families only"),
+], ids=["codebook_below_three", "alpha_zero", "alpha_negative", "ref_rate"])
 def test_curve_gauss_input_errors_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     argv = ["curve", "gauss", "--rate", "0.5", "--eps", "0.005", *argv, "--jobs", "1", "--out", str(out)]
@@ -257,13 +258,46 @@ def test_config_errors_exit_2(tmp_path, capsys, text, message):
 
 def test_config_unbounded_reads_every_spelled_boolean(tmp_path):
     words = ["1", "TRUE", "yes", "0", "False", "NO"]
-    assert [_CONFIG_CONVERT["unbounded"](w) for w in words] == [True] * 3 + [False] * 3
+    assert [_boolean(w) for w in words] == [True] * 3 + [False] * 3
     cfg = _write_config(tmp_path, "unbounded = Yes\n")
     out = tmp_path / "g.csv"
     argv = ["curve", "gauss", "--config", cfg, "--rate", "0.5", "--eps", "0.005", "--alpha", "2",
             "--n", "8:8:8", "--jobs", "1", "--out", str(out)]
     assert main(argv) == 0
     assert "lower_unbounded" in out.read_text(encoding="utf-8").splitlines()[1]
+
+
+# for each curve flag (the test fails on a flag missing here): a small curve without it, and the flag as typed
+BSS_ROW = ["bss", "--rate", "0.5", "--eps", "0.01", "--n", "100:100:100"]
+GAUSS_ROW = ["gauss", "--rate", "0.5", "--eps", "0.005", "--n", "8:8:8"]
+CONFIG_CASES = {
+    "p": (["bns", "--rate", "0.3", "--eps", "0.01", "--n", "40:40:40"], ["--p", "0.25"]),
+    "rate": (["bss", "--eps", "0.01", "--n", "100:100:100"], ["--rate", "0.4"]),
+    "n": (["bss", "--rate", "0.5", "--eps", "0.01", "--jobs", "1"], ["--n", "40:80:40"]),
+    "eps": (["bss", "--rate", "0.5", "--n", "100:100:100"], ["--eps", "0.01", "0.1"]),
+    "ref_rate": (BSS_ROW + ["--legacy-eps", "0.0485"], ["--ref-rate", "0.45", "0.4"]),
+    "legacy_eps": (BSS_ROW + ["--ref-rate", "0.45"], ["--legacy-eps", "0.0485"]),
+    "alpha": (GAUSS_ROW, ["--alpha", "0.5", "2"]),
+    "unbounded": (GAUSS_ROW + ["--alpha", "2"], ["--unbounded"]),
+    "sigma2": (GAUSS_ROW, ["--sigma2", "2"]),
+    "delta": (GAUSS_ROW, ["--delta", "0.4"]),
+    "jobs": (BSS_ROW, ["--jobs", "1"]),
+    "out": (BSS_ROW, ["--out", "curve.csv"]),
+}
+
+
+@pytest.mark.parametrize("key", cli._build_parser()[1])
+def test_every_curve_flag_is_a_config_key(tmp_path, monkeypatch, key):
+    # the key is spelled as the flag, dashes and all; a switch reads "yes"
+    monkeypatch.chdir(tmp_path)
+    argv, flag = CONFIG_CASES[key]
+    out = [] if key == "out" else ["--out", "curve.csv"]
+    assert main(["curve", *argv, *flag, *out]) == 0
+    by_flag = Path("curve.csv").read_bytes()
+    Path("curve.csv").unlink()
+    cfg = _write_config(tmp_path, f"{flag[0][2:]} = {' '.join(flag[1:]) or 'yes'}\n")
+    assert main(["curve", *argv, "--config", cfg, *out]) == 0
+    assert Path("curve.csv").read_bytes() == by_flag
 
 
 GAUSS_CURVE = ["curve", "gauss", "--rate", "0.5", "--eps", "0.005", "--alpha", "2", "--unbounded", "--n", "16:32:16"]
@@ -361,7 +395,7 @@ def test_validate_errors_exit_with_their_code(capsys, argv, code):
 
 def test_validate_refuses_a_fractional_nr_past_the_double_range_at_once(monkeypatch, capsys):
     # nR = 1200.6: 2.0**nR overflows a double, and the MC budget refuses the run before any bound runs
-    monkeypatch.setattr("rdflb.cli._bounds", lambda task: pytest.fail("bounds ran before the budget check"))
+    monkeypatch.setattr("rdflb.cli._bounds", lambda *args: pytest.fail("bounds ran before the budget check"))
     assert main(["validate", "bns", "--p", "0.25", "--n", "2001", "--rate", "0.6", "--trials", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -165,6 +166,32 @@ def test_mc_refuses_a_run_over_the_budget():
     simulate._check_mc_budget(ExperimentConfig(source=BNS, n=20, rate=0.3, trials=10**6, seed=0))
     with pytest.raises(BudgetError, match="MC budget"):
         mc_mean_distortion(ExperimentConfig(source=BNS, n=20, rate=0.3, trials=2 * 10**7, seed=0))
+
+
+def test_mc_refuses_a_huge_nr_without_forming_the_codebook_size():
+    # at nR = 3e8, Q = 2**(nR) is an integer of 3e8 bits (about 38 MB); from nR >= 31 on Q alone
+    # exceeds the budget, so construction and refusal read nR and never build Q
+    tracemalloc.start()
+    try:
+        cfg = ExperimentConfig(source=BNS, n=10**9, rate=0.3, trials=1, seed=0)
+        with pytest.raises(BudgetError, match=r"^Q\*trials\*n = 2\*\*300000029\.90 exceeds the MC budget"):
+            simulate._check_mc_budget(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("law", ["optimal-marginal", "uniform"])
+def test_config_refuses_a_codebook_that_its_law_would_not_read(law):
+    with pytest.raises(ValueError, match="fixed law"):
+        ExperimentConfig(source=BSS, n=8, rate=0.5, trials=10, seed=1, codebook_law=law, codebook=FIXED_CB)
+
+
+@pytest.mark.parametrize("source", [BSS, BNS], ids=["bss", "bns"])
+def test_config_refuses_rm_for_a_binary_source(source):
+    with pytest.raises(ValueError, match="rm bounds Gaussian codewords only"):
+        ExperimentConfig(source=source, n=8, rate=0.5, trials=10, seed=1, rm=2.2)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
