@@ -77,6 +77,8 @@ def _read_config(path: str) -> dict[str, str]:
 def _source(args):
     if args.family == "bns" and args.p is None:
         raise ValueError("bns needs --p")
+    if args.family != "bns" and args.p is not None:
+        raise ValueError("--p applies to the bns family only")
     if args.family == "bss":
         return BinarySymmetricSource()
     if args.family == "bns":
@@ -170,11 +172,8 @@ def cmd_curve(args) -> int:
     if any(flags for _, flags in results):
         for row, flags in results:
             row["flags"] = ";".join(flags)
-    params = (
-        f"family={args.family} rate={args.rate} n={args.n} p={args.p} sigma2={args.sigma2} "
-        f"eps={args.eps} ref_rate={args.ref_rate} alpha={args.alpha} unbounded={args.unbounded} "
-        f"legacy_eps={args.legacy_eps} delta={args.delta}"
-    )
+    # the namespace holds the family and the curve options in parser order, after the subcommand
+    params = " ".join(f"{k}={v}" for k, v in vars(args).items() if k not in ("command", "config", "jobs", "out", "func"))
     lines = [f"# params: {params}", ",".join(results[0][0])] + [",".join(row.values()) for row, _ in results]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -298,10 +297,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
                      "underscores; switches take 1/true/yes/0/false/no, lists whitespace-separated values; "
                      "# starts a comment")
     curve_options = {a.dest: a for a in (
-        cur.add_argument("--p", type=float, help="P(bit = 1) for the bns family"),
-        cur.add_argument("--sigma2", type=float, default=1.0, help="Gaussian variance"),
         cur.add_argument("--rate", type=float, help="rate in bits/symbol"),
         cur.add_argument("--n", help="blocklength range start:stop:step"),
+        cur.add_argument("--p", type=float, help="P(bit = 1) for the bns family"),
+        cur.add_argument("--sigma2", type=float, default=1.0, help="Gaussian variance"),
         cur.add_argument("--eps", type=float, nargs="+", help="ordered-statistics eps values"),
         cur.add_argument("--ref-rate", type=float, nargs="+", help="reference rates R0"),
         cur.add_argument("--alpha", type=float, nargs="+", help="codeword bound rm^2 = alpha n (gauss)"),

@@ -12,7 +12,6 @@ the bounds share it, and a caller that writes into it fails at once.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -75,15 +74,12 @@ def log_binomial(n: int, k: int) -> float:
 _LOG_FACT = np.empty(0)
 
 
-@lru_cache(maxsize=1)
 def _log_factorials(m: int) -> np.ndarray:
     """ln j! for j = 0..m (shared and read-only).
 
     One table serves every blocklength: a larger m extends it with the new
     entries only (``gammaln`` works entry by entry, so they are the values a
-    fresh table would hold), and a smaller one reads its prefix.  A curve
-    asks for one blocklength at a time, and every bound at that n reads the
-    same prefix, so a cache of one view hands it out once per n.
+    fresh table would hold), and a smaller one reads its prefix.
     """
     global _LOG_FACT
     if _LOG_FACT.size <= m:

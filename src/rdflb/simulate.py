@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -94,8 +93,9 @@ class BudgetError(Exception):
 
 @dataclass(frozen=True)
 class Codebook:
-    """Q codewords of blocklength n: int bits for binary sources, floats
-    for the Gaussian source."""
+    """Q binary codewords of blocklength n, as 0/1 ints: the explicit
+    codebook that the enumeration oracles and `rdflb validate`'s identity
+    check read (the Monte Carlo draws its own)."""
 
     n: int
     codewords: np.ndarray
@@ -118,8 +118,6 @@ class ExperimentConfig:
     rate: float
     trials: int
     seed: int
-    codebook_law: Literal["optimal-marginal", "uniform", "fixed"] = "optimal-marginal"
-    codebook: Codebook | None = None
     rm: float | None = None
 
     def __post_init__(self):
@@ -127,8 +125,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self._size_exponent()[0] < 0:
             raise ValueError("codebook size must be >= 1")
-        if (self.codebook_law == "fixed") != (self.codebook is not None):
-            raise ValueError("the fixed law, and only it, takes an explicit codebook")
         if self.rm is not None and not isinstance(self.source, GaussianSource):
             raise ValueError("rm bounds Gaussian codewords only")
 
@@ -148,7 +144,7 @@ class ExperimentConfig:
     def codebook_size(self) -> int:
         """floor(2**(nR)): the 53 digits of the double 2**f shifted as an integer by k, so that no nR overflows."""
         k, f = self._size_exponent()
-        return (int(2.0**f * 2**52) << k) >> 52 if k >= 0 else 0
+        return (int(2.0**f * 2**52) << k) >> 52
 
 
 def _word_layout(n: int) -> tuple[int, np.dtype]:
@@ -157,21 +153,15 @@ def _word_layout(n: int) -> tuple[int, np.dtype]:
     return width, np.dtype(f"<u{min(width, 8)}")
 
 
-def _pack_bits(cb: Codebook) -> np.ndarray:
-    """Codeword j as machine words (Q, words); bit k is cw[j, k]."""
-    cw = cb.codewords
-    if not np.isin(cw, (0, 1)).all():
-        raise ValueError("binary oracles need 0/1 codewords")
-    width, dt = _word_layout(cb.n)
-    packed = np.packbits(cw.astype(bool), axis=1, bitorder="little")
-    return np.pad(packed, ((0, 0), (0, width - packed.shape[1]))).view(dt)
-
-
 def _packed_codewords(cb: Codebook) -> np.ndarray:
     """Codeword j as the integer sum_k cw[j, k] << k, the packing of the source words."""
     if cb.n > 31:
         raise ValueError(f"packed enumeration holds at most 31 bits, got n={cb.n}")
-    return _pack_bits(cb)[:, 0]
+    if not np.isin(cb.codewords, (0, 1)).all():
+        raise ValueError("binary oracles need 0/1 codewords")
+    width, dt = _word_layout(cb.n)
+    packed = np.packbits(cb.codewords.astype(bool), axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, width - packed.shape[1]))).view(dt)[:, 0]
 
 
 def _words(n: int) -> np.ndarray:
@@ -390,34 +380,23 @@ def _check_mc_budget(cfg: ExperimentConfig) -> None:
 
 
 def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
-    """Sample mean and standard error of the nearest-codeword distortion
-    over independently drawn (source word, codebook) pairs."""
+    """Sample mean and standard error of the nearest-codeword distortion over
+    independently drawn (source word, codebook) pairs; codewords are i.i.d. from
+    the reconstruction marginal that `solve` gives at cfg.rate (Bernoulli(1/2) for the bss)."""
     _check_mc_budget(cfg)
     q = cfg.codebook_size
     n = cfg.n
     gaussian = isinstance(cfg.source, GaussianSource)
-    fixed = cfg.codebook_law == "fixed"
-    if fixed and cfg.codebook.n != n:
-        raise ValueError(f"fixed codebook has blocklength {cfg.codebook.n}, not n={n}")
     if gaussian:
-        if cfg.codebook_law == "uniform":
-            raise ValueError("uniform codebook law is undefined for the Gaussian source")
-        sol = solve(cfg.source, cfg.rate)
-        std = math.sqrt(sol.marginal_variance)
-        if fixed:
-            fixed_y = cfg.codebook.codewords
+        std = math.sqrt(solve(cfg.source, cfg.rate).marginal_variance)
+    elif isinstance(cfg.source, BinaryNonSymmetricSource):
+        x_law = _bit_law(cfg.source.p)
+        y_law = _bit_law(solve(cfg.source, cfg.rate).marginal_one_prob)
     else:
-        bns = isinstance(cfg.source, BinaryNonSymmetricSource)
-        x_law = _bit_law(cfg.source.p if bns else 0.5)
-        if fixed:
-            fixed_y = _pack_bits(cfg.codebook)
-        elif cfg.codebook_law == "optimal-marginal" and bns and cfg.rate < 1:
-            y_law = _bit_law(solve(cfg.source, cfg.rate).marginal_one_prob)
-        else:
-            y_law = _bit_law(0.5)
+        x_law = y_law = _bit_law(0.5)
     chunk = max(1, min(_CHUNK, _MC_BUDGET // max(1, q * n)))
     if not gaussian:  # one buffer for every binary draw: a chunk's source words, then a slice's codebooks
-        pad = _pad_lanes(max(chunk, 0 if fixed else min(chunk, _SLICE) * q), n)
+        pad = _pad_lanes(max(chunk, min(chunk, _SLICE) * q), n)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -435,16 +414,11 @@ def mc_mean_distortion(cfg: ExperimentConfig) -> tuple[float, float]:
         r = m if gaussian and cfg.rm is not None else _SLICE
         for s in range(0, m, r):
             xs = x[s : s + r, None, :]
-            if fixed:
-                y = fixed_y
-            elif gaussian:
-                y = _draw_gaussian_codebooks(rng, xs.shape[0], q, n, std, cfg.rm)
-            else:
-                y = _draw_bits(rng, tie_rng, y_law, (xs.shape[0], q), n, pad)
             if gaussian:
+                y = _draw_gaussian_codebooks(rng, xs.shape[0], q, n, std, cfg.rm)
                 dist = ((xs - y) ** 2).sum(axis=2)
             else:
-                ones = np.bitwise_count(xs ^ y)
+                ones = np.bitwise_count(xs ^ _draw_bits(rng, tie_rng, y_law, (xs.shape[0], q), n, pad))
                 dist = ones[..., 0] if ones.shape[2] == 1 else ones.sum(axis=2)
             d[s : s + r] = dist.min(axis=1) / n
         total += float(d.sum())

@@ -157,7 +157,6 @@ def test_bss_curve_work_stays_down(monkeypatch, tmp_path):
 
     monkeypatch.setattr(logdomain, "gammaln", counted)
     monkeypatch.setattr(logdomain, "_LOG_FACT", np.empty(0))
-    logdomain._log_factorials.cache_clear()
     assert main(["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--ref-rate", "0.45", "--legacy-eps", "0.0485",
                  "--n", "20000:60000:20000", "--jobs", "1", "--out", str(tmp_path / "bss.csv")]) == 0
     assert 0 < lanes[0] <= 60001

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -75,6 +76,16 @@ def test_curve_bss_text_at_the_benchmark_configuration(tmp_path):
         "40000,0.1100278644,0.1100893219,0.11402375,0.127304806,0.127304806\n"
         "60000,0.1100278644,0.110068668,0.1139825001,0.127304806,0.127304806\n"
     )
+
+
+def test_curve_header_names_every_curve_option_in_parser_order(tmp_path):
+    out = tmp_path / "bss.csv"
+    assert main(["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--n", "100:100:100", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    header = out.read_text(encoding="utf-8").splitlines()[0]
+    assert header.startswith("# params: family=bss rate=0.5 n=100:100:100 p=None ")
+    want = ["family", *(k for k in cli._build_parser()[1] if k not in ("jobs", "out"))]
+    assert re.findall(r"(\w+)=", header) == want
 
 
 def test_fmt_rounds_a_bound_toward_its_valid_side():
@@ -391,6 +402,24 @@ def test_validate_errors_exit_with_their_code(capsys, argv, code):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["curve", "bss", "--p", "0.3", "--rate", "0.5", "--eps", "0.01", "--n", "8:8:8"], None),
+    (["curve", "gauss", "--p", "0.3", "--rate", "0.5", "--eps", "0.005", "--n", "8:8:8"], None),
+    (["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--n", "8:8:8"], "p = 0.3\n"),
+    (["validate", "bss", "--p", "0.3", "--n", "8", "--rate", "0.5", "--trials", "10"], None),
+], ids=["curve_bss_flag", "curve_gauss_flag", "curve_bss_config_key", "validate_bss_flag"])
+def test_p_outside_the_bns_family_exits_2(tmp_path, capsys, argv, config):
+    out = tmp_path / "x.csv"
+    if argv[0] == "curve":
+        argv = argv + ["--jobs", "1", "--out", str(out)]
+    if config is not None:
+        argv = argv + ["--config", _write_config(tmp_path, config)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --p applies to the bns family only\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_validate_refuses_a_fractional_nr_past_the_double_range_at_once(monkeypatch, capsys):

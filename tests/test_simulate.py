@@ -27,21 +27,16 @@ BSS, BNS = BinarySymmetricSource(), BinaryNonSymmetricSource(0.25)
 
 # one full chunk (4096 rows) plus a partial one; both cross slice boundaries
 TRIALS = 4096 + 1000
-FIXED_CB = Codebook(8, (np.random.default_rng(3).random((16, 8)) < 0.5).astype(np.uint8))
 
 MC_CASES = {
     "bss": (dict(source=BSS, n=8, rate=0.5),
             (0.1978021978021978, 0.0012717101058016412)),
     "bns": (dict(source=BNS, n=10, rate=0.3),
             (0.1813186813186813, 0.0014881713125365055)),
-    "bns_uniform": (dict(source=BNS, n=10, rate=0.3, codebook_law="uniform"),
-                    (0.2779042386185243, 0.0013099263633794002)),
     "gauss": (dict(source=GaussianSource(1.0), n=8, rate=0.5),
               (0.6836575706789005, 0.005140075069834119)),
     "gauss_rm": (dict(source=GaussianSource(1.0), n=8, rate=0.5, rm=2.2),
                  (0.6712686054219246, 0.005180065894379859)),
-    "fixed": (dict(source=BSS, n=8, rate=0.5, codebook_law="fixed", codebook=FIXED_CB),
-              (0.19169446624803768, 0.0011760423860729347)),
 }
 
 
@@ -114,7 +109,6 @@ ORACLE_CASES = {
     "bss_n8": (dict(source=BSS, n=8, rate=0.5), 0.5, 0.5),
     "bss_n16": (dict(source=BSS, n=16, rate=0.5), 0.5, 0.5),
     "bns": (dict(source=BNS, n=10, rate=0.3), 0.25, None),
-    "bns_uniform": (dict(source=BNS, n=10, rate=0.3, codebook_law="uniform"), 0.25, 0.5),
 }
 
 
@@ -182,23 +176,24 @@ def test_mc_refuses_a_huge_nr_without_forming_the_codebook_size():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("law", ["optimal-marginal", "uniform"])
-def test_config_refuses_a_codebook_that_its_law_would_not_read(law):
-    with pytest.raises(ValueError, match="fixed law"):
-        ExperimentConfig(source=BSS, n=8, rate=0.5, trials=10, seed=1, codebook_law=law, codebook=FIXED_CB)
-
-
 @pytest.mark.parametrize("source", [BSS, BNS], ids=["bss", "bns"])
 def test_config_refuses_rm_for_a_binary_source(source):
     with pytest.raises(ValueError, match="rm bounds Gaussian codewords only"):
         ExperimentConfig(source=source, n=8, rate=0.5, trials=10, seed=1, rm=2.2)
 
 
-@pytest.mark.parametrize("seed", range(1, 6))
-def test_mc_fixed_codebook_matches_enumeration(seed):
-    cfg = ExperimentConfig(trials=5000, seed=seed, **MC_CASES["fixed"][0])
-    mean, se = mc_mean_distortion(cfg)
-    assert abs(mean - exact_distortion(BSS, FIXED_CB)) <= 4 * se
+@pytest.mark.parametrize("rate", [0.9, 1.5])
+def test_mc_refuses_a_bns_rate_at_or_above_the_source_entropy(rate):
+    # H(0.25) = 0.811: no Bernoulli(z) marginal reaches these rates, so no codeword law is drawn
+    with pytest.raises(ValueError, match=r"outside \(0, source entropy\)"):
+        mc_mean_distortion(ExperimentConfig(BNS, 4, rate, 100, 1))
+
+
+def test_gaussian_rejection_sampler_refuses_a_tiny_rm():
+    # almost no N(0, 1/2) codeword of length 8 has norm below 1e-3, so 200 redraws leave some rejected
+    cfg = ExperimentConfig(GaussianSource(1.0), 8, 0.5, 10, 1, rm=1e-3)
+    with pytest.raises(BudgetError, match="^rejection sampling acceptance below threshold for rm$"):
+        mc_mean_distortion(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +358,6 @@ def test_bit_law_refuses_p_outside_the_unit_interval():
     for p in (-0.1, 1.0):
         with pytest.raises(ValueError, match="0 <= p < 1"):
             simulate._bit_law(p)
-
-
-def test_fixed_codebook_must_match_blocklength():
-    cfg = ExperimentConfig(source=BSS, n=7, rate=4 / 7, trials=10, seed=1, codebook_law="fixed", codebook=FIXED_CB)
-    with pytest.raises(ValueError, match="blocklength"):
-        mc_mean_distortion(cfg)
 
 
 # ---------------------------------------------------------------------------
