@@ -1,4 +1,4 @@
-"""Command-line front end: bound curves as CSV, validation runs, SVG plots.
+"""Command-line front end: bound curves as CSV and validation runs.
 
 A row's bounds, and the two that validate checks, come from ``_bounds``
 with their column and side.  A bound prints to 10 significant digits on its
@@ -235,39 +235,6 @@ def cmd_validate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# plot
-# ---------------------------------------------------------------------------
-
-def cmd_plot(args) -> int:
-    from . import svg
-
-    with open(args.csv, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if not line.startswith("#") and line.strip()]
-    if len(rows) < 2:
-        raise ValueError("CSV has no data rows")
-    header = rows[0].split(",")
-    if header[0] != "n":
-        raise ValueError("first column must be n")
-    xs: list[float] = []
-    series: dict[str, list[float]] = {c: [] for c in header[1:] if c != "flags"}
-    try:
-        for r in rows[1:]:
-            parts = r.split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"row has {len(parts)} fields, header has {len(header)}")
-            xs.append(float(parts[0]))
-            for c, v in zip(header[1:], parts[1:]):
-                if c != "flags":
-                    series[c].append(float(v))
-    except ValueError as exc:
-        raise ValueError(f"malformed CSV: {exc}") from exc
-    svg_text = svg.render(xs, series)  # before open, so a refused plot leaves no file
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg_text)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
@@ -322,11 +289,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
     val.add_argument("--codebooks", type=int, default=100, help="random codebooks for the identity check")
     # the curve options that _bounds reads: one OS bound at eps = 0.01, no RR or legacy bound
     val.set_defaults(func=cmd_validate, eps=[0.01], ref_rate=None, legacy_eps=None)
-
-    plo = sub.add_parser("plot", help="render a curve CSV as a single SVG")
-    plo.add_argument("csv", help="input CSV from `rdflb curve`")
-    plo.add_argument("--out", required=True, help="output SVG path")
-    plo.set_defaults(func=cmd_plot)
     return parser, curve_options
 
 

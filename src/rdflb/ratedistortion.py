@@ -63,8 +63,6 @@ class RdSolution:
     the variance sigma2 - D of the optimal codeword marginal.
     """
 
-    source: SourceModel
-    rate: float
     dstar: float
     lambda_hat_nats: float
     marginal_one_prob: float | None = None
@@ -90,8 +88,8 @@ def solve(source: SourceModel, rate: float) -> RdSolution:
         d = inverse_binary_entropy(source_entropy_bits(source) - rate)
         z = (p - d) / (1.0 - 2.0 * d)
         lam = 1.0 / math.log((1.0 - d) / d)
-        return RdSolution(source, rate, d, lam, marginal_one_prob=z)
+        return RdSolution(d, lam, marginal_one_prob=z)
 
     d = source.sigma2 * 2.0 ** (-2.0 * rate)
     # D(R) = sigma2 exp(-2 R_nats)  =>  -dD/dR_nats = 2 D
-    return RdSolution(source, rate, d, 2.0 * d, marginal_variance=source.sigma2 - d)
+    return RdSolution(d, 2.0 * d, marginal_variance=source.sigma2 - d)

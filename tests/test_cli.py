@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rdflb import bns, bss, cli, gauss, svg
+from rdflb import bns, bss, cli, gauss
 from rdflb.cli import _boolean, _fmt, main
 from rdflb.ratedistortion import BinaryNonSymmetricSource, GaussianSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
@@ -476,45 +476,3 @@ def test_validate_prints_the_pinned_benchmark_run(capsys, family):
     argv, want = BENCH_VALIDATE[family]
     assert main(["validate", family, *argv, "--seed", "1"]) == 0
     assert capsys.readouterr().out == want
-
-
-PLOT_CSV = """# params: family=bss
-n,asymptote,lower,upper_os_0.01,flags
-100,0.11,0.118,0.15,
-200,0.11,0.115,0.13,cross_upper_os_0.01
-"""
-
-
-def test_plot_is_byte_identical_across_runs(tmp_path):
-    csv_path = tmp_path / "curve.csv"
-    csv_path.write_text(PLOT_CSV, encoding="utf-8")
-    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    assert main(["plot", str(csv_path), "--out", str(a)]) == 0
-    assert main(["plot", str(csv_path), "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    text = a.read_text(encoding="utf-8")
-    assert text.startswith("<svg") and text.count("<polyline") == 3
-    assert 'stroke-dasharray="6,4" points=' in text  # the asymptote is dashed
-
-
-def test_render_refuses_empty_input():
-    with pytest.raises(ValueError):
-        svg.render([], {})
-
-
-@pytest.mark.parametrize("text", [
-    "",
-    "# params: only a comment\n",
-    "n,lower\n",
-    "lower,n\n0.1,100\n",
-    "n,lower\n100,0.1,0.2\n",
-    "n,lower\n100,abc\n",
-    "n\n100\n200\n",
-], ids=["empty", "comment_only", "header_only", "n_not_first", "extra_field", "not_a_number", "only_n"])
-def test_plot_bad_csv_exits_2(tmp_path, capsys, text):
-    csv_path, out = tmp_path / "curve.csv", tmp_path / "x.svg"
-    csv_path.write_text(text, encoding="utf-8")
-    assert main(["plot", str(csv_path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert not out.exists()

@@ -1,8 +1,11 @@
+import argparse
 import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,6 +46,27 @@ def test_exports_resolve_and_reexports_are_exported():
             assert stale == [], node.module
 
 
+def test_surface_is_the_bounds_and_two_commands(tmp_path, capsys):
+    # the package namespace holds its modules, the sources, solve and the
+    # version, and the CLI offers curve and validate; there is no plot command
+    rdflb = importlib.import_module("rdflb")
+    public = {name: obj for name, obj in vars(rdflb).items() if not name.startswith("_")}
+    assert {name for name, obj in public.items() if not inspect.ismodule(obj)} == {
+        "BinarySymmetricSource", "BinaryNonSymmetricSource", "GaussianSource", "solve"}
+    assert all(obj.__name__ == f"rdflb.{name}" for name, obj in public.items() if inspect.ismodule(obj))
+    assert isinstance(rdflb.__version__, str)
+    cli = importlib.import_module("rdflb.cli")
+    parser, _ = cli._build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == {"curve", "validate"}
+    csv_path, out = tmp_path / "curve.csv", tmp_path / "plot.out"
+    csv_path.write_text("n,lower\n100,0.1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plot", str(csv_path), "--out", str(out)])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _unused_imports(path: Path) -> list[str]:
     imported, read = {}, set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -67,7 +91,7 @@ def test_every_import_is_read():
 
 def _relative_imports(tree: ast.Module) -> dict:
     """The names that a module's relative imports bind, also inside a
-    function, such as ``from . import svg`` in ``cli.cmd_plot``."""
+    function."""
     names = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
