@@ -60,20 +60,6 @@ def _parse_n_range(spec: str) -> list[int]:
     return list(range(a, b + 1, c))
 
 
-def _read_config(path: str) -> dict[str, str]:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
 def _source(args):
     if args.family == "bns" and args.p is None:
         raise ValueError("bns needs --p")
@@ -127,12 +113,15 @@ def _curve_row(args, dstar: float, n: int) -> tuple[dict, list[str]]:
     """One CSV row (run in a worker process when --jobs > 1): printed cells by column, and flags.
 
     An upper bound is flagged if degenerate, or else if it lies more than 1e-9
-    below its class's lower bound.  A ValueError is re-raised with the row's n.
+    below its class's lower bound.  Two bounds that print as one column raise
+    ValueError, and a ValueError is re-raised with the row's n.
     """
     row = {"n": str(n), "asymptote": _fmt(dstar)}
     flags: list[str] = []
     try:
         for col, side, value, degenerate in _bounds(args, n):
+            if col in row:
+                raise ValueError(f"two bounds print as column {col}")
             row[col] = _fmt(value, side)
             if side == "lower":
                 lower = value
@@ -155,10 +144,14 @@ def cmd_curve(args) -> int:
         raise ValueError("--legacy-eps needs --ref-rate")
     if args.family == "gauss" and args.ref_rate:
         raise ValueError("--ref-rate applies to the bss and bns families only")
+    if args.ref_rate and not all(0 < r0 < args.rate for r0 in args.ref_rate):
+        raise ValueError("--ref-rate must lie in (0, rate)")
     if args.family != "gauss" and (args.alpha or args.unbounded):
         raise ValueError("--alpha/--unbounded apply to the gauss family only")
     if args.alpha and min(args.alpha) <= 0:
         raise ValueError(f"--alpha must be > 0, got {min(args.alpha):g}")
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
     row_at = functools.partial(_curve_row, args, solve(_source(args), args.rate).dstar)
     jobs = args.jobs or os.cpu_count() or 1
@@ -173,7 +166,7 @@ def cmd_curve(args) -> int:
         for row, flags in results:
             row["flags"] = ";".join(flags)
     # the namespace holds the family and the curve options in parser order, after the subcommand
-    params = " ".join(f"{k}={v}" for k, v in vars(args).items() if k not in ("command", "config", "jobs", "out", "func"))
+    params = " ".join(f"{k}={v}" for k, v in vars(args).items() if k not in ("command", "jobs", "out", "func"))
     lines = [f"# params: {params}", ",".join(results[0][0])] + [",".join(row.values()) for row, _ in results]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -238,45 +231,24 @@ def cmd_validate(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _boolean(s: str) -> bool:
-    words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-    if s.lower() not in words:
-        raise ValueError(f"expected one of 1/true/yes/0/false/no, got {s!r}")
-    return words[s.lower()]
-
-
-def _config_value(option: argparse.Action, raw: str):
-    """``raw`` read as ``option``'s flag reads it: a switch by _boolean, a list item by item."""
-    if option.nargs == 0:
-        return _boolean(raw)
-    convert = option.type or str
-    return [convert(v) for v in raw.split()] if option.nargs == "+" else convert(raw)
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
-    """The parser, and the curve flags' actions by dest, which are the config keys."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rdflb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     cur = sub.add_parser("curve", help="sweep bounds over n and write CSV")
     cur.add_argument("family", choices=["bss", "bns", "gauss"])
-    cur.add_argument("--config", help="key = value defaults file (flags win): a key is a flag below, with dashes or "
-                     "underscores; switches take 1/true/yes/0/false/no, lists whitespace-separated values; "
-                     "# starts a comment")
-    curve_options = {a.dest: a for a in (
-        cur.add_argument("--rate", type=float, help="rate in bits/symbol"),
-        cur.add_argument("--n", help="blocklength range start:stop:step"),
-        cur.add_argument("--p", type=float, help="P(bit = 1) for the bns family"),
-        cur.add_argument("--sigma2", type=float, default=1.0, help="Gaussian variance"),
-        cur.add_argument("--eps", type=float, nargs="+", help="ordered-statistics eps values"),
-        cur.add_argument("--ref-rate", type=float, nargs="+", help="reference rates R0"),
-        cur.add_argument("--alpha", type=float, nargs="+", help="codeword bound rm^2 = alpha n (gauss)"),
-        cur.add_argument("--unbounded", action="store_true", help="include the unbounded gauss curve"),
-        cur.add_argument("--legacy-eps", type=float, help="rate slack for the legacy bound (bss)"),
-        cur.add_argument("--delta", type=float, default=0.5, help="source ball margin (gauss)"),
-        cur.add_argument("--jobs", type=int, help="parallel row workers (default: cores)"),
-        cur.add_argument("--out", help="output CSV path"),
-    )}
+    cur.add_argument("--rate", type=float, required=True, help="rate in bits/symbol")
+    cur.add_argument("--n", required=True, help="blocklength range start:stop:step")
+    cur.add_argument("--p", type=float, help="P(bit = 1) for the bns family")
+    cur.add_argument("--sigma2", type=float, default=1.0, help="Gaussian variance")
+    cur.add_argument("--eps", type=float, nargs="+", help="ordered-statistics eps values")
+    cur.add_argument("--ref-rate", type=float, nargs="+", help="reference rates R0")
+    cur.add_argument("--alpha", type=float, nargs="+", help="codeword bound rm^2 = alpha n (gauss)")
+    cur.add_argument("--unbounded", action="store_true", help="include the unbounded gauss curve")
+    cur.add_argument("--legacy-eps", type=float, help="rate slack for the legacy bound (bss)")
+    cur.add_argument("--delta", type=float, default=0.5, help="source ball margin (gauss)")
+    cur.add_argument("--jobs", type=int, help="parallel row workers (default: cores)")
+    cur.add_argument("--out", required=True, help="output CSV path")
     cur.set_defaults(func=cmd_curve)
 
     val = sub.add_parser("validate", help="run the MC sandwich / identity checks")
@@ -289,32 +261,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
     val.add_argument("--codebooks", type=int, default=100, help="random codebooks for the identity check")
     # the curve options that _bounds reads: one OS bound at eps = 0.01, no RR or legacy bound
     val.set_defaults(func=cmd_validate, eps=[0.01], ref_rate=None, legacy_eps=None)
-    return parser, curve_options
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    cfg_path = None
-    for i, a in enumerate(argv):
-        if a == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
-        elif a.startswith("--config="):
-            cfg_path = a.split("=", 1)[1]
-    parser, curve_options = _build_parser()
+    args = _build_parser().parse_args(argv)
     try:
-        if cfg_path is not None:
-            for key, raw in _read_config(cfg_path).items():
-                if key not in curve_options:
-                    raise ValueError(f"unknown config key: {key}")
-                try:
-                    curve_options[key].default = _config_value(curve_options[key], raw)
-                except ValueError as exc:
-                    raise ValueError(f"config key {key}: {exc}") from exc
-        args = parser.parse_args(argv)
-        if args.command == "curve":
-            missing = [k for k in ("rate", "n", "out") if getattr(args, k) is None]
-            if missing:
-                raise ValueError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
         return args.func(args)
     except (BudgetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

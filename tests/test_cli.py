@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from rdflb import bns, bss, cli, gauss
-from rdflb.cli import _boolean, _fmt, main
+from rdflb.cli import _fmt, main
 from rdflb.ratedistortion import BinaryNonSymmetricSource, GaussianSource, solve
 from rdflb.special import binary_entropy, inverse_binary_entropy
 
@@ -80,11 +80,11 @@ def test_curve_bss_text_at_the_benchmark_configuration(tmp_path):
 
 def test_curve_header_names_every_curve_option_in_parser_order(tmp_path):
     out = tmp_path / "bss.csv"
-    assert main(["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--n", "100:100:100", "--jobs", "1",
-                 "--out", str(out)]) == 0
+    argv = ["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--n", "100:100:100", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
     header = out.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("# params: family=bss rate=0.5 n=100:100:100 p=None ")
-    want = ["family", *(k for k in cli._build_parser()[1] if k not in ("jobs", "out"))]
+    want = [k for k in vars(cli._build_parser().parse_args(argv)) if k not in ("command", "jobs", "out", "func")]
     assert re.findall(r"(\w+)=", header) == want
 
 
@@ -226,92 +226,61 @@ def test_curve_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-def _write_config(tmp_path, text):
-    cfg = tmp_path / "curve.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    return str(cfg)
+BSS_ROW = ["curve", "bss", "--rate", "0.5", "--n", "100:100:100", "--jobs", "1"]
 
 
-def test_config_file_gives_the_same_csv_as_flags(tmp_path):
-    flags, from_file = tmp_path / "flags.csv", tmp_path / "file.csv"
-    assert main(BNS_CURVE + ["--out", str(flags)]) == 0
-    cfg = _write_config(tmp_path, (
-        f"# the flags of BNS_CURVE\nrate = {RATE}\nn = 40:80:40\neps = {EPS}\n"
-        f"ref-rate = {REF_RATE}  # dashes read as underscores\nout = {from_file}\n"
-    ))
-    assert main(["curve", "bns", "--config", cfg, "--p", str(P), "--jobs", "1"]) == 0
-    assert from_file.read_bytes() == flags.read_bytes()
-
-
-def test_flag_beats_the_config_file(tmp_path):
-    flags, ignored, out = tmp_path / "flags.csv", tmp_path / "ignored.csv", tmp_path / "out.csv"
-    assert main(BNS_CURVE + ["--out", str(flags)]) == 0
-    cfg = _write_config(tmp_path, f"rate = 0.2\nn = 1:2:1\nout = {ignored}\n")
-    assert main(BNS_CURVE + [f"--config={cfg}", "--out", str(out)]) == 0
-    assert out.read_bytes() == flags.read_bytes()
-    assert not ignored.exists()
-
-
-@pytest.mark.parametrize("text,message", [
-    ("rate = 0.3\nbogus = 1\n", "error: unknown config key: bogus"),
-    ("rate 0.3\n", "error: bad config line"),
-    (None, "error:"),
-    ("unbounded = ture\n", "error: config key unbounded: "),
-], ids=["unknown_key", "line_without_equals", "missing_file", "unbounded_typo"])
-def test_config_errors_exit_2(tmp_path, capsys, text, message):
-    cfg = _write_config(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
+@pytest.mark.parametrize("argv,message", [
+    (BNS_CURVE + ["--jobs", "0"], "error: --jobs must be >= 1, got 0\n"),
+    (BNS_CURVE + ["--jobs", "-3"], "error: --jobs must be >= 1, got -3\n"),
+    (BNS_CURVE + ["--ref-rate", "0.9"], "error: --ref-rate must lie in (0, rate)\n"),
+    (BNS_CURVE + ["--ref-rate", "0.3"], "error: --ref-rate must lie in (0, rate)\n"),
+    (BSS_ROW + ["--eps", "0.01", "--ref-rate", "0.5"], "error: --ref-rate must lie in (0, rate)\n"),
+    (BSS_ROW + ["--eps", "0.01", "0.01000001"], "error: n=100: two bounds print as column upper_os_0.01\n"),
+], ids=["jobs_zero", "jobs_negative", "bns_ref_rate_above_rate", "bns_ref_rate_at_rate", "bss_ref_rate_at_rate",
+        "eps_printing_as_one_column"])
+def test_curve_option_errors_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
-    assert main(BNS_CURVE + ["--config", cfg, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(message) and "Traceback" not in captured.err
-    assert captured.out == "" and not out.exists()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
-def test_config_unbounded_reads_every_spelled_boolean(tmp_path):
-    words = ["1", "TRUE", "yes", "0", "False", "NO"]
-    assert [_boolean(w) for w in words] == [True] * 3 + [False] * 3
-    cfg = _write_config(tmp_path, "unbounded = Yes\n")
-    out = tmp_path / "g.csv"
-    argv = ["curve", "gauss", "--config", cfg, "--rate", "0.5", "--eps", "0.005", "--alpha", "2",
-            "--n", "8:8:8", "--jobs", "1", "--out", str(out)]
-    assert main(argv) == 0
-    assert "lower_unbounded" in out.read_text(encoding="utf-8").splitlines()[1]
+def test_curve_refuses_the_config_flag(tmp_path, capsys):
+    cfg, out = tmp_path / "curve.cfg", tmp_path / "x.csv"
+    cfg.write_text(f"rate = {RATE}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(BNS_CURVE + ["--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2 and "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
 
 
-# for each curve flag (the test fails on a flag missing here): a small curve without it, and the flag as typed
-BSS_ROW = ["bss", "--rate", "0.5", "--eps", "0.01", "--n", "100:100:100"]
-GAUSS_ROW = ["gauss", "--rate", "0.5", "--eps", "0.005", "--n", "8:8:8"]
-CONFIG_CASES = {
-    "p": (["bns", "--rate", "0.3", "--eps", "0.01", "--n", "40:40:40"], ["--p", "0.25"]),
-    "rate": (["bss", "--eps", "0.01", "--n", "100:100:100"], ["--rate", "0.4"]),
-    "n": (["bss", "--rate", "0.5", "--eps", "0.01", "--jobs", "1"], ["--n", "40:80:40"]),
-    "eps": (["bss", "--rate", "0.5", "--n", "100:100:100"], ["--eps", "0.01", "0.1"]),
-    "ref_rate": (BSS_ROW + ["--legacy-eps", "0.0485"], ["--ref-rate", "0.45", "0.4"]),
-    "legacy_eps": (BSS_ROW + ["--ref-rate", "0.45"], ["--legacy-eps", "0.0485"]),
-    "alpha": (GAUSS_ROW, ["--alpha", "0.5", "2"]),
-    "unbounded": (GAUSS_ROW + ["--alpha", "2"], ["--unbounded"]),
-    "sigma2": (GAUSS_ROW, ["--sigma2", "2"]),
-    "delta": (GAUSS_ROW, ["--delta", "0.4"]),
-    "jobs": (BSS_ROW, ["--jobs", "1"]),
-    "out": (BSS_ROW, ["--out", "curve.csv"]),
-}
-
-
-@pytest.mark.parametrize("key", cli._build_parser()[1])
-def test_every_curve_flag_is_a_config_key(tmp_path, monkeypatch, key):
-    # the key is spelled as the flag, dashes and all; a switch reads "yes"
-    monkeypatch.chdir(tmp_path)
-    argv, flag = CONFIG_CASES[key]
-    out = [] if key == "out" else ["--out", "curve.csv"]
-    assert main(["curve", *argv, *flag, *out]) == 0
-    by_flag = Path("curve.csv").read_bytes()
-    Path("curve.csv").unlink()
-    cfg = _write_config(tmp_path, f"{flag[0][2:]} = {' '.join(flag[1:]) or 'yes'}\n")
-    assert main(["curve", *argv, "--config", cfg, *out]) == 0
-    assert Path("curve.csv").read_bytes() == by_flag
+@pytest.mark.parametrize("flag", ["--rate", "--n", "--out"])
+def test_curve_without_a_required_flag_exits_2(tmp_path, capsys, flag):
+    argv = BNS_CURVE + ["--out", str(tmp_path / "x.csv")]
+    i = argv.index(flag)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:i] + argv[i + 2:])
+    assert exc.value.code == 2 and f"required: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 GAUSS_CURVE = ["curve", "gauss", "--rate", "0.5", "--eps", "0.005", "--alpha", "2", "--unbounded", "--n", "16:32:16"]
+
+
+def _assert_gauss_cells(rows, rate: float, eps: float, sigma2: float = 1.0, delta: float = 0.5):
+    """Assert that each row holds the cold direct calls for the alpha = 2 and unbounded classes."""
+    dstar = solve(GaussianSource(sigma2), rate).dstar
+    for row in rows:
+        n = int(row["n"])
+        want = {"n": str(n), "asymptote": _fmt(dstar)}
+        for tag, rm in (("a2", math.sqrt(2.0 * n)), ("unbounded", None)):
+            gauss._class_table.cache_clear()
+            gauss._lane_table.cache_clear()
+            inp = gauss.GaussBoundInput(n, rate, sigma2, rm=rm, eps=eps, delta=delta)
+            upper = gauss.upper_bound_unbounded(inp) if rm is None else gauss.upper_bound_bounded(inp)
+            want[f"lower_{tag}"] = _fmt(gauss.lower_bound(inp), "lower")
+            want[f"upper_os_{eps:g}_{tag}"] = _fmt(upper.value, "upper")
+        assert row == want
 
 
 def test_curve_gauss_cells_match_direct_calls(tmp_path):
@@ -323,18 +292,17 @@ def test_curve_gauss_cells_match_direct_calls(tmp_path):
     assert one.read_bytes() == two.read_bytes()
     rows = list(csv.DictReader(one.read_text(encoding="utf-8").splitlines()[1:]))
     assert [row["n"] for row in rows] == ["16", "32"]
-    dstar = solve(GaussianSource(1.0), 0.5).dstar
-    for row in rows:
-        n = int(row["n"])
-        want = {"n": str(n), "asymptote": _fmt(dstar)}
-        for tag, rm in (("a2", math.sqrt(2.0 * n)), ("unbounded", None)):
-            gauss._class_table.cache_clear()
-            gauss._lane_table.cache_clear()
-            inp = gauss.GaussBoundInput(n, 0.5, rm=rm, eps=0.005)
-            upper = gauss.upper_bound_unbounded(inp) if rm is None else gauss.upper_bound_bounded(inp)
-            want[f"lower_{tag}"] = _fmt(gauss.lower_bound(inp), "lower")
-            want[f"upper_os_0.005_{tag}"] = _fmt(upper.value, "upper")
-        assert row == want
+    _assert_gauss_cells(rows, 0.5, 0.005)
+
+
+def test_curve_gauss_reads_sigma2_and_delta(tmp_path):
+    out = tmp_path / "gauss.csv"
+    argv = ["curve", "gauss", "--sigma2", "2", "--delta", "0.4", "--rate", "0.5", "--eps", "0.005", "--alpha", "2",
+            "--unbounded", "--n", "8:8:8", "--jobs", "1", "--out", str(out)]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:]))
+    assert [row["n"] for row in rows] == ["8"]
+    _assert_gauss_cells(rows, 0.5, 0.005, sigma2=2.0, delta=0.4)
 
 
 def _loaded_at_import(*modules):
@@ -404,18 +372,15 @@ def test_validate_errors_exit_with_their_code(capsys, argv, code):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
-@pytest.mark.parametrize("argv,config", [
-    (["curve", "bss", "--p", "0.3", "--rate", "0.5", "--eps", "0.01", "--n", "8:8:8"], None),
-    (["curve", "gauss", "--p", "0.3", "--rate", "0.5", "--eps", "0.005", "--n", "8:8:8"], None),
-    (["curve", "bss", "--rate", "0.5", "--eps", "0.01", "--n", "8:8:8"], "p = 0.3\n"),
-    (["validate", "bss", "--p", "0.3", "--n", "8", "--rate", "0.5", "--trials", "10"], None),
-], ids=["curve_bss_flag", "curve_gauss_flag", "curve_bss_config_key", "validate_bss_flag"])
-def test_p_outside_the_bns_family_exits_2(tmp_path, capsys, argv, config):
+@pytest.mark.parametrize("argv", [
+    ["curve", "bss", "--p", "0.3", "--rate", "0.5", "--eps", "0.01", "--n", "8:8:8"],
+    ["curve", "gauss", "--p", "0.3", "--rate", "0.5", "--eps", "0.005", "--n", "8:8:8"],
+    ["validate", "bss", "--p", "0.3", "--n", "8", "--rate", "0.5", "--trials", "10"],
+], ids=["curve_bss_flag", "curve_gauss_flag", "validate_bss_flag"])
+def test_p_outside_the_bns_family_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     if argv[0] == "curve":
         argv = argv + ["--jobs", "1", "--out", str(out)]
-    if config is not None:
-        argv = argv + ["--config", _write_config(tmp_path, config)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --p applies to the bns family only\n" and captured.out == ""

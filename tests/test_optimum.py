@@ -3,12 +3,14 @@
 Each case pins an optimal codebook of Q = floor(2**(nR)) words (word y has
 coordinate k equal to (y >> k) & 1) and its distortion, which no codebook of
 Q words beats. The bss optima are exact fractions with denominator n 2**n.
-Each optimum is re-solved here: by brute force over codebooks where that is
-cheap, with codeword 0 fixed for the bss since translation keeps a bss
-codebook's distortion, and otherwise as the k-median MILP. A lower bound
-must not exceed the optimum. Upper bounds are not checked: they take Q as
-the real 2**(nR), and at small n that can put them below the optimum at
-floor(Q) words.
+Each optimum at n <= 6 is re-solved here: by brute force over codebooks
+where that is cheap, with codeword 0 fixed for the bss since translation
+keeps a bss codebook's distortion, and otherwise as the k-median MILP. The
+n = 7 and 8 optima were solved once by the same MILP (codeword 0 left free
+for the bns), which took 2 to 30 s each on a 2-vCPU VM, so only their pins
+run. A lower bound must not exceed the optimum. Upper bounds are not
+checked: they take Q as the real 2**(nR), and at small n that can put them
+below the optimum at floor(Q) words.
 """
 
 import itertools
@@ -25,12 +27,17 @@ from rdflb.simulate import Codebook, ExperimentConfig, exact_distortion
 
 BSS, BNS = BinarySymmetricSource(), BinaryNonSymmetricSource(0.25)
 
-# source, n, rate, optimal codebook, its distortion, how the optimum is re-solved
+# source, n, rate, optimal codebook, its distortion, how the optimum is re-solved (None: not in tier-1)
 OPTIMA = {
     "bss_n4": (BSS, 4, 0.5, [0, 1, 14, 15], Fraction(3, 16), "brute"),
     "bss_n5": (BSS, 5, 0.5, [0, 1, 6, 26, 29], Fraction(33, 160), "brute"),
     "bss_n6": (BSS, 6, 0.5, [0, 15, 22, 25, 35, 44, 53, 58], Fraction(1, 6), "milp"),
     "bns_n6": (BNS, 6, 0.3, [0, 1, 2], 0.17708333333333334, "brute"),
+    "bss_n7": (BSS, 7, 0.5, [0, 13, 39, 52, 59, 67, 78, 85, 88, 105, 114], Fraction(157, 896), None),
+    "bss_n8": (BSS, 8, 0.5, [0, 15, 28, 35, 53, 58, 69, 74, 86, 89, 108, 112, 182, 185, 195, 255],
+               Fraction(11, 64), None),
+    "bss_n8_quarter": (BSS, 8, 0.25, [0, 119, 186, 205], Fraction(145, 512), None),
+    "bns_n7": (BNS, 7, 0.3, [0, 2, 8, 32], 0.16741071428571427, None),
 }
 
 
@@ -89,7 +96,7 @@ def test_pinned_codebook_reaches_its_pin(case):
     assert exact_distortion(source, cb) == pytest.approx(float(pin), rel=1e-15)
 
 
-@pytest.mark.parametrize("case", OPTIMA)
+@pytest.mark.parametrize("case", [case for case, spec in OPTIMA.items() if spec[5]])
 def test_optimum_is_re_solved(case):
     source, n, rate, words, pin, how = OPTIMA[case]
     weight, scale = _weights(source, n)
@@ -105,7 +112,14 @@ def test_optimum_is_re_solved(case):
         assert float(got) == pytest.approx(pin, abs=1e-12)
 
 
-@pytest.mark.parametrize("case", OPTIMA)
+# At n = 8, R = 1/2 the sphere-covering sum is exactly the optimum 11/64, and
+# bns.lower_bound(8, 0.5, 0.5) rounds one ulp above it (bss.lower_bound lands
+# 2.8e-17 below); both routes carry rounding errors of either sign.
+ROUNDS_ABOVE = pytest.mark.xfail(strict=True, reason="bns.lower_bound at p = 1/2 rounds 2.8e-17 above 11/64")
+
+
+@pytest.mark.parametrize("case", [pytest.param(case, marks=ROUNDS_ABOVE) if case == "bss_n8" else case
+                                  for case in OPTIMA])
 def test_lower_bounds_do_not_exceed_the_optimum(case):
     # compared as Fractions: at n = 6, R = 1/2 both bss routes land within 2e-16 of 1/6
     source, n, rate, _, pin, _ = OPTIMA[case]

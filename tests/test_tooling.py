@@ -56,7 +56,7 @@ def test_surface_is_the_bounds_and_two_commands(tmp_path, capsys):
     assert all(obj.__name__ == f"rdflb.{name}" for name, obj in public.items() if inspect.ismodule(obj))
     assert isinstance(rdflb.__version__, str)
     cli = importlib.import_module("rdflb.cli")
-    parser, _ = cli._build_parser()
+    parser = cli._build_parser()
     (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(commands) == {"curve", "validate"}
     csv_path, out = tmp_path / "curve.csv", tmp_path / "plot.out"
