@@ -8,15 +8,17 @@ a coarse norm grid, then zoom rounds around the argmin over rho (and, for a
 bounded codebook, around the argmax split).  Cutting t at t_end, solving
 where the integrand ends and taking the sup over a finite set of splits
 err low, the valid side; the quadrature errs either way, within 2e-12
-relative of a dense oracle where tested; the inf over a finite set of
-norms errs high and is the one step not certified (``lower_bound_detail``
-lists each step).  The cut t_end and the per-lane work, the crossing
-t_x(rho) and A(., rho) on the default panels, depend on (n, R, sigma2) and
-rho but never on rm, so they are solved once per norm value and shared by
-every codebook class (``_LaneTable``); the norm grid, the splits, the tail
-T beyond the split and the fine pass at the optimum depend on rm and
-belong to the class (``_Converse``).  A value does not depend on which
-classes ran before it.
+relative of a dense oracle that reads the same shell-mass kernel, where
+tested (the kernel's own error is not in that figure); the inf over a
+finite set of norms errs high and is the one step not certified
+(``lower_bound_detail`` lists each step).  The cut t_end and the per-lane
+work, the crossing t_x(rho) and A(., rho) on the default panels, depend on
+(n, R, sigma2) and rho but never on rm, so they are solved once per norm
+value and shared by every codebook class (``_LaneTable``), the crossings
+off the coarse grid from brackets seeded by the crossings on it; the norm
+grid, the splits, the tail T beyond the split and the fine pass at the
+optimum depend on rm and belong to the class (``_Converse``).  A value
+does not depend on which classes ran before it.
 
 Upper bounds: one ordered-statistics integral, E[min(|x|^2, r(x)^2)]/n
 plus an eps term, for both codebook classes.  The covering radius r(x) is
@@ -262,15 +264,20 @@ def _captured_density(inp: GaussBoundInput, rho, t) -> np.ndarray:
     return np.maximum(0.0, _one_minus_k0(inp, t) - qk) * -np.expm1(-t)
 
 
-def _crossing(inp: GaussBoundInput, rho: np.ndarray, t_end: float) -> np.ndarray:
+def _crossing(inp: GaussBoundInput, rho: np.ndarray, t_end: float, lo=None, hi=None) -> np.ndarray:
     """t_x per lane, where ln Q + ln K_excess(t, rho) = ln(1 - K0(t)).
 
     The gap ln Q K_excess - ln(1 - K0) rises with t wherever it was
     probed, so f > 0 exactly below t_x; were it to fall again, the part of
     f beyond t_x would be dropped, which errs low.  Every lane comes back
-    on its f = 0 side.  Lanes with f = 0 from t = 0 on get 0, lanes whose
-    gap stays negative up to t_end get t_end.
+    on its f = 0 side.  Each lane is solved on its bracket [lo, hi]
+    (default [0, t_end]), whose two ends go through one call of the gap,
+    which also checks it: a lane with f = 0 from lo = 0 on gets 0, a lane
+    whose gap stays negative up to hi = t_end gets t_end, and a lane whose
+    narrower bracket misses the sign change is solved again on [0, t_end].
     """
+    lo = np.zeros(rho.shape) if lo is None else lo
+    hi = np.full(rho.shape, t_end) if hi is None else hi
     tx = np.full(rho.shape, t_end)
     lanes = np.flatnonzero(rho > 0.0)
 
@@ -279,12 +286,17 @@ def _crossing(inp: GaussBoundInput, rho: np.ndarray, t_end: float) -> np.ndarray
             return inp.log_q + _log_k_excess(inp, rho[lanes[k]], t) - np.log(_one_minus_k0(inp, t))
 
     m = lanes.size
-    ends = gap(np.repeat([0.0, t_end], m), np.tile(np.arange(m), 2))
-    tx[lanes[ends[:m] >= 0.0]] = 0.0
-    run = (ends[:m] < 0.0) & (ends[m:] >= 0.0)
+    a, b = lo[lanes], hi[lanes]
+    ends = gap(np.concatenate([a, b]), np.tile(np.arange(m), 2))
+    g_a, g_b = ends[:m], ends[m:]
+    tx[lanes[(g_a >= 0.0) & (a == 0.0)]] = 0.0
+    miss = ((g_a >= 0.0) & (a > 0.0)) | ((g_b < 0.0) & (b < t_end))
+    if miss.any():
+        tx[lanes[miss]] = _crossing(inp, rho[lanes[miss]], t_end)
+    run = (g_a < 0.0) & (g_b >= 0.0)
     lanes = lanes[run]
     if lanes.size:
-        tx[lanes] = bracket_solve(gap, np.zeros(lanes.size), np.full(lanes.size, t_end), ends[:m][run], ends[m:][run])
+        tx[lanes] = bracket_solve(gap, a[run], b[run], g_a[run], g_b[run])
     return tx
 
 
@@ -309,6 +321,12 @@ class _LaneTable:
     it: its 1 - Gamma is at most 1 - K0, since r_E >= r0 (r_n's ball holds
     C0's volume, and c1 + r1 >= r1 >= r0).
 
+    ``grid`` is the coarse norm grid, rho_typ _RHO_GRID with rho_typ =
+    sqrt(n (sigma2 - D)) the typical codeword norm; its positive norms are
+    the reference norms, whose crossings ``reference`` solves once, each on
+    [0, t_end].  ``crossings`` reads them there and seeds every other lane
+    from them.
+
     Per norm value it keeps A(., rho) on the default panels without cuts,
     solved once for every codebook class.  The lane's last edge is its
     crossing t_x, so the lane also holds t_x.  ``lanes`` rebuilds the
@@ -320,13 +338,43 @@ class _LaneTable:
         self.inp = inp
         n, s2, d = inp.n, inp.sigma2, inp.dstar
         self.t_end = (s2 - d) / (2.0 * d) * (n + 12.0 * math.sqrt(2.0 * n) + 60.0)
+        self.grid = math.sqrt(n * (s2 - d)) * _RHO_GRID
         self._lanes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def reference(self) -> np.ndarray:
+        """t_x at the reference norms ``grid[1:]``, each solved on [0, t_end]."""
+        return _crossing(self.inp, self.grid[1:], self.t_end)
+
+    def crossings(self, rho: np.ndarray) -> np.ndarray:
+        """t_x per lane.  A reference norm reads its table value.  A norm
+        between two reference norms is solved on a seeded bracket: as wide
+        as the difference of their crossings, centred where the line through
+        them meets rho, and clipped to [0, t_end].  A norm outside the
+        reference norms, or whose seed misses its crossing (``_crossing``
+        checks it), is solved on [0, t_end].  The bracket depends on
+        (n, R, sigma2) and rho alone, so no value depends on which lanes
+        were laid out before it."""
+        ref, ref_tx = self.grid[1:], self.reference
+        i = np.searchsorted(ref, rho)
+        known = ref[np.minimum(i, ref.size - 1)] == rho
+        tx = np.empty(rho.shape)
+        tx[known] = ref_tx[i[known]]
+        rest = ~known
+        if rest.any():
+            r, j = rho[rest], np.clip(i[rest], 1, ref.size - 1)
+            a, b = ref_tx[j - 1], ref_tx[j]
+            mid = a + (r - ref[j - 1]) / (ref[j] - ref[j - 1]) * (b - a)
+            half = np.where((r > ref[0]) & (r < ref[-1]), 0.5 * np.abs(b - a), np.inf)
+            lo, hi = np.maximum(mid - half, 0.0), np.minimum(mid + half, self.t_end)
+            tx[rest] = _crossing(self.inp, r, self.t_end, lo, hi)
+        return tx
 
     def lanes(self, rho: np.ndarray) -> _Panels:
         """A(., rho) per lane; the norms not seen before are laid out in one batch."""
         new = np.array([r for r in dict.fromkeys(rho.tolist()) if r not in self._lanes])
         if new.size:
-            p = _lane_panels(self.inp, new, _crossing(self.inp, new, self.t_end))
+            p = _lane_panels(self.inp, new, self.crossings(new))
             split = np.cumsum([e.size - 1 for e in p.edges])[:-1]
             self._lanes.update(zip(new.tolist(), zip(p.edges, np.split(p.vals, split))))
         edges, vals = zip(*(self._lanes[r] for r in rho.tolist()))
@@ -341,10 +389,10 @@ def _lane_table(n: int, rate: float, sigma2: float) -> _LaneTable:
 class _Converse:
     """What the converse of one codebook class (n, R, sigma2, rm) holds of its own.
 
-    That is everything that depends on rm: the coarse norm grid (capped at
-    rm), the splits, the tail T with its anchors (the kinks from
-    ``_cap_kinks`` among them) and the fine pass at the optimum, and
-    ``detail``, the class's solved converse.  t_end and the per-lane work
+    That is everything that depends on rm: the coarse norm grid (the lane
+    table's ``grid``, capped at rm), the splits, the tail T with its
+    anchors (the kinks from ``_cap_kinks`` among them) and the fine pass at
+    the optimum, and ``detail``, the class's solved converse.  t_end and the per-lane work
     (t_x is the last edge of a lane) come from ``shared``, the lane table
     of (n, R, sigma2), which every class reads.
     """
@@ -354,9 +402,8 @@ class _Converse:
         n, s2, d = inp.n, inp.sigma2, inp.dstar
         self.shared = _lane_table(n, inp.rate, s2)
         self.t_end = t_end = self.shared.t_end
-        rho_typ = math.sqrt(n * (s2 - d))
-        r_cap = inp.rm if inp.rm is not None else 10.0 * rho_typ
-        grid = rho_typ * _RHO_GRID
+        grid = self.shared.grid
+        r_cap = inp.rm if inp.rm is not None else grid[-1]
         self.rho = np.append(grid[grid < r_cap], r_cap)
         if inp.rm is None:
             self.splits = np.array([t_end])
@@ -443,14 +490,23 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
       ``_LaneTable``): the dropped integrand is >= 0, so the cut errs low,
       the valid side.
     * Per norm lane, one ``bracket_solve`` finds t_x, past which f = 0 (see
-      ``_crossing``), so A's panels cover f's whole support.
+      ``_crossing``), so A's panels cover f's whole support.  The lanes at
+      the positive norms of the coarse grid, the reference norms, are
+      solved once on [0, t_end].  Every other lane between two reference
+      norms starts from a bracket seeded by their crossings (see
+      ``_LaneTable.crossings``); a lane outside them, or whose seed misses
+      its crossing, is solved on [0, t_end].  Each lane still returns on
+      its f = 0 side.
     * A and T are Gauss-Legendre sums on panels whose edges hold the kinks:
       t_x and the touch point of C_j and C0 for f; the rm codeword's touch
       point and the crossings of r_n and c1 + r1 for 1 - Gamma.  A split
       inside a panel is read from the polynomial through that panel's
-      nodes.  Either error can take either sign; against a dense oracle the
-      value agrees to 2e-12 relative.  The optimum is re-evaluated on twice
-      the panels, with the split as an edge, and the smaller value is kept.
+      nodes.  Either error can take either sign; against a dense oracle on
+      the same shell-mass kernel the value agrees to 2e-12 relative.  That
+      kernel's 16-node cap-shell panels are converged at n = 16 and 64 but
+      read 8.7e-10 relative high at n = 256 and 2.8e-7 at n = 1024.  The
+      optimum is re-evaluated on twice the panels, with the split as an
+      edge, and the smaller value is kept.
     * The sup over the split runs over a finite set (geometric, then zoomed
       around the argmax): it errs low, the valid side.
     * The inf over rho runs over a coarse grid and ``_ROUNDS`` zoom rounds
@@ -470,6 +526,10 @@ def lower_bound(inp: GaussBoundInput) -> float:
 # ---------------------------------------------------------------------------
 # upper bounds (ordered statistics)
 # ---------------------------------------------------------------------------
+
+# points of the source window at which the OS bound probes its kink
+_KINK_PROBE = 17
+
 
 def _source_window(n: int, sigma2: float, x_hi: float):
     spread = sigma2 * math.sqrt(2.0 * n + 60.0)
@@ -510,9 +570,11 @@ def _os_bound(inp: GaussBoundInput, log_cover, floor_sq, eps_term: float) -> Gau
     The integrand kinks where r(x) = |x|.  The balls B(|x| u, |x|) all
     touch the origin and are nested in |x|, so under either (rotation
     invariant) law the gap at s = x rises in x and crosses zero at most
-    once: its sign at the window's ends and one bracket solve find the
-    kink when it lies in the window, and it becomes a panel edge.
-    Otherwise the window is cut at its middle.
+    once.  One call evaluates it at ``_KINK_PROBE`` evenly spaced points of
+    the window, its two ends among them; when the sign changes in the
+    window, one bracket solve inside the probe interval where it does
+    finds the kink, and it becomes a panel edge.  Otherwise the window is
+    cut at its middle.
     """
     n, s2, d, eps, delta = inp.n, inp.sigma2, inp.dstar, inp.eps, inp.delta
     log_p0 = _log_budget(inp)
@@ -525,9 +587,11 @@ def _os_bound(inp: GaussBoundInput, log_cover, floor_sq, eps_term: float) -> Gau
         return log_cover(x, x) - log_p0
 
     edges = np.array([lo, 0.5 * (lo + hi), hi])
-    gap_lo, gap_hi = kink_gap(np.array([lo, hi]), None)
-    if gap_lo < 0.0 <= gap_hi:
-        kink = float(bracket_solve(kink_gap, lo, hi, gap_lo, gap_hi)[0])
+    probe = np.linspace(lo, hi, _KINK_PROBE)
+    g = kink_gap(probe, None)
+    if g[0] < 0.0 <= g[-1]:
+        i = int(np.argmax((g[:-1] < 0.0) & (g[1:] >= 0.0)))
+        kink = float(bracket_solve(kink_gap, probe[i], probe[i + 1], g[i], g[i + 1])[0])
         edges = np.unique([lo, kink, 0.5 * (kink + hi), hi])
     nodes, wgt = gl_panels(edges, 32)
     at_norm = kink_gap(nodes, None)

@@ -253,8 +253,13 @@ def test_lower_bound_inner_inf_property():
 # between consecutive kinks (t_x, the touch points of the codeword balls with
 # C0, the crossing of r_n and c1 + r1); the inf over rho by a 41-point grid,
 # then bounded Brent around its minimum, and the sup over the split the same
-# way (scipy.optimize.brentq and minimize_scalar).
-ORACLE_UNBOUNDED = {16: 0.5259903293481, 64: 0.5134742715095, 256: 0.5054970930400}
+# way (scipy.optimize.brentq and minimize_scalar).  Its K_excess reads the
+# shipped kernel, geometry.log_shell_mass_batch at 16 nodes per cap-shell
+# panel, which agrees with 32 nodes to 6e-16 at n = 16 and 64.  At n = 256
+# 16 nodes read 8.7e-10 relative high (see the xfails below), and the oracle
+# shared that error; its pin there is the converse itself at 32 nodes, which
+# 64 nodes reproduce to the last digit.
+ORACLE_UNBOUNDED = {16: 0.5259903293481, 64: 0.5134742715095, 256: 0.5054970926011}
 ORACLE_BOUNDED = {(16, 0.5): 0.526035264933, (64, 0.3): 0.520081281374, (16, 0.3): 0.528891889460}
 
 
@@ -268,6 +273,24 @@ def test_lower_bound_vs_dense_oracle(n):
     assert _detail(n, 2.0)[0] == pytest.approx(want, abs=1e-9)
 
 
+# geometry._cap_half_rows lays its u-panels by interval fractions and by the
+# edge slope of the radial density alone.  Where the cap factor rises like
+# u^(n-1) away from an inner tangent end, or the density peaks near the
+# halves' meeting point (clipped 5% inside the cap), 16 nodes per panel have
+# not converged; 32 and 64 nodes agree to 3e-13 on each value below.
+SHELL_UNDER_RESOLVED = pytest.mark.xfail(strict=True, reason="16-node cap-shell panels under-resolve the shell mass")
+
+# the unbounded converse with the shell-mass kernel at 32 nodes per panel; the
+# shipped kernel reads 8.7e-10 (n = 256) and 2.8e-7 (n = 1024) relative high,
+# a lower bound on its invalid side
+CONVERGED_LOWER = {256: 0.5054970926011, 1024: 0.5019650014742}
+
+
+@pytest.mark.parametrize("n", [pytest.param(n, marks=SHELL_UNDER_RESOLVED) for n in sorted(CONVERGED_LOWER)])
+def test_lower_bound_converged_in_the_shell_nodes(n):
+    assert _detail(n)[0] == pytest.approx(CONVERGED_LOWER[n], rel=1e-10, abs=0)
+
+
 @pytest.mark.parametrize("n,alpha", sorted(ORACLE_BOUNDED))
 def test_lower_bound_bounded_vs_dense_oracle(n, alpha):
     # these have an interior split: the sup over mu0 is not at t_end
@@ -276,18 +299,42 @@ def test_lower_bound_bounded_vs_dense_oracle(n, alpha):
     assert mu0 < 10.0
 
 
-def test_crossing_ends_the_support_of_f():
+def _assert_ends_the_support(inp, rho, tx, t_end):
     # f(t, rho) > 0 below t_x and f = 0 on a probe grid beyond it
+    for r, x in zip(rho, tx):
+        below = gauss._captured_density(inp, r, np.linspace(0.05, 0.999, 8) * x)
+        beyond = gauss._captured_density(inp, r, x + np.geomspace(1e-6, t_end - x, 8))
+        assert (below > 0.0).all() and (beyond == 0.0).all()
+
+
+def test_crossing_ends_the_support_of_f():
+    # the norms lie between reference norms, so each is solved on its seed
     inp = GaussBoundInput(64, 0.5)
     cv = gauss._class_table(inp.n, inp.rate, inp.sigma2, inp.rm)
     rho = np.array([2.0, 5.3, 8.0])
-    tx = gauss._crossing(inp, rho, cv.t_end)
+    assert not np.isin(rho, cv.shared.grid).any()
+    tx = cv.shared.crossings(rho)
     # the fine pass reads t_x as the last edge of the norm's lane
     assert np.array_equal(cv.shared.lanes(rho).last[:, 0], tx)
-    for r, x in zip(rho, tx):
-        below = gauss._captured_density(inp, r, np.linspace(0.05, 0.999, 8) * x)
-        beyond = gauss._captured_density(inp, r, x + np.geomspace(1e-6, cv.t_end - x, 8))
-        assert (below > 0.0).all() and (beyond == 0.0).all()
+    _assert_ends_the_support(inp, rho, tx, cv.t_end)
+
+
+def test_crossing_falls_back_to_the_whole_range():
+    # a norm below the first reference norm, and a lane whose seed misses its
+    # crossing on either side, are solved on [0, t_end] as an unseeded lane is
+    inp = GaussBoundInput(64, 0.5)
+    table = gauss._lane_table(inp.n, inp.rate, inp.sigma2)
+    t_end = table.t_end
+    low = np.array([0.5 * table.grid[1]])
+    tx_low = table.crossings(low)
+    assert np.array_equal(tx_low, gauss._crossing(inp, low, t_end))
+    _assert_ends_the_support(inp, low, tx_low, t_end)
+    rho = np.array([2.0, 5.3, 8.0])
+    whole = gauss._crossing(inp, rho, t_end)
+    for lo, hi in [(1.5 * whole, 2.0 * whole), (0.25 * whole, 0.5 * whole)]:
+        tx = gauss._crossing(inp, rho, t_end, lo, hi)
+        assert np.array_equal(tx, whole)
+        _assert_ends_the_support(inp, rho, tx, t_end)
 
 
 def test_lane_panels_in_one_batch_match_one_call_per_norm():
@@ -346,10 +393,11 @@ def _count_shell_mass(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("n", [16, 64, 256])
 @pytest.mark.parametrize("alpha", [2.0, 0.5, 0.3])
 def test_lower_bound_same_cold_or_warm_in_either_order(n, alpha):
-    # the classes share their norm lanes; no value may depend on which ran first
+    # the classes share their norm lanes and the reference crossings that
+    # seed them; no value may depend on which ran first
     bounded, unbounded = _class(n, alpha), _class(n, None)
     _cold()
     bounded_cold = gauss.lower_bound_detail(bounded)
@@ -363,7 +411,7 @@ def test_lower_bound_same_cold_or_warm_in_either_order(n, alpha):
 
 def test_unbounded_converse_reads_the_lanes_of_the_alpha_2_class(monkeypatch):
     # at n = 64 every norm lane of the alpha = 2 converse is one of the
-    # unbounded converse's, which cold makes about 95 shell-mass calls
+    # unbounded converse's, which cold makes about 50 shell-mass calls
     _cold()
     gauss.lower_bound(_class(64, 2.0))
     calls = _count_shell_mass(monkeypatch)
@@ -405,7 +453,9 @@ def test_upper_bounds_sandwich_lower():
         assert gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5)).value >= _detail(n)[0]
 
 
-@pytest.mark.parametrize("n", [16, 64, 128])
+# at n = 512 the rm = 200 bound sits 7.8e-8 relative below the unbounded one,
+# and at n = 1024 5.0e-7 above it; at 32 nodes the gaps are 7e-15 and 3e-13
+@pytest.mark.parametrize("n", [16, 64, 128, *(pytest.param(n, marks=SHELL_UNDER_RESOLVED) for n in (512, 1024))])
 def test_upper_bounded_reduces_to_unbounded(n):
     ub = gauss.upper_bound_unbounded(GaussBoundInput(n, 0.5)).value
     bd = gauss.upper_bound_bounded(GaussBoundInput(n, 0.5, rm=200.0)).value
@@ -649,7 +699,7 @@ def test_panels_read_like_a_per_lane_search():
 # alpha = 2 and unbounded classes, then rm = 200), counted from cold tables;
 # the ball caps of the bounded class's volume cap go through the untraced
 # log_cap_fraction and are not among the cone lanes
-WORK = {"shell_calls": 130, "shell_rows": 3122, "cone_lanes": 229568}
+WORK = {"shell_calls": 81, "shell_rows": 3011, "cone_lanes": 220100}
 
 
 def test_gauss_curve_work_stays_down(monkeypatch):
@@ -678,3 +728,25 @@ def test_gauss_curve_work_stays_down(monkeypatch):
         (gauss.upper_bound_unbounded if rm is None else gauss.upper_bound_bounded)(inp)
     gauss.upper_bound_bounded(GaussBoundInput(64, 0.5, rm=200.0, eps=0.005))
     assert all(work[k] <= 1.05 * WORK[k] for k in WORK), work
+
+
+@pytest.mark.parametrize("rm", [None, math.sqrt(2.0 * 64), 200.0], ids=["unbounded", "a2", "rm200"])
+def test_os_bound_finds_its_kink_in_few_cover_calls(rm, monkeypatch):
+    # at the benchmark's n = 64, R = 1/2, before its radius solve an OS bound
+    # reads the cover law at radius |x| only: one 17-point probe of the source
+    # window, 5 rounds of the kink solve inside the probe interval where the
+    # gap changes sign, and one pass over the quadrature nodes
+    calls = []
+    os_bound = gauss._os_bound
+
+    def spy(inp, log_cover, floor_sq, eps_term):
+        def counted(x, s):
+            calls.append(s is x)
+            return log_cover(x, s)
+
+        return os_bound(inp, counted, floor_sq, eps_term)
+
+    monkeypatch.setattr(gauss, "_os_bound", spy)
+    inp = GaussBoundInput(64, 0.5, rm=rm)
+    (gauss.upper_bound_unbounded if rm is None else gauss.upper_bound_bounded)(inp)
+    assert calls.index(False) <= 7
