@@ -14,11 +14,11 @@ finite set of norms errs high and is the one step not certified
 (``lower_bound_detail`` lists each step).  The cut t_end and the per-lane
 work, the crossing t_x(rho) and A(., rho) on the default panels, depend on
 (n, R, sigma2) and rho but never on rm, so they are solved once per norm
-value and shared by every codebook class (``_LaneTable``), the crossings
-off the coarse grid from brackets seeded by the crossings on it; the norm
-grid, the splits, the tail T beyond the split and the fine pass at the
-optimum depend on rm and belong to the class (``_Converse``).  A value
-does not depend on which classes ran before it.
+value and shared by every codebook class (``_Table``), the crossings off
+the coarse grid from brackets seeded by the crossings on it; the norm grid,
+the splits, the tail T beyond the split and the fine pass at the optimum
+depend on rm and are solved per class (``_class_detail``).  A value does
+not depend on which classes ran before it.
 
 Upper bounds: one ordered-statistics integral, E[min(|x|^2, r(x)^2)]/n
 plus an eps term, for both codebook classes.  The covering radius r(x) is
@@ -38,7 +38,7 @@ domain; Q*K products are clamped at 1 before entering integrands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -273,30 +273,28 @@ def _crossing(inp: GaussBoundInput, rho: np.ndarray, t_end: float, lo=None, hi=N
     on its f = 0 side.  Each lane is solved on its bracket [lo, hi]
     (default [0, t_end]), whose two ends go through one call of the gap,
     which also checks it: a lane with f = 0 from lo = 0 on gets 0, a lane
-    whose gap stays negative up to hi = t_end gets t_end, and a lane whose
-    narrower bracket misses the sign change is solved again on [0, t_end].
+    whose gap stays negative up to hi = t_end gets t_end (the rho = 0 lane,
+    whose gap is -inf), and a lane whose narrower bracket misses the sign
+    change is solved again on [0, t_end].
     """
     lo = np.zeros(rho.shape) if lo is None else lo
     hi = np.full(rho.shape, t_end) if hi is None else hi
     tx = np.full(rho.shape, t_end)
-    lanes = np.flatnonzero(rho > 0.0)
+    lanes = np.arange(rho.size)
 
     def gap(t, k):
         with np.errstate(divide="ignore"):
             return inp.log_q + _log_k_excess(inp, rho[lanes[k]], t) - np.log(_one_minus_k0(inp, t))
 
-    m = lanes.size
-    a, b = lo[lanes], hi[lanes]
-    ends = gap(np.concatenate([a, b]), np.tile(np.arange(m), 2))
-    g_a, g_b = ends[:m], ends[m:]
-    tx[lanes[(g_a >= 0.0) & (a == 0.0)]] = 0.0
-    miss = ((g_a >= 0.0) & (a > 0.0)) | ((g_b < 0.0) & (b < t_end))
+    ends = gap(np.concatenate([lo, hi]), np.tile(lanes, 2))
+    g_a, g_b = np.split(ends, 2)
+    tx[(g_a >= 0.0) & (lo == 0.0)] = 0.0
+    miss = ((g_a >= 0.0) & (lo > 0.0)) | ((g_b < 0.0) & (hi < t_end))
     if miss.any():
-        tx[lanes[miss]] = _crossing(inp, rho[lanes[miss]], t_end)
-    run = (g_a < 0.0) & (g_b >= 0.0)
-    lanes = lanes[run]
+        tx[miss] = _crossing(inp, rho[miss], t_end)
+    lanes = np.flatnonzero((g_a < 0.0) & (g_b >= 0.0))
     if lanes.size:
-        tx[lanes] = bracket_solve(gap, a[run], b[run], g_a[run], g_b[run])
+        tx[lanes] = bracket_solve(gap, lo[lanes], hi[lanes], g_a[lanes], g_b[lanes])
     return tx
 
 
@@ -310,9 +308,9 @@ def _lane_panels(inp: GaussBoundInput, rho: np.ndarray, tx: np.ndarray, panels=_
     return _Panels(edges, _captured_density(inp, np.repeat(rho, counts)[:, None], t))
 
 
-class _LaneTable:
-    """The cut t_end and the per-lane work of the converse, which depend on
-    (n, R, sigma2) and the norm rho, never on rm.
+class _Table:
+    """The converse of (n, R, sigma2): the cut t_end and the per-lane work,
+    which never depend on rm, and the solved converse of each codebook class.
 
     t_end puts the origin ball's squared radius, over sigma2, at chi2_n's
     point n + 12 sqrt(2n) + 60.  That is beyond n + 2 sqrt(30 n) + 60, whose
@@ -331,7 +329,8 @@ class _LaneTable:
     solved once for every codebook class.  The lane's last edge is its
     crossing t_x, so the lane also holds t_x.  ``lanes`` rebuilds the
     panels in the order asked for: ``_Panels.below`` is a running sum
-    across lanes, so the order sets its last bits.
+    across lanes, so the order sets its last bits.  ``detail(rm)`` keeps
+    each class's ``_class_detail``.
     """
 
     def __init__(self, inp: GaussBoundInput):
@@ -340,6 +339,7 @@ class _LaneTable:
         self.t_end = (s2 - d) / (2.0 * d) * (n + 12.0 * math.sqrt(2.0 * n) + 60.0)
         self.grid = math.sqrt(n * (s2 - d)) * _RHO_GRID
         self._lanes: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._details: dict[float | None, tuple[float, float, float, float]] = {}
 
     @cached_property
     def reference(self) -> np.ndarray:
@@ -380,89 +380,73 @@ class _LaneTable:
         edges, vals = zip(*(self._lanes[r] for r in rho.tolist()))
         return _Panels(list(edges), np.concatenate(vals))
 
+    def detail(self, rm: float | None) -> tuple[float, float, float, float]:
+        """``lower_bound_detail`` of the class with norm cap rm, solved once."""
+        if rm not in self._details:
+            self._details[rm] = _class_detail(self, replace(self.inp, rm=rm))
+        return self._details[rm]
+
 
 @lru_cache(maxsize=16)
-def _lane_table(n: int, rate: float, sigma2: float) -> _LaneTable:
-    return _LaneTable(GaussBoundInput(n, rate, sigma2))
+def _table(n: int, rate: float, sigma2: float) -> _Table:
+    return _Table(GaussBoundInput(n, rate, sigma2))
 
 
-class _Converse:
-    """What the converse of one codebook class (n, R, sigma2, rm) holds of its own.
-
-    That is everything that depends on rm: the coarse norm grid (the lane
-    table's ``grid``, capped at rm), the splits, the tail T with its
-    anchors (the kinks from ``_cap_kinks`` among them) and the fine pass at
-    the optimum, and ``detail``, the class's solved converse.  t_end and the per-lane work
-    (t_x is the last edge of a lane) come from ``shared``, the lane table
-    of (n, R, sigma2), which every class reads.
-    """
-
-    def __init__(self, inp: GaussBoundInput):
-        self.inp = inp
-        n, s2, d = inp.n, inp.sigma2, inp.dstar
-        self.shared = _lane_table(n, inp.rate, s2)
-        self.t_end = t_end = self.shared.t_end
-        grid = self.shared.grid
-        r_cap = inp.rm if inp.rm is not None else grid[-1]
-        self.rho = np.append(grid[grid < r_cap], r_cap)
-        if inp.rm is None:
-            self.splits = np.array([t_end])
-        else:
-            self.splits = np.geomspace(1e-4 * t_end, t_end, _SPLITS)
-            probe = np.append(0.0, self.splits)
-            self.tail_anchors = np.concatenate([self.splits, [_touch(inp, inp.rm)], _cap_kinks(inp, probe)])
-            self.tail_panels = self.tail(_TAIL_PANELS)
-
-    def tail(self, panels: int, cuts=()) -> _Panels:
-        """(1 - Gamma)(1 - e^-t) as panels on [0, t_end], anchored at the
-        coarse splits (a geometric grid) and at the kinks of 1 - Gamma: the
-        touch point of the rm codeword and the crossings of r_n and c1 + r1."""
-        inp = self.inp
-        edges = _panel_edges(0.0, self.t_end, self.tail_anchors, panels, cuts)
-        t, _ = gl_rule(edges[:-1], edges[1:], _NODES)
-        return _Panels([edges], _one_minus_gamma(inp, t) * -np.expm1(-t))
-
-    def objective(self, lanes: _Panels, splits: np.ndarray) -> np.ndarray:
-        """Delta(s, rho) = A(s, rho) + T(s) for every lane and split, in t."""
-        a = lanes.at(splits)
-        if self.inp.rm is None:
-            return a
-        return a + _tail_above(self.tail_panels, splits)
-
-    @cached_property
-    def detail(self) -> tuple[float, float, float, float]:
-        """``lower_bound_detail`` of this class, solved once."""
-        rho, splits = self.rho, self.splits
-        for _ in range(_ROUNDS):
-            v = self.objective(self.shared.lanes(rho), splits)
-            j = int(np.argmax(v.min(axis=0)))
-            best = int(np.argmin(v[:, j]))
-            rho = np.concatenate([rho, _zoom(rho, best, _ROUND_RHO)])
-            if self.inp.rm is not None:
-                splits = np.union1d(splits, _zoom(splits, j, _ROUND_SPLITS))
-        v = self.objective(self.shared.lanes(rho), splits)
-        j = int(np.argmax(v.min(axis=0)))
-        best = int(np.argmin(v[:, j]))
-        s, r = float(splits[j]), float(rho[best])
-        # the optimum again, on twice the panels and with the split as an
-        # edge, up to the crossing t_x, the last edge of its lane
-        one = np.array([r])
-        fine = float(_lane_panels(self.inp, one, self.shared.lanes(one).last[:, 0], 2 * _PANELS, [s]).at(s)[0, 0])
-        if self.inp.rm is not None:
-            fine += float(_tail_above(self.tail(2 * _TAIL_PANELS, [s]), s)[0, 0])
-        best_val = max(min(float(v[best, j]), fine), 0.0)
-        d = self.inp.dstar
-        return d * (1.0 + 2.0 * best_val / self.inp.n), best_val, s + math.expm1(-s), r
+def _tail_anchors(inp: GaussBoundInput, splits: np.ndarray) -> np.ndarray:
+    """The kinks of 1 - Gamma, the touch point of the rm codeword and the
+    crossings of r_n and c1 + r1, with the coarse splits they are probed on."""
+    return np.concatenate([splits, [_touch(inp, inp.rm)], _cap_kinks(inp, np.append(0.0, splits))])
 
 
-def _tail_above(tail: _Panels, s) -> np.ndarray:
-    """T(s), the tail's integral from s to t_end."""
+def _tail(inp: GaussBoundInput, t_end: float, anchors: np.ndarray, panels: int, cuts=()) -> _Panels:
+    """(1 - Gamma)(1 - e^-t) as panels on [0, t_end], anchored at ``_tail_anchors``."""
+    edges = _panel_edges(0.0, t_end, anchors, panels, cuts)
+    t, _ = gl_rule(edges[:-1], edges[1:], _NODES)
+    return _Panels([edges], _one_minus_gamma(inp, t) * -np.expm1(-t))
+
+
+def _tail_above(tail: _Panels | None, s):
+    """T(s), the tail's integral from s to t_end; 0 for no tail (an unbounded codebook)."""
+    if tail is None:
+        return 0.0
     return tail.at(tail.edges[0][-1]) - tail.at(s)
 
 
-@lru_cache(maxsize=16)
-def _class_table(n: int, rate: float, sigma2: float, rm: float | None) -> _Converse:
-    return _Converse(GaussBoundInput(n, rate, sigma2, rm))
+def _class_detail(table: _Table, inp: GaussBoundInput) -> tuple[float, float, float, float]:
+    """``lower_bound_detail`` of one codebook class (n, R, sigma2, rm).
+
+    It solves what depends on rm: the coarse norm grid (the table's
+    ``grid``, capped at rm), the splits, the tail T with its anchors, the
+    zoom rounds and the fine pass at the optimum.  t_end and the per-lane
+    work (t_x is the last edge of a lane) come from ``table``, which every
+    class of (n, R, sigma2) reads.  The objective is Delta(s, rho) =
+    A(s, rho) + T(s) for every lane and split, in t.
+    """
+    t_end, grid = table.t_end, table.grid
+    r_cap = inp.rm if inp.rm is not None else grid[-1]
+    rho = np.append(grid[grid < r_cap], r_cap)
+    splits, tail = np.array([t_end]), None
+    if inp.rm is not None:
+        splits = np.geomspace(1e-4 * t_end, t_end, _SPLITS)
+        anchors = _tail_anchors(inp, splits)
+        tail = _tail(inp, t_end, anchors, _TAIL_PANELS)
+    for k in range(_ROUNDS + 1):
+        v = table.lanes(rho).at(splits) + _tail_above(tail, splits)
+        j = int(np.argmax(v.min(axis=0)))
+        best = int(np.argmin(v[:, j]))
+        if k == _ROUNDS:
+            break
+        rho = np.concatenate([rho, _zoom(rho, best, _ROUND_RHO)])
+        if tail is not None:
+            splits = np.union1d(splits, _zoom(splits, j, _ROUND_SPLITS))
+    s, r = float(splits[j]), float(rho[best])
+    # the optimum again, on twice the panels and with the split as an
+    # edge, up to the crossing t_x, the last edge of its lane
+    one = np.array([r])
+    fine_tail = None if tail is None else _tail(inp, t_end, anchors, 2 * _TAIL_PANELS, [s])
+    fine = _lane_panels(inp, one, table.lanes(one).last[:, 0], 2 * _PANELS, [s]).at(s) + _tail_above(fine_tail, s)
+    best_val = max(min(float(v[best, j]), float(fine[0, 0])), 0.0)
+    return inp.dstar * (1.0 + 2.0 * best_val / inp.n), best_val, s + math.expm1(-s), r
 
 
 def _zoom(points: np.ndarray, best: int, m: int) -> np.ndarray:
@@ -480,21 +464,21 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
     the split, T integrates 1 - Gamma beyond it (dmu = (1 - e^-t) dt; T = 0
     for the unbounded class, whose only split is t_end).  t_end and A's
     lanes (the default panels per norm, each ending at its t_x) do not
-    depend on rm and are shared by every class (``_LaneTable``); the norm
-    grid, the splits, T and the fine pass belong to the class (``_Converse``).
+    depend on rm and are shared by every class (``_Table``); the norm grid,
+    the splits, T and the fine pass are the class's (``_class_detail``).
     The value does not depend on which classes ran before.  Each step, and
     the side it errs on:
 
     * t is cut at t_end, where the origin ball holds all but at most e^-30
       (about 9.4e-14) of the mass, and 1 - Gamma <= 1 - K0 (see
-      ``_LaneTable``): the dropped integrand is >= 0, so the cut errs low,
+      ``_Table``): the dropped integrand is >= 0, so the cut errs low,
       the valid side.
     * Per norm lane, one ``bracket_solve`` finds t_x, past which f = 0 (see
       ``_crossing``), so A's panels cover f's whole support.  The lanes at
       the positive norms of the coarse grid, the reference norms, are
       solved once on [0, t_end].  Every other lane between two reference
       norms starts from a bracket seeded by their crossings (see
-      ``_LaneTable.crossings``); a lane outside them, or whose seed misses
+      ``_Table.crossings``); a lane outside them, or whose seed misses
       its crossing, is solved on [0, t_end].  Each lane still returns on
       its f = 0 side.
     * A and T are Gauss-Legendre sums on panels whose edges hold the kinks:
@@ -514,8 +498,8 @@ def lower_bound_detail(inp: GaussBoundInput) -> tuple[float, float, float, float
       the curvature in rho times the squared final spacing.  It is not
       certified.
     """
-    # the class table is keyed on (n, R, sigma2, rm): eps and delta do not enter the converse
-    return _class_table(inp.n, inp.rate, inp.sigma2, inp.rm).detail
+    # the table is keyed on (n, R, sigma2) and its details on rm: eps and delta do not enter the converse
+    return _table(inp.n, inp.rate, inp.sigma2).detail(inp.rm)
 
 
 def lower_bound(inp: GaussBoundInput) -> float:

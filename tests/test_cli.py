@@ -274,8 +274,7 @@ def _assert_gauss_cells(rows, rate: float, eps: float, sigma2: float = 1.0, delt
         n = int(row["n"])
         want = {"n": str(n), "asymptote": _fmt(dstar)}
         for tag, rm in (("a2", math.sqrt(2.0 * n)), ("unbounded", None)):
-            gauss._class_table.cache_clear()
-            gauss._lane_table.cache_clear()
+            gauss._table.cache_clear()
             inp = gauss.GaussBoundInput(n, rate, sigma2, rm=rm, eps=eps, delta=delta)
             upper = gauss.upper_bound_unbounded(inp) if rm is None else gauss.upper_bound_bounded(inp)
             want[f"lower_{tag}"] = _fmt(gauss.lower_bound(inp), "lower")

@@ -76,11 +76,15 @@ def _delta_hat(mu0: float, r: float, inp: GaussBoundInput) -> float:
         raise ValueError("need mu0 >= 0 and r >= 0")
     if inp.rm is not None and r > inp.rm:
         raise ValueError(f"r exceeds the codeword bound: {r} > {inp.rm}")
-    cv = gauss._class_table(inp.n, inp.rate, inp.sigma2, inp.rm)
+    t_end = gauss._table(inp.n, inp.rate, inp.sigma2).t_end
     rho = np.array([float(r)])
-    t0 = min(_exp_gap_inverse(mu0), cv.t_end)
-    lanes = gauss._lane_panels(inp, rho, gauss._crossing(inp, rho, cv.t_end), cuts=[t0])
-    return float(cv.objective(lanes, np.array([t0]))[0, 0])
+    t0 = min(_exp_gap_inverse(mu0), t_end)
+    lanes = gauss._lane_panels(inp, rho, gauss._crossing(inp, rho, t_end), cuts=[t0])
+    tail = None
+    if inp.rm is not None:
+        anchors = gauss._tail_anchors(inp, np.geomspace(1e-4 * t_end, t_end, gauss._SPLITS))
+        tail = gauss._tail(inp, t_end, anchors, gauss._TAIL_PANELS)
+    return float((lanes.at([t0]) + gauss._tail_above(tail, [t0]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +314,20 @@ def _assert_ends_the_support(inp, rho, tx, t_end):
 def test_crossing_ends_the_support_of_f():
     # the norms lie between reference norms, so each is solved on its seed
     inp = GaussBoundInput(64, 0.5)
-    cv = gauss._class_table(inp.n, inp.rate, inp.sigma2, inp.rm)
+    table = gauss._table(inp.n, inp.rate, inp.sigma2)
     rho = np.array([2.0, 5.3, 8.0])
-    assert not np.isin(rho, cv.shared.grid).any()
-    tx = cv.shared.crossings(rho)
+    assert not np.isin(rho, table.grid).any()
+    tx = table.crossings(rho)
     # the fine pass reads t_x as the last edge of the norm's lane
-    assert np.array_equal(cv.shared.lanes(rho).last[:, 0], tx)
-    _assert_ends_the_support(inp, rho, tx, cv.t_end)
+    assert np.array_equal(table.lanes(rho).last[:, 0], tx)
+    _assert_ends_the_support(inp, rho, tx, table.t_end)
 
 
 def test_crossing_falls_back_to_the_whole_range():
     # a norm below the first reference norm, and a lane whose seed misses its
     # crossing on either side, are solved on [0, t_end] as an unseeded lane is
     inp = GaussBoundInput(64, 0.5)
-    table = gauss._lane_table(inp.n, inp.rate, inp.sigma2)
+    table = gauss._table(inp.n, inp.rate, inp.sigma2)
     t_end = table.t_end
     low = np.array([0.5 * table.grid[1]])
     tx_low = table.crossings(low)
@@ -343,7 +347,7 @@ def test_lane_panels_in_one_batch_match_one_call_per_norm():
     # values do not depend on the lanes laid out with it
     inp = GaussBoundInput(64, 0.5)
     rho = math.sqrt(inp.n * (inp.sigma2 - inp.dstar)) * np.linspace(0.0, 3.0, 72)
-    tx = gauss._crossing(inp, rho, gauss._lane_table(inp.n, inp.rate, inp.sigma2).t_end)
+    tx = gauss._crossing(inp, rho, gauss._table(inp.n, inp.rate, inp.sigma2).t_end)
     batch = gauss._lane_panels(inp, rho, tx)
     assert batch.vals.shape[0] > 256
     one = [gauss._lane_panels(inp, rho[i : i + 1], tx[i : i + 1]).vals for i in range(rho.size)]
@@ -357,7 +361,7 @@ def test_t_end_leaves_at_most_e_minus_30_of_the_origin_ball(rate):
     # n + 2 sqrt(30 n) + 60, whose tail is at most e^-30
     for n in [*range(2, 65), 256, 1024, 4096]:
         inp = GaussBoundInput(n, rate)
-        t_end = gauss._lane_table(n, rate, 1.0).t_end
+        t_end = gauss._table(n, rate, 1.0).t_end
         point = n + 12.0 * math.sqrt(2.0 * n) + 60.0
         assert float(inp.radius_sq(t_end, 0.0)) == pytest.approx(point, rel=1e-14, abs=0)
         assert point >= n + 2.0 * math.sqrt(30.0 * n) + 60.0
@@ -371,15 +375,14 @@ def test_bounded_tail_is_at_most_the_origin_ball_tail(alpha):
     for n in (2, 4, 16, 64, 256):
         for rate in (0.1, 0.5, 2.0):
             inp = GaussBoundInput(n, rate, rm=math.sqrt(alpha * n))
-            t_end = gauss._lane_table(n, rate, 1.0).t_end
+            t_end = gauss._table(n, rate, 1.0).t_end
             t = np.append(0.0, np.geomspace(1e-6 * t_end, t_end, 200))
             assert (gauss._one_minus_gamma(inp, t) <= gauss._one_minus_k0(inp, t)).all()
 
 
 def _cold():
     """Drop every converse table, so the next call solves all of its lanes."""
-    gauss._class_table.cache_clear()
-    gauss._lane_table.cache_clear()
+    gauss._table.cache_clear()
 
 
 def _count_shell_mass(monkeypatch) -> list[int]:
@@ -410,13 +413,44 @@ def test_lower_bound_same_cold_or_warm_in_either_order(n, alpha):
 
 
 def test_unbounded_converse_reads_the_lanes_of_the_alpha_2_class(monkeypatch):
-    # at n = 64 every norm lane of the alpha = 2 converse is one of the
-    # unbounded converse's, which cold makes about 50 shell-mass calls
+    # at n = 64 the alpha = 2 converse fills the one table of (n, R, sigma2)
+    # with every norm lane of the unbounded converse, which cold makes about
+    # 50 shell-mass calls
     _cold()
     gauss.lower_bound(_class(64, 2.0))
     calls = _count_shell_mass(monkeypatch)
     gauss.lower_bound(_class(64, None))
     assert 0 < calls[0] <= 15
+
+
+def test_one_table_serves_every_class_of_n_rate_sigma2():
+    # the bounded and unbounded classes at one (n, R, sigma2) share a table,
+    # and each detail is the same when solved alone in a fresh one
+    _cold()
+    classes = [_class(64, alpha) for alpha in (0.3, 2.0, None)]
+    details = [gauss.lower_bound_detail(c) for c in classes]
+    assert gauss._table.cache_info().currsize == 1
+    for c, detail in zip(classes, details):
+        gauss._table.cache_clear()
+        assert gauss.lower_bound_detail(c) == detail
+
+
+def test_no_seeded_crossing_falls_back_at_the_benchmark_configuration(monkeypatch):
+    # at n = 64, R = 1/2 every seeded bracket holds its crossing, so the only
+    # crossing solve that starts on [0, t_end] unasked is the reference solve
+    unseeded = []
+    crossing = gauss._crossing
+
+    def counted(inp, rho, t_end, lo=None, hi=None):
+        if lo is None:
+            unseeded.append(rho.size)
+        return crossing(inp, rho, t_end, lo, hi)
+
+    monkeypatch.setattr(gauss, "_crossing", counted)
+    _cold()
+    for alpha in (2.0, None):
+        gauss.lower_bound(_class(64, alpha))
+    assert unseeded == [gauss._RHO_GRID.size - 1]
 
 
 def test_lower_bound_ignores_eps_and_delta(monkeypatch):
